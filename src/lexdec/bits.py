@@ -213,47 +213,61 @@ def shortlex_compare(a: BitString, b: BitString) -> int:
 class BitCursor:
     """A read position over a :class:`BitString`.
 
-    Cursors are cheap, independent per reader, and mutate only their own
-    position. Reads past the end raise a truncation :class:`DecodeError`
-    carrying the position at which the failed read started.
+    The source is rendered to ``0``/``1`` text once, so a read costs the bits
+    it reads, not the length of the source. Cursors are independent per
+    reader and mutate only their own position. Reads past the end raise a
+    truncation :class:`DecodeError` carrying the position at which the
+    failed read started.
     """
 
-    __slots__ = ("source", "position")
+    __slots__ = ("source", "position", "_text")
 
     def __init__(self, source: BitString, position: int = 0):
+        if not isinstance(source, BitString):
+            raise TypeError(f"a BitCursor reads a BitString, not {type(source).__name__}")
         if not 0 <= position <= len(source):
             raise ValueError("cursor position out of range")
         self.source = source
         self.position = position
+        self._text = source.to_text()
 
     @property
     def remaining(self) -> int:
-        return len(self.source) - self.position
+        return len(self._text) - self.position
 
     def at_end(self) -> bool:
-        return self.position >= len(self.source)
+        return self.position >= len(self._text)
 
     def peek_bit(self) -> int | None:
         """The next bit without advancing, or ``None`` at the end."""
         if self.at_end():
             return None
-        return self.source[self.position]
+        return int(self._text[self.position])
 
     def read_bit(self) -> int:
         if self.at_end():
             raise DecodeError(DecodeErrorKind.TRUNCATED_INPUT, self.position)
-        bit = self.source[self.position]
         self.position += 1
-        return bit
+        return int(self._text[self.position - 1])
 
     def read_bits(self, count: int) -> int:
         """Read ``count`` bits as an unsigned integer, MSB first."""
         if count < 0:
             raise ValueError("count must be non-negative")
-        if count > self.remaining:
-            raise DecodeError(DecodeErrorKind.TRUNCATED_INPUT, self.position)
-        if count == 0:
-            return 0
-        value = self.source[self.position : self.position + count]._value
-        self.position += count
-        return value
+        start, end = self.position, self.position + count
+        if end > len(self._text):
+            raise DecodeError(DecodeErrorKind.TRUNCATED_INPUT, start)
+        self.position = end
+        return int(self._text[start:end], 2) if count else 0
+
+    def read_run(self, bit: int) -> int:
+        """Read a run of ``bit``, maybe empty, and the opposite bit ending it.
+
+        Returns the run's length; without an ending bit the read fails at
+        the end of the input.
+        """
+        end = self._text.find("0" if bit else "1", self.position)
+        if end < 0:
+            raise DecodeError(DecodeErrorKind.TRUNCATED_INPUT, len(self._text))
+        run, self.position = end - self.position, end + 1
+        return run

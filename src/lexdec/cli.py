@@ -148,11 +148,16 @@ def _cmd_decode(args) -> int:
         raise _UsageError("--trim applies to the canonical variant only")
     for text in _input_values(args.inputs):
         bits = _bits_from_hex(text) if args.format == "hex" else BitString(text)
-        if options.variant is Variant.PREFIX_FREE:
-            for value in decode_prefix_free_stream(bits):
-                print(render_decimal(value))
-        else:
-            print(render_decimal(decode(bits, trim=args.trim)))
+        try:
+            if options.variant is Variant.PREFIX_FREE:
+                values = decode_prefix_free_stream(bits)
+            else:
+                values = [decode(bits, trim=args.trim)]
+        except ExponentLimitError as exc:
+            print(f"decode error: {exc}", file=sys.stderr)
+            return EXIT_DECODE
+        for value in values:
+            print(render_decimal(value))
     return EXIT_OK
 
 

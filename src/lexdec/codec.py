@@ -26,6 +26,7 @@ from typing import Sequence
 
 from .bits import BitCursor, BitString
 from .decimal_values import (
+    DEFAULT_MAX_EXPONENT,
     NAN,
     NEGATIVE_INFINITY,
     NEGATIVE_ZERO,
@@ -37,8 +38,14 @@ from .decimal_values import (
     ScientificForm,
     Sign,
 )
-from .errors import DecodeError, DecodeErrorKind
-from .gamma import decode_exponent, encode_exponent, exponent_field_length
+from .errors import DecodeError, DecodeErrorKind, ExponentLimitError
+from .gamma import (
+    EXPONENT_OFFSET,
+    encode_exponent,
+    exponent_field_length,
+    read_exponent_payload,
+    read_exponent_run,
+)
 
 __all__ = [
     "Variant",
@@ -143,47 +150,65 @@ def encode(value: DecimalValue, *, trim: bool = False) -> BitString:
     return bits
 
 
-def decode(bits: BitString, *, trim: bool = False) -> DecimalValue:
+def decode(
+    bits: BitString, *, trim: bool = False, max_exponent: int = DEFAULT_MAX_EXPONENT
+) -> DecimalValue:
     """Exact inverse of :func:`encode` over its image; consumes the whole input.
 
     With ``trim`` the last tetrade or declet may arrive shortened and is
     zero-extended before reading. Without it, only an all-zero partial tail
     is tolerated (byte-alignment padding); any other mid-field end raises a
     truncation error. Raises :class:`DecodeError` for anything outside the
-    valid forms.
+    valid forms and :class:`ExponentLimitError` for an exponent magnitude
+    above ``max_exponent``, as :func:`parse_decimal` does.
     """
-    cursor = BitCursor(bits)
-    header = cursor.read_bits(2)
+    framing = _Framing.REPADDED if trim else _Framing.TO_END
+    return _decode_value(BitCursor(bits), framing, max_exponent)
 
-    if header == _HEADER_NEGATIVE_ZERO:
-        if cursor.at_end():
-            return NEGATIVE_ZERO
-        raise DecodeError(DecodeErrorKind.INVALID_HEADER, 0)
-    if header == _HEADER_POSITIVE_OR_INF:
-        if cursor.at_end():
-            return POSITIVE_INFINITY
-        if len(bits) == 3 and bits[2] == 1:
-            return NAN
-        raise DecodeError(DecodeErrorKind.INVALID_HEADER, 0)
+
+class _Framing(enum.Enum):
+    """Where a value ends: its significand's last group, and its special values."""
+
+    TO_END = enum.auto()  # at the end of input; a short all-zero tail is padding
+    REPADDED = enum.auto()  # at the end of input; a short last group is zero-extended
+    CONTINUATION = enum.auto()  # a bit after each group: 1 while more groups follow
+
+
+def _decode_value(cursor: BitCursor, framing: _Framing, max_exponent: int) -> DecimalValue:
+    """Read one value; error positions are offsets into the cursor's whole source.
+
+    Under continuation framing, ``11`` is NaN when a 1 follows and positive
+    infinity otherwise. An exponent field whose length alone puts it above
+    ``max_exponent`` is rejected before its payload is read; the error then
+    carries the smallest exponent of that length.
+    """
+    start = cursor.position
+    header = cursor.read_bits(2)
+    if header in (_HEADER_NEGATIVE_ZERO, _HEADER_POSITIVE_OR_INF):
+        value = NEGATIVE_ZERO if header == _HEADER_NEGATIVE_ZERO else POSITIVE_INFINITY
+        if header == _HEADER_POSITIVE_OR_INF and cursor.peek_bit() == 1:
+            cursor.read_bit()
+            value = NAN
+        if framing is not _Framing.CONTINUATION and not cursor.at_end():
+            raise DecodeError(DecodeErrorKind.INVALID_HEADER, start)
+        return value
     if cursor.at_end():
         return POSITIVE_ZERO if header == _HEADER_POSITIVE else NEGATIVE_INFINITY
 
     sign = Sign.NEGATIVE if header == _HEADER_NEGATIVE else Sign.POSITIVE
-    field = decode_exponent(cursor)
-    exponent_sign = (
-        ExponentSign(-sign.value) if field.inverted else ExponentSign(sign.value)
-    )
-    if field.exponent == 0 and exponent_sign is ExponentSign.NEGATIVE:
-        raise DecodeError(DecodeErrorKind.NEGATIVE_ZERO_EXPONENT, 2)
+    inverted, run = read_exponent_run(cursor)
+    exponent_sign = ExponentSign(-sign if inverted else sign)
+    least = (1 << run) - EXPONENT_OFFSET
+    if least > max_exponent:
+        raise ExponentLimitError(exponent_sign * least, max_exponent)
+    exponent = read_exponent_payload(cursor, inverted, run)
+    if exponent > max_exponent:
+        raise ExponentLimitError(exponent_sign * exponent, max_exponent)
+    if exponent == 0 and exponent_sign is ExponentSign.NEGATIVE:
+        raise DecodeError(DecodeErrorKind.NEGATIVE_ZERO_EXPONENT, start + 2)
 
-    digits = decode_significand(cursor, negative=sign is Sign.NEGATIVE, repad=trim)
-    form = ScientificForm(
-        sign=sign,
-        exponent_sign=exponent_sign,
-        exponent=field.exponent,
-        digits=digits,
-    )
-    return DecimalValue.finite(form)
+    digits = _read_significand(cursor, sign is Sign.NEGATIVE, framing)
+    return DecimalValue.finite(ScientificForm(sign, exponent_sign, exponent, digits))
 
 
 def decode_significand(
@@ -195,37 +220,38 @@ def decode_significand(
     ten is taken back. Validates every tetrade/declet range and that the
     decoded significand lies in [1, 10).
     """
+    return _read_significand(cursor, negative, _Framing.REPADDED if repad else _Framing.TO_END)
+
+
+def _read_significand(cursor: BitCursor, negative: bool, framing: _Framing) -> tuple[int, ...]:
     start = cursor.position
     if cursor.at_end():
         raise DecodeError(DecodeErrorKind.TRUNCATED_INPUT, start)
-
-    if repad:
-        width = min(TETRADE_BITS, cursor.remaining)
-        first = cursor.read_bits(width) << (TETRADE_BITS - width)
-    else:
-        first = cursor.read_bits(TETRADE_BITS)
+    first = _read_group(cursor, TETRADE_BITS, framing)
     if first > 9:
         raise DecodeError(DecodeErrorKind.DIGIT_OUT_OF_RANGE, start)
 
     stored = [first]
-    while not cursor.at_end():
+    continued = framing is _Framing.CONTINUATION
+    while cursor.read_bit() if continued else not cursor.at_end():
         group_start = cursor.position
-        if repad:
-            width = min(DECLET_BITS, cursor.remaining)
-            declet = cursor.read_bits(width) << (DECLET_BITS - width)
-        elif cursor.remaining < DECLET_BITS:
+        if framing is _Framing.TO_END and cursor.remaining < DECLET_BITS:
             # A short all-zero tail is byte-alignment padding; anything else
             # means the input was cut mid-declet.
             if cursor.read_bits(cursor.remaining) != 0:
                 raise DecodeError(DecodeErrorKind.TRUNCATED_INPUT, group_start)
             break
-        else:
-            declet = cursor.read_bits(DECLET_BITS)
+        declet = _read_group(cursor, DECLET_BITS, framing)
         if declet > 999:
             raise DecodeError(DecodeErrorKind.DIGIT_OUT_OF_RANGE, group_start)
         stored += [declet // 100, declet // 10 % 10, declet % 10]
 
     return _normalize_stored(stored, negative, start)
+
+
+def _read_group(cursor: BitCursor, width: int, framing: _Framing) -> int:
+    short = min(width, cursor.remaining) if framing is _Framing.REPADDED else width
+    return cursor.read_bits(short) << (width - short)
 
 
 def _normalize_stored(stored: list[int], negative: bool, position: int) -> tuple[int, ...]:

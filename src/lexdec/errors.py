@@ -24,7 +24,9 @@ class ExponentLimitError(ValueError):
     """
 
     def __init__(self, exponent: int, limit: int):
-        super().__init__(f"exponent magnitude {exponent} exceeds limit {limit}")
+        # A decoded exponent can have more digits than Python will render.
+        shown = exponent if exponent.bit_length() <= 64 else f"of {exponent.bit_length()} bits"
+        super().__init__(f"exponent magnitude {shown} exceeds limit {limit}")
         self.exponent = exponent
         self.limit = limit
 

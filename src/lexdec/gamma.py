@@ -20,6 +20,8 @@ __all__ = [
     "modified_gamma_decode",
     "exponent_field_length",
     "encode_exponent",
+    "read_exponent_run",
+    "read_exponent_payload",
     "decode_exponent",
 ]
 
@@ -58,13 +60,8 @@ def modified_gamma_encode(k: int) -> BitString:
 
 def modified_gamma_decode(cursor: BitCursor) -> int:
     """Read one codeword, advancing the cursor exactly its length."""
-    ones = 0
-    while cursor.peek_bit() == 1:
-        cursor.read_bit()
-        ones += 1
-    cursor.read_bit()  # the zero terminator; raises on truncation
-    payload = cursor.read_bits(ones)
-    return (1 << ones) | payload
+    ones = cursor.read_run(1)
+    return (1 << ones) | cursor.read_bits(ones)
 
 
 def exponent_field_length(exponent: int) -> int:
@@ -84,22 +81,30 @@ def encode_exponent(exponent: int, invert: bool) -> ExponentField:
     return ExponentField(bits=bits, exponent=exponent, inverted=invert)
 
 
+def read_exponent_run(cursor: BitCursor) -> tuple[bool, int]:
+    """Read an exponent field's leading run and the opposite bit ending it.
+
+    Returns ``(inverted, R)``: the field spans 2R+1 bits, and its exponent is
+    at least ``2**R - EXPONENT_OFFSET`` before the payload is even read.
+    """
+    first = cursor.read_bit()
+    return first == 0, 1 + cursor.read_run(first)
+
+
+def read_exponent_payload(cursor: BitCursor, inverted: bool, run: int) -> int:
+    """Read the payload that follows a run of ``run`` bits; returns the exponent."""
+    payload = cursor.read_bits(run)
+    if inverted:
+        payload ^= (1 << run) - 1
+    return ((1 << run) | payload) - EXPONENT_OFFSET
+
+
 def decode_exponent(cursor: BitCursor) -> ExponentField:
     """Read an exponent field, un-flipping it when its leading bit is 0.
 
     The run of identical leading bits determines the field length: a run of
     R bits means the field spans 2R+1 bits in total.
     """
-    start = cursor.position
-    first = cursor.read_bit()
-    run = 1
-    while cursor.peek_bit() == first:
-        cursor.read_bit()
-        run += 1
-    cursor.read_bit()  # terminator, the opposite bit
-    payload = cursor.read_bits(run)
-    if first == 0:
-        payload ^= (1 << run) - 1
-    exponent = ((1 << run) | payload) - EXPONENT_OFFSET
-    bits = cursor.source[start : cursor.position]
-    return ExponentField(bits=bits, exponent=exponent, inverted=first == 0)
+    inverted, run = read_exponent_run(cursor)
+    exponent = read_exponent_payload(cursor, inverted, run)
+    return encode_exponent(exponent, inverted)  # a bijection: exactly the bits read

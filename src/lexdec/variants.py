@@ -18,24 +18,14 @@ from .codec import (
     DECLET_DIGITS,
     TETRADE_BITS,
     SPECIAL_ENCODINGS,
-    _normalize_stored,
+    _decode_value,
+    _Framing,
     complement_to_ten,
     encode,
 )
-from .decimal_values import (
-    NAN,
-    NEGATIVE_INFINITY,
-    NEGATIVE_ZERO,
-    POSITIVE_INFINITY,
-    POSITIVE_ZERO,
-    DecimalValue,
-    ExponentSign,
-    Kind,
-    ScientificForm,
-    Sign,
-)
-from .errors import DecodeError, DecodeErrorKind, KeyWidthError
-from .gamma import decode_exponent, encode_exponent, exponent_field_length
+from .decimal_values import DEFAULT_MAX_EXPONENT, DecimalValue, Kind, Sign
+from .errors import KeyWidthError
+from .gamma import encode_exponent, exponent_field_length
 
 __all__ = [
     "FixedWidthKey",
@@ -78,72 +68,30 @@ def encode_prefix_free(value: DecimalValue) -> BitString:
     return bits
 
 
-def decode_prefix_free_stream(bits: BitString) -> list[DecimalValue]:
+def decode_prefix_free_stream(
+    bits: BitString, *, max_exponent: int = DEFAULT_MAX_EXPONENT
+) -> list[DecimalValue]:
     """Split a concatenation of prefix-free encodings back into values.
 
-    Finite values, negative zero and NaN are self-delimiting anywhere in the
-    stream. The two-bit headers of the remaining specials collide with the
-    headers of finite values, so the decoder resolves them as follows:
+    Time is linear in the length of the stream. Finite values, negative zero
+    and NaN are self-delimiting anywhere in the stream. The two-bit headers
+    of the remaining specials collide with the headers of finite values, so
+    the decoder resolves them as follows:
 
     * ``11`` is read as NaN when the next bit is a 1, as positive infinity
       when the next bit is a 0 or the input ends;
     * ``00`` and ``10`` followed by anything are read as the start of a
       finite value, so negative infinity and positive zero can only stand at
       the end of a stream.
+
+    Errors are those of :func:`lexdec.codec.decode`, with positions counted
+    from the start of the stream.
     """
     cursor = BitCursor(bits)
     values = []
     while not cursor.at_end():
-        values.append(_decode_prefix_free_value(cursor))
+        values.append(_decode_value(cursor, _Framing.CONTINUATION, max_exponent))
     return values
-
-
-def _decode_prefix_free_value(cursor: BitCursor) -> DecimalValue:
-    header_start = cursor.position
-    header = cursor.read_bits(2)
-    if header == 0b01:
-        return NEGATIVE_ZERO
-    if header == 0b11:
-        if cursor.peek_bit() == 1:
-            cursor.read_bit()
-            return NAN
-        return POSITIVE_INFINITY
-    if cursor.at_end():
-        return POSITIVE_ZERO if header == 0b10 else NEGATIVE_INFINITY
-
-    sign = Sign.NEGATIVE if header == 0b00 else Sign.POSITIVE
-    field = decode_exponent(cursor)
-    exponent_sign = (
-        ExponentSign(-sign.value) if field.inverted else ExponentSign(sign.value)
-    )
-    if field.exponent == 0 and exponent_sign is ExponentSign.NEGATIVE:
-        raise DecodeError(DecodeErrorKind.NEGATIVE_ZERO_EXPONENT, header_start + 2)
-
-    digits = _decode_significand_prefix_free(cursor, sign is Sign.NEGATIVE)
-    form = ScientificForm(
-        sign=sign,
-        exponent_sign=exponent_sign,
-        exponent=field.exponent,
-        digits=digits,
-    )
-    return DecimalValue.finite(form)
-
-
-def _decode_significand_prefix_free(cursor: BitCursor, negative: bool) -> tuple[int, ...]:
-    start = cursor.position
-    first = cursor.read_bits(TETRADE_BITS)
-    if first > 9:
-        raise DecodeError(DecodeErrorKind.DIGIT_OUT_OF_RANGE, start)
-    stored = [first]
-    more = cursor.read_bit()
-    while more:
-        group_start = cursor.position
-        declet = cursor.read_bits(DECLET_BITS)
-        if declet > 999:
-            raise DecodeError(DecodeErrorKind.DIGIT_OUT_OF_RANGE, group_start)
-        stored += [declet // 100, declet // 10 % 10, declet % 10]
-        more = cursor.read_bit()
-    return _normalize_stored(stored, negative, start)
 
 
 @dataclass(frozen=True, slots=True)

@@ -86,6 +86,15 @@ class TestDecode:
         assert code == 2
         assert "negative zero exponent" in err
 
+    @pytest.mark.parametrize("variant", ["canonical", "prefix"])
+    def test_exponent_over_the_limit_exits_2(self, capsys, variant):
+        # A 20,000-bit exponent once leaked Python's int-to-str ValueError.
+        bits = "10" + "1" * 20000 + "0" + "0" * 20000 + "0001" + "0" * (variant == "prefix")
+        code, out, err = run(capsys, "decode", "--variant", variant, bits)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("decode error: exponent magnitude of 20000 bits exceeds limit")
+
     def test_hex_round_trip(self, capsys):
         code, out, _ = run(capsys, "decode", "--format", "hex", "A0 80/9")
         assert code == 0

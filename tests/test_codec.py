@@ -1,5 +1,7 @@
 """Encoder/decoder golden values, error taxonomy, and properties."""
 
+import functools
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -12,9 +14,11 @@ from lexdec import (
     POSITIVE_ZERO,
     BitCursor,
     BitString,
+    DEFAULT_MAX_EXPONENT,
     CodecOptions,
     DecodeError,
     DecodeErrorKind,
+    ExponentLimitError,
     ExponentSign,
     Kind,
     Sign,
@@ -23,11 +27,14 @@ from lexdec import (
     complement_to_ten,
     compare_numeric,
     decode,
+    decode_prefix_free_stream,
     decode_significand,
     encode,
+    encode_prefix_free,
     encode_significand,
     lex_compare,
     parse_decimal,
+    render_decimal,
 )
 
 from golden import DECODE_WORKED_EXAMPLE, SMALL_INTEGER_TABLE, WORKED_EXAMPLES
@@ -67,6 +74,36 @@ def oracle_encode(value) -> str:
     for i in range(0, len(rest), 3):
         out += format(int(rest[i : i + 3]), "010b")
     return out
+
+
+# Every decode failure class, with the bit position the error must report.
+ERROR_TAXONOMY = [
+    # exponent 0 marked negative can never be produced
+    ("10011 0001", DecodeErrorKind.NEGATIVE_ZERO_EXPONENT, 2),
+    ("00100 1001", DecodeErrorKind.NEGATIVE_ZERO_EXPONENT, 2),
+    # tetrade and declet range checks
+    ("10 100 1010", DecodeErrorKind.DIGIT_OUT_OF_RANGE, 5),
+    ("10 100 1111", DecodeErrorKind.DIGIT_OUT_OF_RANGE, 5),
+    ("10 101 0001 1111101000", DecodeErrorKind.DIGIT_OUT_OF_RANGE, 9),
+    # significand outside [1, 10)
+    ("10 100 0000", DecodeErrorKind.SIGNIFICAND_OUT_OF_RANGE, 5),
+    ("10 100 0000 0111110100", DecodeErrorKind.SIGNIFICAND_OUT_OF_RANGE, 5),
+    ("00 011 1001 0001100100", DecodeErrorKind.SIGNIFICAND_OUT_OF_RANGE, 5),
+    ("00 011 0000", DecodeErrorKind.SIGNIFICAND_OUT_OF_RANGE, 5),
+    # headers that are not a special and not a finite start
+    ("01 0", DecodeErrorKind.INVALID_HEADER, 0),
+    ("0100", DecodeErrorKind.INVALID_HEADER, 0),
+    ("110", DecodeErrorKind.INVALID_HEADER, 0),
+    ("1110", DecodeErrorKind.INVALID_HEADER, 0),
+    ("1111", DecodeErrorKind.INVALID_HEADER, 0),
+    # inputs that stop mid-field, at the offset of the failed read
+    ("", DecodeErrorKind.TRUNCATED_INPUT, 0),
+    ("1", DecodeErrorKind.TRUNCATED_INPUT, 0),
+    ("10 1", DecodeErrorKind.TRUNCATED_INPUT, 3),
+    ("10 100", DecodeErrorKind.TRUNCATED_INPUT, 5),
+    ("10 100 00", DecodeErrorKind.TRUNCATED_INPUT, 5),
+    ("10 101 0001 00011", DecodeErrorKind.TRUNCATED_INPUT, 9),
+]
 
 
 class TestGolden:
@@ -129,39 +166,14 @@ class TestDecode:
         assert decode(BitString("10")) == POSITIVE_ZERO
 
     @pytest.mark.parametrize(
-        "text,kind",
-        [
-            # exponent 0 marked negative can never be produced
-            ("10011 0001", DecodeErrorKind.NEGATIVE_ZERO_EXPONENT),
-            ("00100 1001", DecodeErrorKind.NEGATIVE_ZERO_EXPONENT),
-            # tetrade and declet range checks
-            ("10 100 1010", DecodeErrorKind.DIGIT_OUT_OF_RANGE),
-            ("10 100 1111", DecodeErrorKind.DIGIT_OUT_OF_RANGE),
-            ("10 101 0001 1111101000", DecodeErrorKind.DIGIT_OUT_OF_RANGE),
-            # significand outside [1, 10)
-            ("10 100 0000", DecodeErrorKind.SIGNIFICAND_OUT_OF_RANGE),
-            ("10 100 0000 0111110100", DecodeErrorKind.SIGNIFICAND_OUT_OF_RANGE),
-            ("00 011 1001 0001100100", DecodeErrorKind.SIGNIFICAND_OUT_OF_RANGE),
-            ("00 011 0000", DecodeErrorKind.SIGNIFICAND_OUT_OF_RANGE),
-            # headers that are not a special and not a finite start
-            ("01 0", DecodeErrorKind.INVALID_HEADER),
-            ("0100", DecodeErrorKind.INVALID_HEADER),
-            ("110", DecodeErrorKind.INVALID_HEADER),
-            ("1110", DecodeErrorKind.INVALID_HEADER),
-            ("1111", DecodeErrorKind.INVALID_HEADER),
-            # inputs that stop mid-field
-            ("", DecodeErrorKind.TRUNCATED_INPUT),
-            ("1", DecodeErrorKind.TRUNCATED_INPUT),
-            ("10 1", DecodeErrorKind.TRUNCATED_INPUT),
-            ("10 100", DecodeErrorKind.TRUNCATED_INPUT),
-            ("10 100 00", DecodeErrorKind.TRUNCATED_INPUT),
-            ("10 101 0001 00011", DecodeErrorKind.TRUNCATED_INPUT),
-        ],
+        "text,kind,position",
+        ERROR_TAXONOMY,
+        ids=[f"{text}-{kind}" for text, kind, _ in ERROR_TAXONOMY],
     )
-    def test_error_taxonomy(self, text, kind):
+    def test_error_taxonomy(self, text, kind, position):
         with pytest.raises(DecodeError) as exc:
             decode(BitString(text))
-        assert exc.value.kind is kind
+        assert (exc.value.kind, exc.value.position) == (kind, position)
 
     def test_error_positions(self):
         with pytest.raises(DecodeError) as exc:
@@ -191,6 +203,85 @@ class TestDecode:
     def test_whole_zero_declets_are_normalized_away(self):
         lenient = BitString("10 100 0001 0000000000")
         assert decode(lenient) == parse_decimal("1")
+
+    @pytest.mark.parametrize("decoder", [decode, decode_prefix_free_stream, BitCursor])
+    @pytest.mark.parametrize("source", [b"\x80", "101", [1, 0, 1], None])
+    def test_rejects_non_bitstring_input(self, decoder, source):
+        # Raw to_bytes() output once read as a bogus truncation at bit 0.
+        with pytest.raises(TypeError):
+            decoder(source)
+
+
+class TestExponentLimit:
+    # Header 10, then a 33-bit run: exponent + 2 >= 2**33, above the 2**32 default.
+    OVER = "10" + "1" * 33 + "0" + "0" * 33 + "0001"
+
+    @pytest.mark.parametrize(
+        "decoder",
+        [decode, functools.partial(decode, trim=True), decode_prefix_free_stream],
+    )
+    def test_rejected_with_the_default_limit(self, decoder):
+        with pytest.raises(ExponentLimitError) as exc:
+            decoder(BitString(self.OVER))
+        assert exc.value.limit == DEFAULT_MAX_EXPONENT
+
+    def test_rejected_from_the_run_length_alone(self):
+        # 20,000-bit exponent: rejected before its payload is read (here the
+        # payload is even missing), and the message does not try to print
+        # the exponent in decimal.
+        bits = BitString("10" + "1" * 20000 + "0")
+        with pytest.raises(ExponentLimitError) as exc:
+            decode(bits)
+        assert exc.value.exponent == 2**20000 - 2
+        assert "of 20000 bits" in str(exc.value)
+
+    def test_exact_bound(self):
+        at_limit = parse_decimal("1e-100", max_exponent=100)
+        over = parse_decimal("-1e101", max_exponent=101)
+        assert decode(encode(at_limit), max_exponent=100) == at_limit
+        with pytest.raises(ExponentLimitError) as exc:
+            decode(encode(over), max_exponent=100)
+        assert (exc.value.exponent, exc.value.limit) == (101, 100)
+
+    @pytest.mark.parametrize("text", ["1e4294967297", "-7.5e-9000000000"])
+    def test_round_trip_under_a_raised_limit(self, text):
+        value = parse_decimal(text, max_exponent=10**10)
+        with pytest.raises(ExponentLimitError):
+            decode(encode(value))
+        assert decode(encode(value), max_exponent=10**10) == value
+        assert decode(encode(value, trim=True), trim=True, max_exponent=10**10) == value
+        stream = encode_prefix_free(value)
+        assert decode_prefix_free_stream(stream, max_exponent=10**10) == [value]
+
+
+def _bits_from_text(text):
+    return BitString.from_int(int(text or "0", 2), len(text))
+
+
+# Arbitrary bit strings, with long runs of one bit spliced in so that huge
+# exponent fields (past what Python renders in decimal) are reached too.
+_chunks = st.one_of(
+    st.text("01", max_size=40),
+    st.tuples(st.sampled_from("01"), st.integers(1, 20000)).map(lambda p: p[0] * p[1]),
+)
+arbitrary_bits = st.lists(_chunks, max_size=6).map(lambda parts: _bits_from_text("".join(parts)))
+
+
+class TestArbitraryBits:
+    @given(arbitrary_bits, st.booleans())
+    def test_decode_fails_only_in_a_typed_way(self, bits, trim):
+        try:
+            render_decimal(decode(bits, trim=trim))
+        except (DecodeError, ExponentLimitError):
+            pass
+
+    @given(arbitrary_bits)
+    def test_stream_split_fails_only_in_a_typed_way(self, bits):
+        try:
+            for value in decode_prefix_free_stream(bits):
+                render_decimal(value)
+        except (DecodeError, ExponentLimitError):
+            pass
 
 
 class TestSignificand:

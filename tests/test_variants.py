@@ -17,6 +17,7 @@ from lexdec import (
     FixedWidthKey,
     KeyWidthError,
     compare_numeric,
+    decode,
     decode_prefix_free_stream,
     encode,
     encode_prefix_free,
@@ -91,6 +92,31 @@ class TestPrefixFree:
         with pytest.raises(DecodeError) as exc:
             decode_prefix_free_stream(BitString("10 100 1010 0"))
         assert exc.value.kind is DecodeErrorKind.DIGIT_OUT_OF_RANGE
+
+    @pytest.mark.parametrize(
+        "fault,canonical",
+        [
+            ("10 011 0001 0", "10011 0001"),  # negative zero exponent
+            ("10 100 1010 0", "10 100 1010"),  # tetrade out of range
+            ("10 100 0000 0", "10 100 0000"),  # significand out of range
+            ("10 1", "10 1"),  # cut inside the exponent field
+        ],
+    )
+    def test_error_position_counts_from_stream_start(self, fault, canonical):
+        head = pf("7") + pf("-0.0405") + pf("NaN")
+        with pytest.raises(DecodeError) as exc:
+            decode_prefix_free_stream(head + BitString(fault))
+        with pytest.raises(DecodeError) as alone:
+            decode(BitString(canonical))
+        assert exc.value.kind is alone.value.kind
+        assert exc.value.position == len(head) + alone.value.position
+
+    def test_declet_error_position_counts_continuation_bits(self):
+        head = pf("7") + pf("-0.0405")
+        with pytest.raises(DecodeError) as exc:
+            decode_prefix_free_stream(head + BitString("10 101 0001 1 1111101000 0"))
+        assert exc.value.kind is DecodeErrorKind.DIGIT_OUT_OF_RANGE
+        assert exc.value.position == len(head) + 10
 
     @given(decimal_values())
     def test_single_value_round_trip(self, value):

@@ -191,7 +191,11 @@ def lex_compare(a: BitString, b: BitString) -> int:
 
     Returns -1, 0 or 1.
     """
-    width = max(a._length, b._length)
+    try:
+        width = max(a._length, b._length)
+    except AttributeError:
+        names = f"{type(a).__name__} and {type(b).__name__}"
+        raise TypeError(f"lex_compare takes two BitStrings, not {names}") from None
     av = a._value << (width - a._length)
     bv = b._value << (width - b._length)
     if av != bv:

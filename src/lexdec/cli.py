@@ -10,10 +10,9 @@ import argparse
 import sys
 
 from .bits import BitString, lex_compare
-from .codec import Variant, CodecOptions, canonical_bit_length, decode, encode
+from .codec import DECLET_BITS, TETRADE_BITS, CodecOptions, Variant, _layout, decode, encode
 from .decimal_values import Kind, parse_decimal, render_decimal
 from .errors import DecodeError, ExponentLimitError, KeyWidthError, ParseError
-from .gamma import exponent_field_length
 from .selftest import run_selftest
 from .variants import decode_prefix_free_stream, encode_prefix_free, fixed_width_key
 
@@ -89,19 +88,12 @@ def _input_values(args_values: list[str]) -> list[str]:
 
 def _group_bits(value, bits: BitString) -> str:
     """Space the fields of an untrimmed canonical encoding for readability."""
+    text = bits.to_text()
     if value.kind is not Kind.FINITE:
-        return bits.to_text()
-    widths = [2, exponent_field_length(value.form.exponent), 4]
-    total = canonical_bit_length(value)
-    widths += [10] * ((total - sum(widths)) // 10)
-    if sum(widths) != len(bits):
-        return bits.to_text()
-    parts = []
-    offset = 0
-    for width in widths:
-        parts.append(bits[offset : offset + width].to_text())
-        offset += width
-    return " ".join(parts)
+        return text
+    width = _layout(value.form)[1]  # sign header and exponent field
+    cuts = [0, 2, width, *range(width + TETRADE_BITS, len(text) + 1, DECLET_BITS)]
+    return " ".join(text[a:b] for a, b in zip(cuts, cuts[1:]))
 
 
 def _hex_text(bits: BitString) -> str:

@@ -16,12 +16,18 @@ Special values: ``00`` negative infinity, ``01`` negative zero, ``10``
 positive zero, ``11`` positive infinity, ``111`` NaN. Sorting the encodings
 with :func:`lexdec.bits.lex_compare` therefore matches numeric order, with
 negative zero immediately below positive zero.
+
+Encoding works on integers: one layout step lists a value's fields, and one
+packer shifts them into a single int, wrapped once as a :class:`BitString`.
+The packer's second framing, a continuation bit after each group, serves the
+prefix-free form in :mod:`lexdec.variants`.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Sequence
 
 from .bits import BitCursor, BitString
@@ -41,7 +47,7 @@ from .decimal_values import (
 from .errors import DecodeError, DecodeErrorKind, ExponentLimitError
 from .gamma import (
     EXPONENT_OFFSET,
-    encode_exponent,
+    exponent_field,
     exponent_field_length,
     read_exponent_payload,
     read_exponent_run,
@@ -120,34 +126,66 @@ def encode_significand(digits: Sequence[int], negative: bool) -> BitString:
     For negative values the digits of ``10 - m`` are stored instead (their
     leading digit may then be zero).
     """
-    ds = complement_to_ten(digits) if negative else tuple(digits)
-    bits = BitString.from_int(ds[0], TETRADE_BITS)
-    rest = ds[1:]
-    for i in range(0, len(rest), DECLET_DIGITS):
-        group = rest[i : i + DECLET_DIGITS]
-        group += (0,) * (DECLET_DIGITS - len(group))
-        bits += BitString.from_int(group[0] * 100 + group[1] * 10 + group[2], DECLET_BITS)
-    return bits
+    if not digits or (negative and not 1 <= digits[-1] <= 9):
+        raise ValueError("need digits; a negative significand's last one must be in 1..9")
+    return _pack(0, 0, *_significand_layout(digits, negative))
 
 
 def encode(value: DecimalValue, *, trim: bool = False) -> BitString:
     """Encode any value; with ``trim``, trailing zero bits of finite
     encodings are removed (the decoder re-pads them)."""
+    if not isinstance(value, DecimalValue):
+        raise TypeError(f"encode takes a DecimalValue, not {type(value).__name__}")
     if value.kind is not Kind.FINITE:
         return SPECIAL_ENCODINGS[value.kind]
-    form = value.form
+    bits = _pack(*_layout(value.form))
+    # Safe: the significand always contains a one bit, so the header and
+    # exponent field are never touched.
+    return bits.strip_trailing_zeros() if trim else bits
+
+
+def _layout(form: ScientificForm) -> tuple[int, int, int, list[int]]:
+    """A finite value's fields: the sign header and exponent field as one
+    integer and its width, the stored tetrade digit and the stored declets
+    (three digits each, the last zero-padded)."""
     negative = form.sign is Sign.NEGATIVE
-    invert = form.sign.value != form.exponent_sign.value
-    bits = (
-        BitString("00" if negative else "10")
-        + encode_exponent(form.exponent, invert).bits
-        + encode_significand(form.digits, negative)
-    )
-    if trim:
-        # Safe: the significand always contains a one bit, so the header and
-        # exponent field are never touched.
-        bits = bits.strip_trailing_zeros()
-    return bits
+    field, width = exponent_field(form.exponent, form.sign != form.exponent_sign)
+    head = (_HEADER_NEGATIVE if negative else _HEADER_POSITIVE) << width | field
+    return (head, width + 2, *_significand_layout(form.digits, negative))
+
+
+def _significand_layout(digits: Sequence[int], negative: bool) -> tuple[int, list[int]]:
+    groups = iter(digits)
+    first = next(groups)
+    triples = zip_longest(groups, groups, groups, fillvalue=0)
+    declets = [a * 100 + b * 10 + c for a, b, c in triples]
+    if not negative:
+        return first, declets
+    # 10 - m on the zero-padded digits: the nines' complement of every digit,
+    # plus one in the last place. The carry never leaves the last group,
+    # which ends in a non-zero digit before its padding.
+    declets = [999 - declet for declet in declets]
+    if not declets:
+        return 10 - first, declets
+    declets[-1] += 1
+    return 9 - first, declets
+
+
+def _pack(head: int, width: int, tetrade: int, declets: list[int], continued=False) -> BitString:
+    """Shift the fields into one integer, wrapped once as a bit string.
+
+    ``continued`` adds a bit after the tetrade and after each declet: 1 while
+    another declet follows, 0 after the last group.
+    """
+    if not continued:
+        bits = head << TETRADE_BITS | tetrade
+        for declet in declets:
+            bits = bits << DECLET_BITS | declet
+        return BitString._raw(bits, width + TETRADE_BITS + DECLET_BITS * len(declets))
+    bits = (head << TETRADE_BITS | tetrade) << 1 | 1
+    for declet in declets:
+        bits = (bits << DECLET_BITS | declet) << 1 | 1
+    return BitString._raw(bits - 1, width + TETRADE_BITS + 1 + (DECLET_BITS + 1) * len(declets))
 
 
 def decode(
@@ -273,6 +311,8 @@ def canonical_bit_length(value: DecimalValue) -> int:
     For finite values this is ``2 + (2*floor(log2(e+2)) + 1) + 4 + 10*ceil((n-1)/3)``
     with ``n`` the significand digit count.
     """
+    if not isinstance(value, DecimalValue):
+        raise TypeError(f"canonical_bit_length takes a DecimalValue, not {type(value).__name__}")
     if value.kind is not Kind.FINITE:
         return len(SPECIAL_ENCODINGS[value.kind])
     form = value.form

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import re
 from dataclasses import dataclass
 
 from .errors import ExponentLimitError, ParseError
@@ -139,66 +140,34 @@ def parse_decimal(text: str, *, max_exponent: int = DEFAULT_MAX_EXPONENT) -> Dec
     if upper == "NAN":
         return NAN
 
-    n = len(text)
-    if n == 0:
+    if not text:
         raise ParseError("empty input", 0)
-    i = 0
-    negative = False
-    if text[i] in "+-":
-        negative = text[i] == "-"
-        i += 1
+    match = _NUMERAL.match(text)
+    # An absent part's group is None; an empty one is a missing digit run.
+    sign, int_part, frac_part, exp_sign, exp_digits = match.groups()
+    if not int_part:
+        raise ParseError("expected digit", match.end(2))
+    if frac_part == "":
+        raise ParseError("expected digit after decimal point", match.end(3))
+    if exp_digits == "":
+        raise ParseError("expected digit in exponent", match.end(5))
+    if match.end() != len(text):
+        raise ParseError("unexpected character", match.end())
 
-    start = i
-    while i < n and text[i].isdigit() and text[i].isascii():
-        i += 1
-    if i == start:
-        raise ParseError("expected digit", i)
-    int_part = text[start:i]
-
-    frac_part = ""
-    if i < n and text[i] == ".":
-        i += 1
-        start = i
-        while i < n and text[i].isdigit() and text[i].isascii():
-            i += 1
-        if i == start:
-            raise ParseError("expected digit after decimal point", i)
-        frac_part = text[start:i]
-
-    exp = 0
-    if i < n and text[i] in "eE":
-        i += 1
-        exp_negative = False
-        if i < n and text[i] in "+-":
-            exp_negative = text[i] == "-"
-            i += 1
-        start = i
-        while i < n and text[i].isdigit() and text[i].isascii():
-            i += 1
-        if i == start:
-            raise ParseError("expected digit in exponent", i)
-        exp = int(text[start:i])
-        if exp_negative:
-            exp = -exp
-
-    if i != n:
-        raise ParseError("unexpected character", i)
-
-    return _canonicalize(negative, int_part + frac_part, exp - len(frac_part), max_exponent)
-
-
-def _canonicalize(
-    negative: bool, digit_text: str, point_exp: int, max_exponent: int
-) -> DecimalValue:
-    # value = int(digit_text) * 10**point_exp
-    stripped = digit_text.strip("0")
-    if not stripped:
+    negative = sign == "-"
+    digit_text = int_part + (frac_part or "")
+    significant = digit_text.strip("0")
+    if not significant:
         return NEGATIVE_ZERO if negative else POSITIVE_ZERO
+    magnitude = (exp_digits or "").lstrip("0")
+    # The exponent's digit count alone can put |e| past the limit, whatever
+    # the mantissa's point shift; checking it first keeps int() off huge
+    # digit strings. The error then carries the least exponent of that length.
+    least = 10 ** (len(magnitude) - 1) if magnitude else 0
+    if least - len(digit_text) > max_exponent:
+        raise ExponentLimitError(-least if exp_sign == "-" else least, max_exponent)
     leading = len(digit_text) - len(digit_text.lstrip("0"))
-    trailing = len(digit_text) - len(digit_text.rstrip("0"))
-    significant = digit_text[leading : len(digit_text) - trailing]
-
-    signed_exponent = (len(significant) - 1) + point_exp + trailing
+    signed_exponent = int((exp_sign or "") + (magnitude or "0")) + len(int_part) - 1 - leading
     if abs(signed_exponent) > max_exponent:
         raise ExponentLimitError(signed_exponent, max_exponent)
 
@@ -208,9 +177,12 @@ def _canonicalize(
             ExponentSign.NEGATIVE if signed_exponent < 0 else ExponentSign.NON_NEGATIVE
         ),
         exponent=abs(signed_exponent),
-        digits=tuple(int(c) for c in significant),
+        digits=tuple(map(int, significant)),
     )
     return DecimalValue.finite(form)
+
+
+_NUMERAL = re.compile(r"([+-]?)([0-9]*)(?:\.([0-9]*))?(?:[eE]([+-]?)([0-9]*))?")
 
 
 def render_decimal(value: DecimalValue, *, scientific_threshold: int = 20) -> str:

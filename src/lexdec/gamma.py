@@ -19,6 +19,7 @@ __all__ = [
     "modified_gamma_encode",
     "modified_gamma_decode",
     "exponent_field_length",
+    "exponent_field",
     "encode_exponent",
     "read_exponent_run",
     "read_exponent_payload",
@@ -52,10 +53,13 @@ def modified_gamma_encode(k: int) -> BitString:
     """Codeword for ``k >= 1``."""
     if k < 1:
         raise ValueError("modified gamma code is defined for integers >= 1")
+    return BitString._raw(*_gamma_code(k))
+
+
+def _gamma_code(k: int) -> tuple[int, int]:
+    # N-1 ones and a zero, then k without its leading one: (code, 2N-1).
     n = k.bit_length()
-    prefix = (1 << (n - 1)) - 1
-    payload = k & ((1 << (n - 1)) - 1)
-    return BitString.from_int((prefix << n) | payload, 2 * n - 1)
+    return ((1 << n) - 2) << (n - 1) | k ^ (1 << (n - 1)), 2 * n - 1
 
 
 def modified_gamma_decode(cursor: BitCursor) -> int:
@@ -69,16 +73,20 @@ def exponent_field_length(exponent: int) -> int:
     return 2 * (exponent + EXPONENT_OFFSET).bit_length() - 1
 
 
-def encode_exponent(exponent: int, invert: bool) -> ExponentField:
-    """Encode a non-negative exponent, flipping every bit when ``invert``.
+def exponent_field(exponent: int, invert: bool) -> tuple[int, int]:
+    """The exponent field as an integer and its width in bits.
 
-    The caller decides ``invert`` (from the decimal's sign pair); flipped
-    fields sort in reverse, which is what descending-exponent ranges need.
+    Every bit is flipped when ``invert``; the caller decides it from the
+    decimal's sign pair, since flipped fields sort in reverse, which is what
+    descending-exponent ranges need.
     """
-    bits = modified_gamma_encode(exponent + EXPONENT_OFFSET)
-    if invert:
-        bits = bits.invert()
-    return ExponentField(bits=bits, exponent=exponent, inverted=invert)
+    code, width = _gamma_code(exponent + EXPONENT_OFFSET)
+    return (code ^ ((1 << width) - 1) if invert else code), width
+
+
+def encode_exponent(exponent: int, invert: bool) -> ExponentField:
+    """Encode a non-negative exponent as :func:`exponent_field` does."""
+    return ExponentField(BitString._raw(*exponent_field(exponent, invert)), exponent, invert)
 
 
 def read_exponent_run(cursor: BitCursor) -> tuple[bool, int]:

@@ -6,6 +6,10 @@ apart again without a length prefix. The fixed-width form truncates or
 zero-pads the canonical encoding to a fixed number of bits so that plain
 bytewise comparison of the keys reproduces numeric order on stores that only
 compare equal-length binaries.
+
+Both forms reuse the codec: the prefix-free form is its packer and value
+decoder under continuation framing, and a fixed-width key is the canonical
+encoding's integer shifted to the key width.
 """
 
 from __future__ import annotations
@@ -14,18 +18,17 @@ from dataclasses import dataclass
 
 from .bits import BitCursor, BitString
 from .codec import (
-    DECLET_BITS,
-    DECLET_DIGITS,
     TETRADE_BITS,
     SPECIAL_ENCODINGS,
     _decode_value,
     _Framing,
-    complement_to_ten,
+    _layout,
+    _pack,
     encode,
 )
-from .decimal_values import DEFAULT_MAX_EXPONENT, DecimalValue, Kind, Sign
+from .decimal_values import DEFAULT_MAX_EXPONENT, DecimalValue, Kind
 from .errors import KeyWidthError
-from .gamma import encode_exponent, exponent_field_length
+from .gamma import exponent_field_length
 
 __all__ = [
     "FixedWidthKey",
@@ -33,9 +36,6 @@ __all__ = [
     "decode_prefix_free_stream",
     "fixed_width_key",
 ]
-
-_ONE = BitString("1")
-_ZERO = BitString("0")
 
 
 def encode_prefix_free(value: DecimalValue) -> BitString:
@@ -45,27 +45,11 @@ def encode_prefix_free(value: DecimalValue) -> BitString:
     stream they are recognised by their short headers (see
     :func:`decode_prefix_free_stream` for the exact rules).
     """
+    if not isinstance(value, DecimalValue):
+        raise TypeError(f"encode_prefix_free takes a DecimalValue, not {type(value).__name__}")
     if value.kind is not Kind.FINITE:
         return SPECIAL_ENCODINGS[value.kind]
-    form = value.form
-    negative = form.sign is Sign.NEGATIVE
-    invert = form.sign.value != form.exponent_sign.value
-    bits = BitString("00" if negative else "10") + encode_exponent(form.exponent, invert).bits
-
-    stored = complement_to_ten(form.digits) if negative else form.digits
-    groups = []
-    rest = stored[1:]
-    for i in range(0, len(rest), DECLET_DIGITS):
-        g = rest[i : i + DECLET_DIGITS]
-        g += (0,) * (DECLET_DIGITS - len(g))
-        groups.append(g[0] * 100 + g[1] * 10 + g[2])
-
-    bits += BitString.from_int(stored[0], TETRADE_BITS)
-    bits += _ONE if groups else _ZERO
-    for index, declet in enumerate(groups):
-        bits += BitString.from_int(declet, DECLET_BITS)
-        bits += _ONE if index + 1 < len(groups) else _ZERO
-    return bits
+    return _pack(*_layout(value.form), continued=True)
 
 
 def decode_prefix_free_stream(
@@ -121,6 +105,7 @@ def fixed_width_key(value: DecimalValue, width_bits: int) -> FixedWidthKey:
     """
     if width_bits < 8 or width_bits % 8:
         raise ValueError("width_bits must be a positive multiple of 8")
+    bits = encode(value)
     if value.kind is Kind.FINITE:
         fixed_fields = 2 + exponent_field_length(value.form.exponent) + TETRADE_BITS
         if fixed_fields > width_bits:
@@ -128,10 +113,7 @@ def fixed_width_key(value: DecimalValue, width_bits: int) -> FixedWidthKey:
                 f"sign, exponent and leading digit need {fixed_fields} bits, "
                 f"key width is {width_bits}"
             )
-    bits = encode(value)
-    if len(bits) > width_bits:
-        bits = bits[:width_bits]
-    else:
-        bits = bits + BitString.from_int(0, width_bits - len(bits))
-    data, _ = bits.to_bytes()
+    shift = width_bits - len(bits)
+    key = bits._value << shift if shift >= 0 else bits._value >> -shift
+    data = key.to_bytes(width_bits // 8, "big")
     return FixedWidthKey(data=data, width_bits=width_bits)

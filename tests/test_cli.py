@@ -56,6 +56,13 @@ class TestEncode:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("exponent", ["9" * 5000, "-" + "9" * 5000])
+    def test_huge_exponent_exits_1(self, capsys, exponent):
+        code, out, err = run(capsys, "encode", "1e" + exponent)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: exponent magnitude of 16607 bits exceeds limit")
+
     def test_stdin_input(self, capsys, monkeypatch):
         feed(monkeypatch, "1\n2\n")
         code, out, _ = run(capsys, "encode")

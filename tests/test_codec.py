@@ -32,6 +32,7 @@ from lexdec import (
     encode,
     encode_prefix_free,
     encode_significand,
+    fixed_width_key,
     lex_compare,
     parse_decimal,
     render_decimal,
@@ -211,6 +212,24 @@ class TestDecode:
         with pytest.raises(TypeError):
             decoder(source)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda x: encode(x),
+            lambda x: encode(x, trim=True),
+            lambda x: encode_prefix_free(x),
+            lambda x: fixed_width_key(x, 64),
+            lambda x: canonical_bit_length(x),
+            lambda x: lex_compare(x, BitString("11")),
+            lambda x: lex_compare(BitString("11"), x),
+        ],
+        ids=["encode", "encode-trim", "prefix-free", "fixed-width", "bit-length", "lex-a", "lex-b"],
+    )
+    @pytest.mark.parametrize("source", [1.5, "10", None])
+    def test_encode_side_rejects_other_types(self, call, source):
+        with pytest.raises(TypeError, match="DecimalValue|BitString"):
+            call(source)
+
 
 class TestExponentLimit:
     # Header 10, then a 33-bit run: exponent + 2 >= 2**33, above the 2**32 default.
@@ -306,6 +325,13 @@ class TestSignificand:
         with pytest.raises(DecodeError) as exc:
             decode_significand(cursor, negative=True)
         assert exc.value.kind is DecodeErrorKind.SIGNIFICAND_OUT_OF_RANGE
+
+    @pytest.mark.parametrize("digits,negative", [((), False), ((), True), ((1, 0), True)])
+    def test_encode_rejects_digits_without_a_complement(self, digits, negative):
+        # A negative significand ending in 0 has no complement to ten; packed
+        # anyway, its last declet would read 1000, which no decoder accepts.
+        with pytest.raises(ValueError):
+            encode_significand(digits, negative)
 
     @given(canonical_digits(), st.booleans())
     def test_round_trip(self, digits, negative):

@@ -93,6 +93,10 @@ class TestParse:
             ("1.2.3", 3),
             ("1 ", 1),
             ("-NaN", 1),
+            ("+", 1),
+            ("1.e5", 2),
+            ("1ex", 2),
+            ("\u0663", 0),  # a non-ASCII digit
         ],
     )
     def test_errors_name_position(self, text, position):
@@ -108,6 +112,21 @@ class TestParse:
         assert parse_decimal("1e99", max_exponent=100).form.exponent == 99
         with pytest.raises(ExponentLimitError):
             parse_decimal("1e101", max_exponent=100)
+
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_exponent_digits_past_the_int_conversion_limit(self, sign):
+        # 5,000 exponent digits are rejected from their count alone, before
+        # int() meets Python's limit on digit strings; the error carries the
+        # least exponent of that length.
+        with pytest.raises(ExponentLimitError) as exc:
+            parse_decimal("1e" + sign + "9" * 5000)
+        assert exc.value.exponent == int(sign + "1") * 10**4999
+        assert "of 16607 bits" in str(exc.value)
+
+    def test_leading_exponent_zeros_do_not_count(self):
+        assert parse_decimal("1e" + "0" * 5000 + "5") == parse_decimal("1e5")
+        assert parse_decimal("-2.5e-" + "0" * 5000 + "7") == parse_decimal("-2.5e-7")
+        assert parse_decimal("0e" + "9" * 5000) == POSITIVE_ZERO
 
 
 class TestRender:

@@ -4,6 +4,7 @@ import random
 
 import pytest
 from hypothesis import given
+import hypothesis.strategies as st
 
 from lexdec import (
     NAN,
@@ -12,21 +13,28 @@ from lexdec import (
     POSITIVE_INFINITY,
     POSITIVE_ZERO,
     BitString,
+    DecimalValue,
     DecodeError,
     DecodeErrorKind,
+    ExponentSign,
     FixedWidthKey,
     KeyWidthError,
+    ScientificForm,
+    Sign,
+    canonical_bit_length,
     compare_numeric,
     decode,
     decode_prefix_free_stream,
     encode,
+    encode_exponent,
     encode_prefix_free,
+    encode_significand,
     fixed_width_key,
     parse_decimal,
 )
 from lexdec.selftest import random_finite
 
-from strategies import decimal_values, decodable_sequence, finite_values
+from strategies import canonical_digits, decimal_values, decodable_sequence, finite_values
 
 
 def pf(text):
@@ -201,3 +209,69 @@ class TestFixedWidth:
         values.sort(key=functools.cmp_to_key(compare_numeric))
         keys = [fixed_width_key(v, 64).data for v in values]
         assert keys == sorted(keys)
+
+
+SIGN_PAIRS = [(sign, exponent_sign) for sign in Sign for exponent_sign in ExponentSign]
+
+
+def signed_values(sign, exponent_sign):
+    """Finite values with the given sign pair, up to 40 digits and |e| <= 10**6."""
+    least = 1 if exponent_sign is ExponentSign.NEGATIVE else 0
+    return st.builds(
+        lambda digits, exponent: DecimalValue.finite(
+            ScientificForm(sign, exponent_sign, exponent, digits)
+        ),
+        canonical_digits(40),
+        st.integers(least, 10**6),
+    )
+
+
+@pytest.mark.parametrize("sign,exponent_sign", SIGN_PAIRS)
+class TestPackerFramings:
+    """The two framings of the one packer agree with each other."""
+
+    @given(data=st.data())
+    def test_prefix_free_minus_continuation_bits_is_canonical(self, sign, exponent_sign, data):
+        value = data.draw(signed_values(sign, exponent_sign))
+        canonical = encode(value).to_text()
+        text = encode_prefix_free(value).to_text()
+        declets = len(text) - len(canonical) - 1
+        fixed = len(canonical) - 10 * declets  # header, exponent field, tetrade
+        # The bit after the tetrade and after each declet: 1 while more follow.
+        marks = [fixed + 11 * i for i in range(declets + 1)]
+        assert "".join(text[m] for m in marks) == "1" * declets + "0"
+        stripped = text[:fixed] + "".join(text[m + 1 : m + 11] for m in marks[:-1])
+        assert stripped == canonical
+
+    @given(data=st.data())
+    def test_fixed_width_key_is_the_canonical_encoding_cut_or_padded(
+        self, sign, exponent_sign, data
+    ):
+        value = data.draw(signed_values(sign, exponent_sign))
+        length = canonical_bit_length(value)
+        below, above = length // 8 * 8, -(-length // 8) * 8
+        canonical = encode(value).to_text()
+        for width in {below, above, above + 24}:
+            if width < 8:
+                continue
+            try:
+                key = fixed_width_key(value, width)
+            except KeyWidthError:
+                assert width < length
+                continue
+            expected = (canonical + "0" * width)[:width]
+            assert key.data == int(expected, 2).to_bytes(width // 8, "big")
+
+    @given(data=st.data())
+    def test_no_bit_is_set_above_the_length(self, sign, exponent_sign, data):
+        value = data.draw(signed_values(sign, exponent_sign))
+        form = value.form
+        outputs = [
+            encode(value),
+            encode(value, trim=True),
+            encode_prefix_free(value),
+            encode_significand(form.digits, sign is Sign.NEGATIVE),
+            encode_exponent(form.exponent, sign != exponent_sign).bits,
+        ]
+        for bits in outputs:
+            assert bits._value >> len(bits) == 0

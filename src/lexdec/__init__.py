@@ -7,16 +7,18 @@ comparing the numbers. Decoding loses nothing, including the distinction
 between positive and negative zero.
 """
 
-from .bits import BitCursor, BitString, lex_compare, shortlex_compare
+from .bits import BitCursor, BitString, lex_compare
 from .codec import (
-    CodecOptions,
-    Variant,
+    FixedWidthKey,
     canonical_bit_length,
     complement_to_ten,
     decode,
+    decode_prefix_free_stream,
     decode_significand,
     encode,
+    encode_prefix_free,
     encode_significand,
+    fixed_width_key,
 )
 from .decimal_values import (
     DEFAULT_MAX_EXPONENT,
@@ -49,19 +51,12 @@ from .gamma import (
     modified_gamma_decode,
     modified_gamma_encode,
 )
-from .variants import (
-    FixedWidthKey,
-    decode_prefix_free_stream,
-    encode_prefix_free,
-    fixed_width_key,
-)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BitCursor",
     "BitString",
-    "CodecOptions",
     "DEFAULT_MAX_EXPONENT",
     "DecimalValue",
     "DecodeError",
@@ -80,7 +75,6 @@ __all__ = [
     "ParseError",
     "ScientificForm",
     "Sign",
-    "Variant",
     "canonical_bit_length",
     "compare_numeric",
     "complement_to_ten",
@@ -99,5 +93,4 @@ __all__ = [
     "modified_gamma_encode",
     "parse_decimal",
     "render_decimal",
-    "shortlex_compare",
 ]

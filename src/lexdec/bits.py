@@ -1,13 +1,9 @@
-"""Immutable bit sequences, read cursors, and the two bit-string total orders.
+"""Immutable bit sequences, read cursors, and the bit-string order.
 
 A :class:`BitString` is an ordered sequence of bits with no implicit padding;
-the logical length in bits always travels with the value. Two total orders are
-provided as module functions:
-
-* :func:`lex_compare`: full lexicographic order. Bits are compared left to
-  right, and a sequence that is a strict prefix of another sorts first.
-* :func:`shortlex_compare`: order by length first, then lexicographically
-  within a length.
+the logical length in bits always travels with the value. Bit strings are
+ordered by :func:`lex_compare`: bits are compared left to right, and a
+sequence that is a strict prefix of another sorts first.
 
 Byte packing is most-significant-bit first with trailing zero padding, so a
 plain bytewise comparison of equal-length packed strings agrees with
@@ -16,7 +12,7 @@ plain bytewise comparison of equal-length packed strings agrees with
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+import re
 
 from .errors import DecodeError, DecodeErrorKind
 
@@ -24,8 +20,9 @@ __all__ = [
     "BitString",
     "BitCursor",
     "lex_compare",
-    "shortlex_compare",
 ]
+
+_NOT_A_BIT = re.compile(r"[^01 _]")
 
 
 class BitString:
@@ -43,20 +40,12 @@ class BitString:
         Spaces and underscores are ignored so that grouped renderings can be
         pasted back in unchanged.
         """
-        value = 0
-        length = 0
-        for ch in text:
-            if ch in " _":
-                continue
-            if ch == "1":
-                value = (value << 1) | 1
-            elif ch == "0":
-                value = value << 1
-            else:
-                raise ValueError(f"invalid bit character {ch!r}")
-            length += 1
-        self._value = value
-        self._length = length
+        bad = _NOT_A_BIT.search(text)
+        if bad:
+            raise ValueError(f"invalid bit character {bad.group()!r}")
+        digits = text.replace(" ", "").replace("_", "")
+        self._value = int(digits or "0", 2)
+        self._length = len(digits)
 
     @classmethod
     def _raw(cls, value: int, length: int) -> "BitString":
@@ -64,27 +53,6 @@ class BitString:
         bs._value = value
         bs._length = length
         return bs
-
-    @classmethod
-    def from_int(cls, value: int, width: int) -> "BitString":
-        """The ``width``-bit natural binary representation of ``value``."""
-        if width < 0:
-            raise ValueError("width must be non-negative")
-        if value < 0 or value >> width:
-            raise ValueError(f"value {value} does not fit in {width} bits")
-        return cls._raw(value, width)
-
-    @classmethod
-    def from_bits(cls, bits: Iterable[int]) -> "BitString":
-        """Build from an iterable of 0/1 integers."""
-        value = 0
-        length = 0
-        for b in bits:
-            if b not in (0, 1):
-                raise ValueError(f"invalid bit {b!r}")
-            value = (value << 1) | b
-            length += 1
-        return cls._raw(value, length)
 
     @classmethod
     def from_bytes(cls, data: bytes, bit_length: int) -> "BitString":
@@ -140,9 +108,6 @@ class BitString:
     def __len__(self) -> int:
         return self._length
 
-    def __bool__(self) -> bool:
-        return self._length > 0
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BitString):
             return NotImplemented
@@ -150,10 +115,6 @@ class BitString:
 
     def __hash__(self) -> int:
         return hash((self._length, self._value))
-
-    def __iter__(self) -> Iterator[int]:
-        for i in range(self._length - 1, -1, -1):
-            yield (self._value >> i) & 1
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -205,15 +166,6 @@ def lex_compare(a: BitString, b: BitString) -> int:
     return 0
 
 
-def shortlex_compare(a: BitString, b: BitString) -> int:
-    """Compare by length first, then lexicographically within a length."""
-    if a._length != b._length:
-        return -1 if a._length < b._length else 1
-    if a._value != b._value:
-        return -1 if a._value < b._value else 1
-    return 0
-
-
 class BitCursor:
     """A read position over a :class:`BitString`.
 
@@ -224,14 +176,13 @@ class BitCursor:
     failed read started.
     """
 
-    __slots__ = ("source", "position", "_text")
+    __slots__ = ("position", "_text")
 
     def __init__(self, source: BitString, position: int = 0):
         if not isinstance(source, BitString):
             raise TypeError(f"a BitCursor reads a BitString, not {type(source).__name__}")
         if not 0 <= position <= len(source):
             raise ValueError("cursor position out of range")
-        self.source = source
         self.position = position
         self._text = source.to_text()
 

@@ -10,11 +10,19 @@ import argparse
 import sys
 
 from .bits import BitString, lex_compare
-from .codec import DECLET_BITS, TETRADE_BITS, CodecOptions, Variant, _layout, decode, encode
+from .codec import (
+    DECLET_BITS,
+    TETRADE_BITS,
+    _layout,
+    decode,
+    decode_prefix_free_stream,
+    encode,
+    encode_prefix_free,
+    fixed_width_key,
+)
 from .decimal_values import Kind, parse_decimal, render_decimal
 from .errors import DecodeError, ExponentLimitError, KeyWidthError, ParseError
 from .selftest import run_selftest
-from .variants import decode_prefix_free_stream, encode_prefix_free, fixed_width_key
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -31,11 +39,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _parse_variant(text: str) -> CodecOptions:
-    if text == "canonical":
-        return CodecOptions()
-    if text == "prefix":
-        return CodecOptions(variant=Variant.PREFIX_FREE)
+def _parse_variant(text: str) -> int | None:
+    """The key width of a ``fixed:<bits>`` variant; ``None`` for the others."""
+    if text in ("canonical", "prefix"):
+        return None
     if text.startswith("fixed:"):
         try:
             width = int(text.split(":", 1)[1])
@@ -43,7 +50,7 @@ def _parse_variant(text: str) -> CodecOptions:
             raise _UsageError(f"bad width in variant {text!r}")
         if width < 8 or width % 8:
             raise _UsageError("fixed width must be a positive multiple of 8")
-        return CodecOptions(variant=Variant.FIXED_WIDTH, width_bits=width)
+        return width
     raise _UsageError(f"unknown variant {text!r} (canonical | prefix | fixed:<bits>)")
 
 
@@ -110,22 +117,20 @@ def _bits_from_hex(text: str) -> BitString:
 
 
 def _cmd_encode(args) -> int:
-    options = _parse_variant(args.variant)
-    if args.trim and options.variant is not Variant.CANONICAL:
+    width = _parse_variant(args.variant)
+    prefix = args.variant == "prefix"
+    if args.trim and args.variant != "canonical":
         raise _UsageError("--trim applies to the canonical variant only")
     for text in _input_values(args.values):
         value = parse_decimal(text)
-        if options.variant is Variant.FIXED_WIDTH:
-            key = fixed_width_key(value, options.width_bits)
+        if width is not None:
+            key = fixed_width_key(value, width)
             print(" ".join(f"{b:02X}" for b in key.data) + f"/{key.width_bits}")
             continue
-        if options.variant is Variant.PREFIX_FREE:
-            bits = encode_prefix_free(value)
-        else:
-            bits = encode(value, trim=args.trim)
+        bits = encode_prefix_free(value) if prefix else encode(value, trim=args.trim)
         if args.format == "hex":
             print(_hex_text(bits))
-        elif args.trim or options.variant is Variant.PREFIX_FREE:
+        elif args.trim or prefix:
             print(bits.to_text())
         else:
             print(_group_bits(value, bits))
@@ -133,15 +138,14 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    options = _parse_variant(args.variant)
-    if options.variant is Variant.FIXED_WIDTH:
+    if _parse_variant(args.variant) is not None:
         raise _UsageError("fixed-width keys are truncating; decoding is not supported")
-    if args.trim and options.variant is not Variant.CANONICAL:
+    if args.trim and args.variant != "canonical":
         raise _UsageError("--trim applies to the canonical variant only")
     for text in _input_values(args.inputs):
         bits = _bits_from_hex(text) if args.format == "hex" else BitString(text)
         try:
-            if options.variant is Variant.PREFIX_FREE:
+            if args.variant == "prefix":
                 values = decode_prefix_free_stream(bits)
             else:
                 values = [decode(bits, trim=args.trim)]

@@ -1,4 +1,4 @@
-"""The canonical encoder and decoder.
+"""The encoder and decoder: canonical, prefix-free and fixed-width forms.
 
 Layout of a finite value, left to right:
 
@@ -17,10 +17,19 @@ positive zero, ``11`` positive infinity, ``111`` NaN. Sorting the encodings
 with :func:`lexdec.bits.lex_compare` therefore matches numeric order, with
 negative zero immediately below positive zero.
 
+The prefix-free form inserts a continuation bit after the tetrade and after
+each declet (1: more groups follow, 0: done), so concatenated encodings split
+apart again without a length prefix. The fixed-width form truncates or
+zero-pads the canonical encoding to a fixed number of bits so that plain
+bytewise comparison of the keys reproduces numeric order on stores that only
+compare equal-length binaries.
+
 Encoding works on integers: one layout step lists a value's fields, and one
-packer shifts them into a single int, wrapped once as a :class:`BitString`.
-The packer's second framing, a continuation bit after each group, serves the
-prefix-free form in :mod:`lexdec.variants`.
+packer shifts them into a single int, wrapped once as a :class:`BitString`,
+either plain or with continuation bits. A fixed-width key is the canonical
+encoding's integer shifted to the key width. One value decoder reads all
+three framings of a significand: to the end of the input, re-padded after
+trimming, or with continuation bits.
 """
 
 from __future__ import annotations
@@ -44,7 +53,7 @@ from .decimal_values import (
     ScientificForm,
     Sign,
 )
-from .errors import DecodeError, DecodeErrorKind, ExponentLimitError
+from .errors import DecodeError, DecodeErrorKind, ExponentLimitError, KeyWidthError
 from .gamma import (
     EXPONENT_OFFSET,
     exponent_field,
@@ -54,12 +63,14 @@ from .gamma import (
 )
 
 __all__ = [
-    "Variant",
-    "CodecOptions",
     "DecodeError",
     "DecodeErrorKind",
+    "FixedWidthKey",
     "encode",
     "decode",
+    "encode_prefix_free",
+    "decode_prefix_free_stream",
+    "fixed_width_key",
     "encode_significand",
     "decode_significand",
     "complement_to_ten",
@@ -83,28 +94,6 @@ _HEADER_NEGATIVE = 0b00
 _HEADER_NEGATIVE_ZERO = 0b01
 _HEADER_POSITIVE = 0b10
 _HEADER_POSITIVE_OR_INF = 0b11
-
-
-class Variant(enum.Enum):
-    CANONICAL = "canonical"
-    PREFIX_FREE = "prefix-free"
-    FIXED_WIDTH = "fixed-width"
-
-
-@dataclass(frozen=True, slots=True)
-class CodecOptions:
-    """Variant selection for the command-line tool and embedding code."""
-
-    trim_trailing_zero_bits: bool = False
-    variant: Variant = Variant.CANONICAL
-    width_bits: int | None = None
-
-    def __post_init__(self):
-        if self.variant is Variant.FIXED_WIDTH:
-            if self.width_bits is None or self.width_bits < 8:
-                raise ValueError("fixed-width variant needs width_bits >= 8")
-        elif self.width_bits is not None:
-            raise ValueError("width_bits only applies to the fixed-width variant")
 
 
 def complement_to_ten(digits: Sequence[int]) -> tuple[int, ...]:
@@ -142,6 +131,55 @@ def encode(value: DecimalValue, *, trim: bool = False) -> BitString:
     # Safe: the significand always contains a one bit, so the header and
     # exponent field are never touched.
     return bits.strip_trailing_zeros() if trim else bits
+
+
+def encode_prefix_free(value: DecimalValue) -> BitString:
+    """Canonical encoding with continuation bits in the significand.
+
+    Special values carry no significand and are emitted unchanged; within a
+    stream they are recognised by their short headers (see
+    :func:`decode_prefix_free_stream` for the exact rules).
+    """
+    if not isinstance(value, DecimalValue):
+        raise TypeError(f"encode_prefix_free takes a DecimalValue, not {type(value).__name__}")
+    if value.kind is not Kind.FINITE:
+        return SPECIAL_ENCODINGS[value.kind]
+    return _pack(*_layout(value.form), continued=True)
+
+
+@dataclass(frozen=True, slots=True)
+class FixedWidthKey:
+    """A fixed-width, bytewise-comparable key."""
+
+    data: bytes
+    width_bits: int
+
+
+def fixed_width_key(value: DecimalValue, width_bits: int) -> FixedWidthKey:
+    """Truncate or zero-pad the canonical encoding to exactly ``width_bits``.
+
+    Truncation loses significand detail (neighbouring values may collapse)
+    but never reorders keys. The sign header, exponent field and tetrade must
+    fit entirely, otherwise a :class:`KeyWidthError` is raised: that is the
+    range limit a given key width imposes.
+
+    Padding is with trailing zeros. Leading padding would shift the sign
+    header and destroy the bytewise order.
+    """
+    if width_bits < 8 or width_bits % 8:
+        raise ValueError("width_bits must be a positive multiple of 8")
+    bits = encode(value)
+    if value.kind is Kind.FINITE:
+        fixed_fields = 2 + exponent_field_length(value.form.exponent) + TETRADE_BITS
+        if fixed_fields > width_bits:
+            raise KeyWidthError(
+                f"sign, exponent and leading digit need {fixed_fields} bits, "
+                f"key width is {width_bits}"
+            )
+    shift = width_bits - len(bits)
+    key = bits._value << shift if shift >= 0 else bits._value >> -shift
+    data = key.to_bytes(width_bits // 8, "big")
+    return FixedWidthKey(data=data, width_bits=width_bits)
 
 
 def _layout(form: ScientificForm) -> tuple[int, int, int, list[int]]:
@@ -204,6 +242,32 @@ def decode(
     return _decode_value(BitCursor(bits), framing, max_exponent)
 
 
+def decode_prefix_free_stream(
+    bits: BitString, *, max_exponent: int = DEFAULT_MAX_EXPONENT
+) -> list[DecimalValue]:
+    """Split a concatenation of prefix-free encodings back into values.
+
+    Time is linear in the length of the stream. Finite values, negative zero
+    and NaN are self-delimiting anywhere in the stream. The two-bit headers
+    of the remaining specials collide with the headers of finite values, so
+    the decoder resolves them as follows:
+
+    * ``11`` is read as NaN when the next bit is a 1, as positive infinity
+      when the next bit is a 0 or the input ends;
+    * ``00`` and ``10`` followed by anything are read as the start of a
+      finite value, so negative infinity and positive zero can only stand at
+      the end of a stream.
+
+    Errors are those of :func:`decode`, with positions counted from the start
+    of the stream.
+    """
+    cursor = BitCursor(bits)
+    values = []
+    while not cursor.at_end():
+        values.append(_decode_value(cursor, _Framing.CONTINUATION, max_exponent))
+    return values
+
+
 class _Framing(enum.Enum):
     """Where a value ends: its significand's last group, and its special values."""
 
@@ -249,16 +313,14 @@ def _decode_value(cursor: BitCursor, framing: _Framing, max_exponent: int) -> De
     return DecimalValue.finite(ScientificForm(sign, exponent_sign, exponent, digits))
 
 
-def decode_significand(
-    cursor: BitCursor, negative: bool, *, repad: bool = False
-) -> tuple[int, ...]:
+def decode_significand(cursor: BitCursor, negative: bool) -> tuple[int, ...]:
     """Read the significand through the end of the input and re-normalize it.
 
     Declet zero-padding is stripped; for negative values the complement to
     ten is taken back. Validates every tetrade/declet range and that the
     decoded significand lies in [1, 10).
     """
-    return _read_significand(cursor, negative, _Framing.REPADDED if repad else _Framing.TO_END)
+    return _read_significand(cursor, negative, _Framing.TO_END)
 
 
 def _read_significand(cursor: BitCursor, negative: bool, framing: _Framing) -> tuple[int, ...]:

@@ -109,9 +109,6 @@ class DecimalValue:
     def is_finite(self) -> bool:
         return self.kind is Kind.FINITE
 
-    def is_zero(self) -> bool:
-        return self.kind in (Kind.POSITIVE_ZERO, Kind.NEGATIVE_ZERO)
-
 
 POSITIVE_ZERO = DecimalValue(Kind.POSITIVE_ZERO)
 NEGATIVE_ZERO = DecimalValue(Kind.NEGATIVE_ZERO)

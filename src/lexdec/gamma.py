@@ -39,15 +39,6 @@ class ExponentField:
     exponent: int
     inverted: bool
 
-    def __post_init__(self):
-        if self.exponent < 0:
-            raise ValueError("exponent must be non-negative")
-        n = (self.exponent + EXPONENT_OFFSET).bit_length()
-        if len(self.bits) != 2 * n - 1:
-            raise ValueError(f"field must be {2 * n - 1} bits, got {len(self.bits)}")
-        if self.bits[0] != (0 if self.inverted else 1):
-            raise ValueError("leading bit inconsistent with inversion flag")
-
 
 def modified_gamma_encode(k: int) -> BitString:
     """Codeword for ``k >= 1``."""
@@ -86,6 +77,8 @@ def exponent_field(exponent: int, invert: bool) -> tuple[int, int]:
 
 def encode_exponent(exponent: int, invert: bool) -> ExponentField:
     """Encode a non-negative exponent as :func:`exponent_field` does."""
+    if exponent < 0:
+        raise ValueError("exponent must be non-negative")
     return ExponentField(BitString._raw(*exponent_field(exponent, invert)), exponent, invert)
 
 

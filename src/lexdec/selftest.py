@@ -30,7 +30,7 @@ from .decimal_values import (
     render_decimal,
 )
 
-__all__ = ["SelfTestResult", "run_selftest", "random_finite", "random_value", "SPECIAL_VALUES"]
+__all__ = ["SelfTestResult", "run_selftest", "random_finite", "SPECIAL_VALUES"]
 
 SPECIAL_VALUES = (
     NEGATIVE_INFINITY,
@@ -80,15 +80,6 @@ def random_finite(
         digits=random_digits(rng, max_digits),
     )
     return DecimalValue.finite(form)
-
-
-def random_value(
-    rng: random.Random, max_digits: int = 60, max_exponent: int = 10**6
-) -> DecimalValue:
-    """Mostly finite values with an occasional special."""
-    if rng.random() < 0.03:
-        return rng.choice(SPECIAL_VALUES)
-    return random_finite(rng, max_digits, max_exponent)
 
 
 def run_selftest(

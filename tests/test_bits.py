@@ -3,12 +3,13 @@
 import pytest
 from hypothesis import given
 
-from lexdec import BitCursor, BitString, DecodeError, DecodeErrorKind, lex_compare, shortlex_compare
+from lexdec import BitCursor, BitString, DecodeError, DecodeErrorKind, lex_compare
 
 from strategies import bit_strings
 
-# Both orders over every sequence of length 1..3, in their documented order.
-SHORTLEX_ORDERED = [
+# Every sequence of length 1..3, by length and then by value, and in
+# lexicographic order.
+BY_LENGTH = [
     "0", "1",
     "00", "01", "10", "11",
     "000", "001", "010", "011", "100", "101", "110", "111",
@@ -32,13 +33,19 @@ def test_rejects_non_bits():
         BitString("10a")
 
 
-def test_from_int():
-    assert BitString.from_int(5, 4).to_text() == "0101"
-    assert BitString.from_int(0, 0).to_text() == ""
-    with pytest.raises(ValueError):
-        BitString.from_int(16, 4)
-    with pytest.raises(ValueError):
-        BitString.from_int(-1, 4)
+# Texts that int(text, 2) would accept but a bit string must not.
+@pytest.mark.parametrize("text", ["0b1", "+1", "\t1", "1\n", "\u0661"])
+def test_rejects_what_int_accepts(text):
+    bad = next(ch for ch in text if ch not in "01 _")
+    with pytest.raises(ValueError) as exc:
+        BitString(text)
+    assert str(exc.value) == f"invalid bit character {bad!r}"
+
+
+def test_long_text_matches_bytes():
+    data = bytes(i * 37 % 256 for i in range(125_000))  # 10**6 bits
+    text = "".join(format(b, "08b") for b in data)
+    assert BitString(text) == BitString.from_bytes(data, 10**6)
 
 
 def test_append_examples():
@@ -65,18 +72,10 @@ def test_lex_compare_examples():
     assert lex_compare(BitString("10"), BitString("10")) == 0
 
 
-def test_shortlex_compare_examples():
-    assert shortlex_compare(BitString("1"), BitString("00")) == -1
-    assert shortlex_compare(BitString("110"), BitString("111")) == -1
-    assert shortlex_compare(BitString(""), BitString("0")) == -1
-
-
 def test_golden_order_tables():
     import functools
 
-    strings = [BitString(s) for s in SHORTLEX_ORDERED]
-    by_shortlex = sorted(strings, key=functools.cmp_to_key(shortlex_compare))
-    assert [b.to_text() for b in by_shortlex] == SHORTLEX_ORDERED
+    strings = [BitString(s) for s in BY_LENGTH]
     by_lex = sorted(strings, key=functools.cmp_to_key(lex_compare))
     assert [b.to_text() for b in by_lex] == LEX_ORDERED
 
@@ -88,7 +87,7 @@ def _all_strings_up_to(n):
     return [BitString(s) for s in out]
 
 
-@pytest.mark.parametrize("compare", [lex_compare, shortlex_compare])
+@pytest.mark.parametrize("compare", [lex_compare])
 def test_total_order_brute_force(compare):
     universe = _all_strings_up_to(4)
     for a in universe:
@@ -109,13 +108,6 @@ def test_total_order_brute_force(compare):
 def test_strict_prefix_sorts_first(a, suffix):
     extended = a + suffix
     assert lex_compare(a, extended) == -1
-    assert shortlex_compare(a, extended) == -1
-
-
-@given(bit_strings(), bit_strings())
-def test_orders_agree_on_equal_length(a, b):
-    if len(a) == len(b):
-        assert lex_compare(a, b) == shortlex_compare(a, b)
 
 
 @given(bit_strings(max_size=128), bit_strings(max_size=128))

@@ -124,6 +124,7 @@ class TestDecode:
     def test_fixed_decode_rejected(self, capsys):
         code, _, err = run(capsys, "decode", "--variant", "fixed:64", "00")
         assert code == 1
+        assert err == "error: fixed-width keys are truncating; decoding is not supported\n"
 
 
 class TestCmp:
@@ -229,6 +230,45 @@ class TestUsage:
         code, _, err = run(capsys, "encode", "--variant", "prefix", "--trim", "1")
         assert code == 1
         assert "canonical" in err
+
+
+    @pytest.mark.parametrize("command", ["encode", "decode"])
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (["--variant", "fixed:0"], "fixed width must be a positive multiple of 8"),
+            (["--variant", "fixed:4"], "fixed width must be a positive multiple of 8"),
+            (["--variant", "fixed:12"], "fixed width must be a positive multiple of 8"),
+            (["--variant", "fixed:x"], "bad width in variant 'fixed:x'"),
+            (["--variant", "prefix", "--trim"], "--trim applies to the canonical variant only"),
+        ],
+    )
+    def test_variant_errors(self, capsys, command, options, message):
+        code, out, err = run(capsys, command, *options, "10")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "command, expected",
+        [
+            ("encode", "error: --trim applies to the canonical variant only\n"),
+            ("decode", "error: fixed-width keys are truncating; decoding is not supported\n"),
+        ],
+    )
+    def test_trim_with_fixed_width(self, capsys, command, expected):
+        code, out, err = run(capsys, command, "--variant", "fixed:64", "--trim", "10")
+        assert (code, out, err) == (1, "", expected)
+
+    @pytest.mark.parametrize(
+        "variant, expected",
+        [
+            ("canonical", "00 00111 1000 1111001000\n"),
+            ("prefix", "00001111000111110010000\n"),
+            ("fixed:64", "0F 1E 40 00 00 00 00 00/64\n"),
+        ],
+    )
+    def test_variants_accepted(self, capsys, variant, expected):
+        code, out, err = run(capsys, "encode", "--variant", variant, "--", "-103.2")
+        assert (code, out, err) == (0, expected, "")
 
 
 class TestRoundTrip:

@@ -1,6 +1,7 @@
 """Encoder/decoder golden values, error taxonomy, and properties."""
 
 import functools
+import importlib
 
 import pytest
 from hypothesis import given
@@ -15,14 +16,12 @@ from lexdec import (
     BitCursor,
     BitString,
     DEFAULT_MAX_EXPONENT,
-    CodecOptions,
     DecodeError,
     DecodeErrorKind,
     ExponentLimitError,
     ExponentSign,
     Kind,
     Sign,
-    Variant,
     canonical_bit_length,
     complement_to_ten,
     compare_numeric,
@@ -273,17 +272,13 @@ class TestExponentLimit:
         assert decode_prefix_free_stream(stream, max_exponent=10**10) == [value]
 
 
-def _bits_from_text(text):
-    return BitString.from_int(int(text or "0", 2), len(text))
-
-
 # Arbitrary bit strings, with long runs of one bit spliced in so that huge
 # exponent fields (past what Python renders in decimal) are reached too.
 _chunks = st.one_of(
     st.text("01", max_size=40),
     st.tuples(st.sampled_from("01"), st.integers(1, 20000)).map(lambda p: p[0] * p[1]),
 )
-arbitrary_bits = st.lists(_chunks, max_size=6).map(lambda parts: _bits_from_text("".join(parts)))
+arbitrary_bits = st.lists(_chunks, max_size=6).map(lambda parts: BitString("".join(parts)))
 
 
 class TestArbitraryBits:
@@ -409,13 +404,8 @@ class TestLengthLaw:
         assert canonical_bit_length(NAN) == 3
 
 
-class TestOptions:
-    def test_validation(self):
-        CodecOptions()
-        CodecOptions(variant=Variant.FIXED_WIDTH, width_bits=64)
-        with pytest.raises(ValueError):
-            CodecOptions(variant=Variant.FIXED_WIDTH)
-        with pytest.raises(ValueError):
-            CodecOptions(variant=Variant.FIXED_WIDTH, width_bits=4)
-        with pytest.raises(ValueError):
-            CodecOptions(width_bits=64)
+def test_public_names_resolve():
+    lexdec = importlib.import_module("lexdec")
+    assert [name for name in lexdec.__all__ if not hasattr(lexdec, name)] == []
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("lexdec.variants")

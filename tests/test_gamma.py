@@ -12,7 +12,6 @@ from lexdec import (
     BitString,
     DecodeError,
     DecodeErrorKind,
-    ExponentField,
     decode_exponent,
     encode_exponent,
     exponent_field_length,
@@ -104,10 +103,13 @@ def test_exponent_field_invariants():
     assert len(field.bits) == 2 * (9 + 2).bit_length() - 1
     assert field.bits[0] == 1
     assert encode_exponent(9, True).bits[0] == 0
-    with pytest.raises(ValueError):
-        ExponentField(BitString("100"), exponent=5, inverted=False)
-    with pytest.raises(ValueError):
-        ExponentField(BitString("100"), exponent=0, inverted=True)
+
+
+@pytest.mark.parametrize("exponent", [-1, -2, -5])
+@pytest.mark.parametrize("invert", [False, True])
+def test_encode_exponent_rejects_negative(exponent, invert):
+    with pytest.raises(ValueError, match="^exponent must be non-negative$"):
+        encode_exponent(exponent, invert)
 
 
 def test_round_trip_exhaustive_to_one_million():

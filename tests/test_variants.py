@@ -17,7 +17,6 @@ from lexdec import (
     DecodeError,
     DecodeErrorKind,
     ExponentSign,
-    FixedWidthKey,
     KeyWidthError,
     ScientificForm,
     Sign,
@@ -165,8 +164,6 @@ class TestFixedWidth:
         for width in (0, 4, 12, -8):
             with pytest.raises(ValueError):
                 fixed_width_key(POSITIVE_ZERO, width)
-        with pytest.raises(ValueError):
-            FixedWidthKey(b"\x00", 16)
 
     def test_truncation_keeps_prefix(self):
         value = parse_decimal("1.23456789012345678901234567890123")

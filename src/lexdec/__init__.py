@@ -9,15 +9,19 @@ between positive and negative zero.
 
 from .bits import BitCursor, BitString, lex_compare
 from .codec import (
+    ExponentField,
     FixedWidthKey,
     canonical_bit_length,
     complement_to_ten,
     decode,
+    decode_exponent,
     decode_prefix_free_stream,
     decode_significand,
     encode,
+    encode_exponent,
     encode_prefix_free,
     encode_significand,
+    exponent_field_length,
     fixed_width_key,
 )
 from .decimal_values import (
@@ -42,14 +46,6 @@ from .errors import (
     ExponentLimitError,
     KeyWidthError,
     ParseError,
-)
-from .gamma import (
-    ExponentField,
-    decode_exponent,
-    encode_exponent,
-    exponent_field_length,
-    modified_gamma_decode,
-    modified_gamma_encode,
 )
 
 __version__ = "0.1.0"
@@ -89,8 +85,6 @@ __all__ = [
     "exponent_field_length",
     "fixed_width_key",
     "lex_compare",
-    "modified_gamma_decode",
-    "modified_gamma_encode",
     "parse_decimal",
     "render_decimal",
 ]

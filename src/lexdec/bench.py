@@ -10,9 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .codec import canonical_bit_length, encode
+from .codec import canonical_bit_length, encode, exponent_field_length
 from .decimal_values import DecimalValue, parse_decimal
-from .gamma import exponent_field_length
 
 __all__ = [
     "BenchRow",

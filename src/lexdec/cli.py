@@ -103,9 +103,8 @@ def _group_bits(value, bits: BitString) -> str:
     return " ".join(text[a:b] for a, b in zip(cuts, cuts[1:]))
 
 
-def _hex_text(bits: BitString) -> str:
-    data, length = bits.to_bytes()
-    return " ".join(f"{b:02X}" for b in data) + f"/{length}"
+def _hex_text(data: bytes, bit_length: int) -> str:
+    return " ".join(f"{b:02X}" for b in data) + f"/{bit_length}"
 
 
 def _bits_from_hex(text: str) -> BitString:
@@ -125,11 +124,11 @@ def _cmd_encode(args) -> int:
         value = parse_decimal(text)
         if width is not None:
             key = fixed_width_key(value, width)
-            print(" ".join(f"{b:02X}" for b in key.data) + f"/{key.width_bits}")
+            print(_hex_text(key.data, key.width_bits))
             continue
         bits = encode_prefix_free(value) if prefix else encode(value, trim=args.trim)
         if args.format == "hex":
-            print(_hex_text(bits))
+            print(_hex_text(*bits.to_bytes()))
         elif args.trim or prefix:
             print(bits.to_text())
         else:

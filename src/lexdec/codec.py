@@ -3,9 +3,14 @@
 Layout of a finite value, left to right:
 
 * a 2-bit sign header: ``00`` negative, ``10`` positive;
-* the exponent field, bit-flipped exactly when the overall sign and the
-  exponent sign differ, so that larger numbers always get lexicographically
-  larger encodings;
+* the exponent field: for the exponent magnitude ``e``, let ``k = e+2`` and
+  ``N = k.bit_length()``; the field is ``N-1`` one bits, a zero, then the
+  binary digits of ``k`` without their leading one, ``2N-1`` bits in all.
+  These codewords sort in the order of their values and form a prefix code,
+  so a reader finds the field's length from its leading run. The field is
+  bit-flipped exactly when the overall sign and the exponent sign differ, so
+  that larger numbers always get lexicographically larger encodings; flipped
+  fields sort in reverse and are still a prefix code;
 * the significand: the leading digit on 4 bits (tetrade), then the remaining
   digits in groups of three, each group on 10 bits (declet), the last group
   zero-padded to three digits. A negative value stores the digits of
@@ -54,23 +59,20 @@ from .decimal_values import (
     Sign,
 )
 from .errors import DecodeError, DecodeErrorKind, ExponentLimitError, KeyWidthError
-from .gamma import (
-    EXPONENT_OFFSET,
-    exponent_field,
-    exponent_field_length,
-    read_exponent_payload,
-    read_exponent_run,
-)
 
 __all__ = [
     "DecodeError",
     "DecodeErrorKind",
+    "ExponentField",
     "FixedWidthKey",
     "encode",
     "decode",
     "encode_prefix_free",
     "decode_prefix_free_stream",
     "fixed_width_key",
+    "exponent_field_length",
+    "encode_exponent",
+    "decode_exponent",
     "encode_significand",
     "decode_significand",
     "complement_to_ten",
@@ -78,6 +80,9 @@ __all__ = [
     "SPECIAL_ENCODINGS",
 ]
 
+# The exponent is coded offset by 2 so the length-discriminating run is never
+# empty; without it the field could not carry both its length and its sign.
+EXPONENT_OFFSET = 2
 TETRADE_BITS = 4
 DECLET_BITS = 10
 DECLET_DIGITS = 3
@@ -94,6 +99,66 @@ _HEADER_NEGATIVE = 0b00
 _HEADER_NEGATIVE_ZERO = 0b01
 _HEADER_POSITIVE = 0b10
 _HEADER_POSITIVE_OR_INF = 0b11
+
+
+@dataclass(frozen=True, slots=True)
+class ExponentField:
+    """An encoded exponent: the bits, the exponent, and whether bits were flipped."""
+
+    bits: BitString
+    exponent: int
+    inverted: bool
+
+
+def exponent_field_length(exponent: int) -> int:
+    """Bit length of the encoded exponent field, 2*floor(log2(e+2)) + 1."""
+    return 2 * (exponent + EXPONENT_OFFSET).bit_length() - 1
+
+
+def exponent_field(exponent: int, invert: bool) -> tuple[int, int]:
+    """The exponent field as an integer and its width in bits.
+
+    Every bit is flipped when ``invert``; the caller decides it from the
+    decimal's sign pair.
+    """
+    k = exponent + EXPONENT_OFFSET
+    n = k.bit_length()
+    width = 2 * n - 1
+    # N-1 ones and a zero, then k without its leading one.
+    code = ((1 << n) - 2) << (n - 1) | k ^ (1 << (n - 1))
+    return (code ^ ((1 << width) - 1) if invert else code), width
+
+
+def encode_exponent(exponent: int, invert: bool) -> ExponentField:
+    """Encode a non-negative exponent as :func:`exponent_field` does."""
+    if exponent < 0:
+        raise ValueError("exponent must be non-negative")
+    return ExponentField(BitString._raw(*exponent_field(exponent, invert)), exponent, invert)
+
+
+def decode_exponent(cursor: BitCursor) -> ExponentField:
+    """Read an exponent field, un-flipping it when its leading bit is 0."""
+    inverted, run = _read_exponent_run(cursor)
+    exponent = _read_exponent_payload(cursor, inverted, run)
+    return encode_exponent(exponent, inverted)  # a bijection: exactly the bits read
+
+
+def _read_exponent_run(cursor: BitCursor) -> tuple[bool, int]:
+    """Read an exponent field's leading run and the opposite bit ending it.
+
+    Returns ``(inverted, R)``: the field spans 2R+1 bits, and its exponent is
+    at least ``2**R - EXPONENT_OFFSET`` before the payload is even read.
+    """
+    first = cursor.read_bit()
+    return first == 0, 1 + cursor.read_run(first)
+
+
+def _read_exponent_payload(cursor: BitCursor, inverted: bool, run: int) -> int:
+    """Read the payload that follows a run of ``run`` bits; returns the exponent."""
+    payload = cursor.read_bits(run)
+    if inverted:
+        payload ^= (1 << run) - 1
+    return ((1 << run) | payload) - EXPONENT_OFFSET
 
 
 def complement_to_ten(digits: Sequence[int]) -> tuple[int, ...]:
@@ -168,14 +233,17 @@ def fixed_width_key(value: DecimalValue, width_bits: int) -> FixedWidthKey:
     """
     if width_bits < 8 or width_bits % 8:
         raise ValueError("width_bits must be a positive multiple of 8")
-    bits = encode(value)
-    if value.kind is Kind.FINITE:
-        fixed_fields = 2 + exponent_field_length(value.form.exponent) + TETRADE_BITS
+    if isinstance(value, DecimalValue) and value.kind is Kind.FINITE:
+        layout = _layout(value.form)
+        fixed_fields = layout[1] + TETRADE_BITS
         if fixed_fields > width_bits:
             raise KeyWidthError(
                 f"sign, exponent and leading digit need {fixed_fields} bits, "
                 f"key width is {width_bits}"
             )
+        bits = _pack(*layout)
+    else:
+        bits = encode(value)  # a special value, or a TypeError
     shift = width_bits - len(bits)
     key = bits._value << shift if shift >= 0 else bits._value >> -shift
     data = key.to_bytes(width_bits // 8, "big")
@@ -298,12 +366,12 @@ def _decode_value(cursor: BitCursor, framing: _Framing, max_exponent: int) -> De
         return POSITIVE_ZERO if header == _HEADER_POSITIVE else NEGATIVE_INFINITY
 
     sign = Sign.NEGATIVE if header == _HEADER_NEGATIVE else Sign.POSITIVE
-    inverted, run = read_exponent_run(cursor)
+    inverted, run = _read_exponent_run(cursor)
     exponent_sign = ExponentSign(-sign if inverted else sign)
     least = (1 << run) - EXPONENT_OFFSET
     if least > max_exponent:
         raise ExponentLimitError(exponent_sign * least, max_exponent)
-    exponent = read_exponent_payload(cursor, inverted, run)
+    exponent = _read_exponent_payload(cursor, inverted, run)
     if exponent > max_exponent:
         raise ExponentLimitError(exponent_sign * exponent, max_exponent)
     if exponent == 0 and exponent_sign is ExponentSign.NEGATIVE:

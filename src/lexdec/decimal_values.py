@@ -38,6 +38,7 @@ __all__ = [
 
 #: Safety limit on exponent magnitude accepted by :func:`parse_decimal`.
 DEFAULT_MAX_EXPONENT = 2**32
+_SCIENTIFIC_THRESHOLD = 20
 
 
 class Sign(enum.IntEnum):
@@ -182,11 +183,11 @@ def parse_decimal(text: str, *, max_exponent: int = DEFAULT_MAX_EXPONENT) -> Dec
 _NUMERAL = re.compile(r"([+-]?)([0-9]*)(?:\.([0-9]*))?(?:[eE]([+-]?)([0-9]*))?")
 
 
-def render_decimal(value: DecimalValue, *, scientific_threshold: int = 20) -> str:
+def render_decimal(value: DecimalValue) -> str:
     """Render a value as text that :func:`parse_decimal` maps back to it.
 
-    Finite values use plain positional notation while the signed exponent
-    stays within ``scientific_threshold``, and scientific notation beyond it.
+    Finite values use plain positional notation while the exponent's
+    magnitude is at most 20, and scientific notation beyond it.
     """
     match value.kind:
         case Kind.POSITIVE_ZERO:
@@ -205,7 +206,7 @@ def render_decimal(value: DecimalValue, *, scientific_threshold: int = 20) -> st
     digits = "".join(str(d) for d in form.digits)
     exponent = form.signed_exponent
 
-    if abs(exponent) > scientific_threshold:
+    if abs(exponent) > _SCIENTIFIC_THRESHOLD:
         if len(digits) == 1:
             return f"{prefix}{digits}E{exponent}"
         return f"{prefix}{digits[0]}.{digits[1:]}E{exponent}"

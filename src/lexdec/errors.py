@@ -53,10 +53,7 @@ class DecodeError(Exception):
     read started).
     """
 
-    def __init__(self, kind: DecodeErrorKind, position: int, detail: str = ""):
-        message = f"{kind.value} at bit {position}"
-        if detail:
-            message = f"{message}: {detail}"
-        super().__init__(message)
+    def __init__(self, kind: DecodeErrorKind, position: int):
+        super().__init__(f"{kind.value} at bit {position}")
         self.kind = kind
         self.position = position

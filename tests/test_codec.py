@@ -407,5 +407,6 @@ class TestLengthLaw:
 def test_public_names_resolve():
     lexdec = importlib.import_module("lexdec")
     assert [name for name in lexdec.__all__ if not hasattr(lexdec, name)] == []
-    with pytest.raises(ModuleNotFoundError):
-        importlib.import_module("lexdec.variants")
+    for module in ("lexdec.variants", "lexdec.gamma"):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)

@@ -1,7 +1,9 @@
 """Parsing, rendering, and the numeric comparison oracle."""
 
+from dataclasses import replace
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
@@ -145,13 +147,6 @@ class TestRender:
             render_decimal(form(Sign.NEGATIVE, ExponentSign.NEGATIVE, 30, [4, 0, 5]))
             == "-4.05E-30"
         )
-        assert (
-            render_decimal(
-                form(Sign.POSITIVE, ExponentSign.NON_NEGATIVE, 21, [1]),
-                scientific_threshold=25,
-            )
-            == "1" + "0" * 21
-        )
 
     def test_positional_edges(self):
         assert render_decimal(form(Sign.POSITIVE, ExponentSign.NON_NEGATIVE, 1, [5])) == "50"
@@ -162,9 +157,11 @@ class TestRender:
     def test_parse_render_identity(self, value):
         assert parse_decimal(render_decimal(value)) == value
 
-    @given(finite_values(max_digits=40))
-    def test_identity_with_small_threshold(self, value):
-        text = render_decimal(value, scientific_threshold=0)
+    @given(finite_values(max_digits=40), st.integers(21, 10**6))
+    def test_identity_in_scientific_notation(self, value, exponent):
+        value = DecimalValue.finite(replace(value.form, exponent=exponent))
+        text = render_decimal(value)
+        assert "E" in text
         assert parse_decimal(text) == value
 
 

@@ -1,4 +1,4 @@
-"""The order-preserving integer code and the exponent field."""
+"""The exponent field: its codewords, order, prefix property and round trip."""
 
 import functools
 import random
@@ -16,17 +16,14 @@ from lexdec import (
     encode_exponent,
     exponent_field_length,
     lex_compare,
-    modified_gamma_decode,
-    modified_gamma_encode,
 )
 
 from golden import EXPONENT_FIELD_TABLE as GOLDEN_EXPONENT_FIELDS
 
-# Codewords for the smallest inputs. The value-4 row follows from the
-# construction (binary 100 -> two ones, a zero, then "00"); its length must
-# match its neighbours at the same bit count.
+# Codewords of k = e+2 for the smallest exponent fields. The k = 4 row follows
+# from the construction (binary 100 -> two ones, a zero, then "00"); its
+# length must match its neighbours at the same bit count.
 GOLDEN_CODEWORDS = {
-    1: "0",
     2: "100",
     3: "101",
     4: "11000",
@@ -37,31 +34,26 @@ GOLDEN_CODEWORDS = {
 
 def test_golden_codewords():
     for k, expected in GOLDEN_CODEWORDS.items():
-        assert modified_gamma_encode(k).to_text() == expected
+        assert encode_exponent(k - 2, False).bits.to_text() == expected
 
 
 def test_decode_examples():
-    for text, expected, consumed in [("100", 2, 3), ("11010", 6, 5), ("0", 1, 1)]:
+    for text, exponent, inverted in [
+        ("100", 0, False),
+        ("11010", 4, False),
+        ("011", 0, True),
+    ]:
         cursor = BitCursor(BitString(text + "111"))  # trailing junk must not be read
-        assert modified_gamma_decode(cursor) == expected
-        assert cursor.position == consumed
-
-
-def test_domain_error():
-    with pytest.raises(ValueError):
-        modified_gamma_encode(0)
-    with pytest.raises(ValueError):
-        modified_gamma_encode(-3)
+        field = decode_exponent(cursor)
+        assert (field.exponent, field.inverted) == (exponent, inverted)
+        assert cursor.position == len(text)
 
 
 def test_decode_truncation():
-    with pytest.raises(DecodeError) as exc:
-        modified_gamma_decode(BitCursor(BitString("11")))
-    assert exc.value.kind is DecodeErrorKind.TRUNCATED_INPUT
-    with pytest.raises(DecodeError):
-        modified_gamma_decode(BitCursor(BitString("1101")))
-    with pytest.raises(DecodeError):
-        modified_gamma_decode(BitCursor(BitString("")))
+    for text in ["11", "1101", "", "0010"]:
+        with pytest.raises(DecodeError) as exc:
+            decode_exponent(BitCursor(BitString(text)))
+        assert exc.value.kind is DecodeErrorKind.TRUNCATED_INPUT
 
 
 def test_golden_exponent_fields():

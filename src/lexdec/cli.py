@@ -13,11 +13,11 @@ from .bits import BitString, lex_compare
 from .codec import (
     DECLET_BITS,
     TETRADE_BITS,
-    _layout,
     decode,
     decode_prefix_free_stream,
     encode,
     encode_prefix_free,
+    exponent_field_length,
     fixed_width_key,
 )
 from .decimal_values import Kind, parse_decimal, render_decimal
@@ -98,7 +98,7 @@ def _group_bits(value, bits: BitString) -> str:
     text = bits.to_text()
     if value.kind is not Kind.FINITE:
         return text
-    width = _layout(value.form)[1]  # sign header and exponent field
+    width = 2 + exponent_field_length(value.form.exponent)  # sign header and exponent field
     cuts = [0, 2, width, *range(width + TETRADE_BITS, len(text) + 1, DECLET_BITS)]
     return " ".join(text[a:b] for a, b in zip(cuts, cuts[1:]))
 

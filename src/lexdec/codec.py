@@ -31,19 +31,22 @@ compare equal-length binaries.
 
 Encoding works on integers: one layout step lists a value's fields, and one
 packer shifts them into a single int, wrapped once as a :class:`BitString`,
-either plain or with continuation bits. A fixed-width key is the canonical
-encoding's integer shifted to the key width. One value decoder reads all
-three framings of a significand: to the end of the input, re-padded after
-trimming, or with continuation bits.
+either plain or with continuation bits. The layout cuts the significand's
+digit text into three-character slices, one ``int()`` each, so no step
+converts the whole text at once. A fixed-width key is the canonical
+encoding's integer shifted to the key width. The complement to ten is one
+step on those declet integers, used by the encoder and the decoder alike.
+
+One value decoder reads all three framings of a significand: to the end of
+the input, re-padded after trimming, or with continuation bits. The first two
+read the whole significand with one read, cut the tetrade and declets from
+it by shifts, and write each declet back as three digits of text.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import zip_longest
-from typing import Sequence
-
 from .bits import BitCursor, BitString
 from .decimal_values import (
     DEFAULT_MAX_EXPONENT,
@@ -86,6 +89,7 @@ EXPONENT_OFFSET = 2
 TETRADE_BITS = 4
 DECLET_BITS = 10
 DECLET_DIGITS = 3
+_NON_ZERO_DIGITS = frozenset("123456789")
 
 SPECIAL_ENCODINGS: dict[Kind, BitString] = {
     Kind.NEGATIVE_INFINITY: BitString("00"),
@@ -139,8 +143,11 @@ def encode_exponent(exponent: int, invert: bool) -> ExponentField:
 def decode_exponent(cursor: BitCursor) -> ExponentField:
     """Read an exponent field, un-flipping it when its leading bit is 0."""
     inverted, run = _read_exponent_run(cursor)
-    exponent = _read_exponent_payload(cursor, inverted, run)
-    return encode_exponent(exponent, inverted)  # a bijection: exactly the bits read
+    payload = cursor.read_bits(run)
+    # The bits as read: the run, the opposite bit that ends it, the payload.
+    field = (1 << run if inverted else ((1 << run) - 1) << (run + 1)) | payload
+    exponent = _exponent_from_payload(inverted, run, payload)
+    return ExponentField(BitString._raw(field, 2 * run + 1), exponent, inverted)
 
 
 def _read_exponent_run(cursor: BitCursor) -> tuple[bool, int]:
@@ -153,34 +160,32 @@ def _read_exponent_run(cursor: BitCursor) -> tuple[bool, int]:
     return first == 0, 1 + cursor.read_run(first)
 
 
-def _read_exponent_payload(cursor: BitCursor, inverted: bool, run: int) -> int:
-    """Read the payload that follows a run of ``run`` bits; returns the exponent."""
-    payload = cursor.read_bits(run)
+def _exponent_from_payload(inverted: bool, run: int, payload: int) -> int:
+    """The exponent of a field whose run of ``run`` bits ends before ``payload``."""
     if inverted:
         payload ^= (1 << run) - 1
     return ((1 << run) | payload) - EXPONENT_OFFSET
 
 
-def complement_to_ten(digits: Sequence[int]) -> tuple[int, ...]:
-    """Digit sequence of ``10 - m``, same digit count as ``m``; self-inverse.
+def complement_to_ten(digits: str) -> str:
+    """Digit text of ``10 - m``, same digit count as ``m``; self-inverse.
 
     Nines' complement on every digit except the last, tens' complement on the
     last. The input's last digit must be non-zero (canonical significands
     never end in zero), which keeps the operation an involution.
     """
-    ds = tuple(digits)
-    if not ds or not 1 <= ds[-1] <= 9:
+    if not digits or digits[-1] not in _NON_ZERO_DIGITS:
         raise ValueError("last digit must be in 1..9")
-    return tuple(9 - d for d in ds[:-1]) + (10 - ds[-1],)
+    return _digit_text(*_significand_layout(digits, True))[: len(digits)]
 
 
-def encode_significand(digits: Sequence[int], negative: bool) -> BitString:
-    """Pack canonical significand digits into a tetrade plus declets.
+def encode_significand(digits: str, negative: bool) -> BitString:
+    """Pack canonical significand digit text into a tetrade plus declets.
 
     For negative values the digits of ``10 - m`` are stored instead (their
     leading digit may then be zero).
     """
-    if not digits or (negative and not 1 <= digits[-1] <= 9):
+    if not digits or (negative and digits[-1] not in _NON_ZERO_DIGITS):
         raise ValueError("need digits; a negative significand's last one must be in 1..9")
     return _pack(0, 0, *_significand_layout(digits, negative))
 
@@ -260,21 +265,28 @@ def _layout(form: ScientificForm) -> tuple[int, int, int, list[int]]:
     return (head, width + 2, *_significand_layout(form.digits, negative))
 
 
-def _significand_layout(digits: Sequence[int], negative: bool) -> tuple[int, list[int]]:
-    groups = iter(digits)
-    first = next(groups)
-    triples = zip_longest(groups, groups, groups, fillvalue=0)
-    declets = [a * 100 + b * 10 + c for a, b, c in triples]
-    if not negative:
-        return first, declets
-    # 10 - m on the zero-padded digits: the nines' complement of every digit,
-    # plus one in the last place. The carry never leaves the last group,
-    # which ends in a non-zero digit before its padding.
-    declets = [999 - declet for declet in declets]
+def _significand_layout(digits: str, negative: bool) -> tuple[int, list[int]]:
+    padded = digits + "00"  # zero-pads the last group to three digits
+    declets = [int(padded[i : i + DECLET_DIGITS]) for i in range(1, len(digits), DECLET_DIGITS)]
+    if negative:
+        return _complement(int(digits[0]), declets)
+    return int(digits[0]), declets
+
+
+def _complement(first: int, declets: list[int]) -> tuple[int, list[int]]:
+    """10 - m on the zero-padded digit groups of m, which must end in a
+    non-zero group: the nines' complement of every group, plus one in the
+    last place. The carry never leaves the last group."""
     if not declets:
         return 10 - first, declets
+    declets = [999 - declet for declet in declets]
     declets[-1] += 1
     return 9 - first, declets
+
+
+def _digit_text(first: int, declets: list[int]) -> str:
+    """The tetrade digit and every declet's three digits, padding included."""
+    return str(first) + "".join([f"{declet:03d}" for declet in declets])
 
 
 def _pack(head: int, width: int, tetrade: int, declets: list[int], continued=False) -> BitString:
@@ -371,17 +383,17 @@ def _decode_value(cursor: BitCursor, framing: _Framing, max_exponent: int) -> De
     least = (1 << run) - EXPONENT_OFFSET
     if least > max_exponent:
         raise ExponentLimitError(exponent_sign * least, max_exponent)
-    exponent = _read_exponent_payload(cursor, inverted, run)
+    exponent = _exponent_from_payload(inverted, run, cursor.read_bits(run))
     if exponent > max_exponent:
         raise ExponentLimitError(exponent_sign * exponent, max_exponent)
     if exponent == 0 and exponent_sign is ExponentSign.NEGATIVE:
         raise DecodeError(DecodeErrorKind.NEGATIVE_ZERO_EXPONENT, start + 2)
 
     digits = _read_significand(cursor, sign is Sign.NEGATIVE, framing)
-    return DecimalValue.finite(ScientificForm(sign, exponent_sign, exponent, digits))
+    return DecimalValue.finite(ScientificForm._raw(sign, exponent_sign, exponent, digits))
 
 
-def decode_significand(cursor: BitCursor, negative: bool) -> tuple[int, ...]:
+def decode_significand(cursor: BitCursor, negative: bool) -> str:
     """Read the significand through the end of the input and re-normalize it.
 
     Declet zero-padding is stripped; for negative values the complement to
@@ -391,48 +403,84 @@ def decode_significand(cursor: BitCursor, negative: bool) -> tuple[int, ...]:
     return _read_significand(cursor, negative, _Framing.TO_END)
 
 
-def _read_significand(cursor: BitCursor, negative: bool, framing: _Framing) -> tuple[int, ...]:
+def _read_significand(cursor: BitCursor, negative: bool, framing: _Framing) -> str:
     start = cursor.position
-    if cursor.at_end():
-        raise DecodeError(DecodeErrorKind.TRUNCATED_INPUT, start)
-    first = _read_group(cursor, TETRADE_BITS, framing)
-    if first > 9:
-        raise DecodeError(DecodeErrorKind.DIGIT_OUT_OF_RANGE, start)
-
-    stored = [first]
-    continued = framing is _Framing.CONTINUATION
-    while cursor.read_bit() if continued else not cursor.at_end():
-        group_start = cursor.position
-        if framing is _Framing.TO_END and cursor.remaining < DECLET_BITS:
-            # A short all-zero tail is byte-alignment padding; anything else
-            # means the input was cut mid-declet.
-            if cursor.read_bits(cursor.remaining) != 0:
-                raise DecodeError(DecodeErrorKind.TRUNCATED_INPUT, group_start)
-            break
-        declet = _read_group(cursor, DECLET_BITS, framing)
-        if declet > 999:
-            raise DecodeError(DecodeErrorKind.DIGIT_OUT_OF_RANGE, group_start)
-        stored += [declet // 100, declet // 10 % 10, declet % 10]
-
-    return _normalize_stored(stored, negative, start)
-
-
-def _read_group(cursor: BitCursor, width: int, framing: _Framing) -> int:
-    short = min(width, cursor.remaining) if framing is _Framing.REPADDED else width
-    return cursor.read_bits(short) << (width - short)
-
-
-def _normalize_stored(stored: list[int], negative: bool, position: int) -> tuple[int, ...]:
-    while len(stored) > 1 and stored[-1] == 0:
-        stored.pop()
+    if framing is _Framing.CONTINUATION:
+        first, declets = _read_continued_groups(cursor)
+    else:
+        first, declets = _read_to_end(cursor, framing is _Framing.REPADDED)
+    while declets and not declets[-1]:
+        declets.pop()
     if negative:
         # Stored value must be in (0, 9] so that 10 - stored is in [1, 10).
-        if stored == [0] or (stored[0] == 9 and len(stored) > 1):
-            raise DecodeError(DecodeErrorKind.SIGNIFICAND_OUT_OF_RANGE, position)
-        return complement_to_ten(stored)
-    if stored[0] == 0:
-        raise DecodeError(DecodeErrorKind.SIGNIFICAND_OUT_OF_RANGE, position)
-    return tuple(stored)
+        if (first == 0 and not declets) or (first == 9 and declets):
+            raise DecodeError(DecodeErrorKind.SIGNIFICAND_OUT_OF_RANGE, start)
+        first, declets = _complement(first, declets)
+    elif first == 0:
+        raise DecodeError(DecodeErrorKind.SIGNIFICAND_OUT_OF_RANGE, start)
+    return _digit_text(first, declets).rstrip("0")
+
+
+def _read_to_end(cursor: BitCursor, repadded: bool) -> tuple[int, list[int]]:
+    """The stored tetrade and declets, read with one read through the end."""
+    start = cursor.position
+    size = cursor.remaining
+    if size == 0 or (size < TETRADE_BITS and not repadded):
+        raise DecodeError(DecodeErrorKind.TRUNCATED_INPUT, start)
+    bits = cursor.read_bits(size)
+    declet_bits = size - TETRADE_BITS
+    tail = 0
+    if repadded:
+        # A short last group is zero-extended.
+        bits <<= -declet_bits % DECLET_BITS
+        declet_bits += -declet_bits % DECLET_BITS
+    else:
+        # A short all-zero tail is byte-alignment padding; anything else
+        # means the input was cut mid-declet.
+        tail = bits & ((1 << declet_bits % DECLET_BITS) - 1)
+        bits >>= declet_bits % DECLET_BITS
+        declet_bits -= declet_bits % DECLET_BITS
+    first = bits >> declet_bits
+    if first > 9:
+        raise DecodeError(DecodeErrorKind.DIGIT_OUT_OF_RANGE, start)
+    declets = _cut_declets(bits, declet_bits // DECLET_BITS)
+    if declets and max(declets) > 999:
+        index = next(i for i, declet in enumerate(declets) if declet > 999)
+        raise DecodeError(
+            DecodeErrorKind.DIGIT_OUT_OF_RANGE, start + TETRADE_BITS + DECLET_BITS * index
+        )
+    if tail:
+        raise DecodeError(DecodeErrorKind.TRUNCATED_INPUT, start + TETRADE_BITS + declet_bits)
+    return first, declets
+
+
+def _cut_declets(bits: int, count: int) -> list[int]:
+    """The last ``count`` 10-bit groups of ``bits``, leftmost first.
+
+    A long run is halved before it is cut, so that no shift spans more than
+    a few hundred bits and long significands cost n log n, not n squared.
+    """
+    if count > 64:
+        low = count // 2
+        high_part = _cut_declets(bits >> DECLET_BITS * low, count - low)
+        return high_part + _cut_declets(bits & ((1 << DECLET_BITS * low) - 1), low)
+    return [bits >> shift & 1023 for shift in range(DECLET_BITS * (count - 1), -1, -DECLET_BITS)]
+
+
+def _read_continued_groups(cursor: BitCursor) -> tuple[int, list[int]]:
+    """The stored tetrade and declets, one group and continuation bit at a time."""
+    start = cursor.position
+    first = cursor.read_bits(TETRADE_BITS)
+    if first > 9:
+        raise DecodeError(DecodeErrorKind.DIGIT_OUT_OF_RANGE, start)
+    declets = []
+    while cursor.read_bit():
+        group_start = cursor.position
+        declet = cursor.read_bits(DECLET_BITS)
+        if declet > 999:
+            raise DecodeError(DecodeErrorKind.DIGIT_OUT_OF_RANGE, group_start)
+        declets.append(declet)
+    return first, declets
 
 
 def canonical_bit_length(value: DecimalValue) -> int:

@@ -2,9 +2,11 @@
 
 Every finite, non-zero decimal has exactly one representation here: an overall
 sign, an exponent sign, a non-negative exponent, and a significand written as
-its decimal digits with the first digit in 1..9 and no trailing zero digits.
-Zero, the infinities and NaN are modelled as separate variants, with negative
-zero kept distinct from positive zero so that both round-trip.
+its decimal digit text: ASCII ``0-9``, the first digit in 1..9 and no trailing
+``0``. That text is checked once, where a form is built from outside the
+library; the parser and the decoder produce it already canonical and skip the
+check. Zero, the infinities and NaN are modelled as separate variants, with
+negative zero kept distinct from positive zero so that both round-trip.
 
 All values are immutable and all operations are pure functions, safe to call
 concurrently and to pass between threads.
@@ -13,7 +15,6 @@ concurrently and to pass between threads.
 from __future__ import annotations
 
 import enum
-import itertools
 import re
 from dataclasses import dataclass
 
@@ -51,32 +52,46 @@ class ExponentSign(enum.IntEnum):
     NON_NEGATIVE = 1
 
 
+# Not \d, which also matches non-ASCII digits such as "٣".
+_CANONICAL_DIGITS = re.compile(r"[1-9](?:[0-9]*[1-9])?")
+_set = object.__setattr__  # writes the fields of a frozen form
+
+
 @dataclass(frozen=True, slots=True)
 class ScientificForm:
     """The decomposition ``sign * significand * 10 ** (exponent_sign * exponent)``.
 
-    ``digits`` holds the significand's decimal digits, the first of which sits
-    before the decimal point, so the significand is always in [1, 10).
+    ``digits`` is the significand's canonical digit text, such as ``"15"`` for
+    1.5: ASCII ``0-9``, the first digit in 1..9 and sitting before the
+    decimal point, no trailing ``0``. The significand is always in [1, 10).
     """
 
     sign: Sign
     exponent_sign: ExponentSign
     exponent: int
-    digits: tuple[int, ...]
+    digits: str
 
     def __post_init__(self):
-        if not self.digits:
-            raise ValueError("significand must have at least one digit")
-        if any(not isinstance(d, int) or not 0 <= d <= 9 for d in self.digits):
-            raise ValueError("significand digits must be integers in 0..9")
-        if not 1 <= self.digits[0] <= 9:
-            raise ValueError("leading significand digit must be in 1..9")
-        if len(self.digits) > 1 and self.digits[-1] == 0:
-            raise ValueError("significand must not have trailing zero digits")
+        if not isinstance(self.digits, str):
+            raise TypeError(f"significand digits must be a str, not {type(self.digits).__name__}")
+        if not _CANONICAL_DIGITS.fullmatch(self.digits):
+            raise ValueError(
+                "significand digits must be ASCII 0-9, start with 1-9 and not end in 0"
+            )
         if self.exponent < 0:
             raise ValueError("exponent must be non-negative")
         if self.exponent == 0 and self.exponent_sign is ExponentSign.NEGATIVE:
             raise ValueError("zero exponent must carry the non-negative sign")
+
+    @classmethod
+    def _raw(cls, sign: Sign, exponent_sign: ExponentSign, exponent: int, digits: str):
+        """Build without the checks, for producers that emit canonical forms."""
+        form = object.__new__(cls)
+        _set(form, "sign", sign)
+        _set(form, "exponent_sign", exponent_sign)
+        _set(form, "exponent", exponent)
+        _set(form, "digits", digits)
+        return form
 
     @property
     def signed_exponent(self) -> int:
@@ -169,13 +184,11 @@ def parse_decimal(text: str, *, max_exponent: int = DEFAULT_MAX_EXPONENT) -> Dec
     if abs(signed_exponent) > max_exponent:
         raise ExponentLimitError(signed_exponent, max_exponent)
 
-    form = ScientificForm(
-        sign=Sign.NEGATIVE if negative else Sign.POSITIVE,
-        exponent_sign=(
-            ExponentSign.NEGATIVE if signed_exponent < 0 else ExponentSign.NON_NEGATIVE
-        ),
-        exponent=abs(signed_exponent),
-        digits=tuple(map(int, significant)),
+    form = ScientificForm._raw(
+        Sign.NEGATIVE if negative else Sign.POSITIVE,
+        ExponentSign.NEGATIVE if signed_exponent < 0 else ExponentSign.NON_NEGATIVE,
+        abs(signed_exponent),
+        significant,
     )
     return DecimalValue.finite(form)
 
@@ -203,7 +216,7 @@ def render_decimal(value: DecimalValue) -> str:
 
     form = value.form
     prefix = "-" if form.sign is Sign.NEGATIVE else ""
-    digits = "".join(str(d) for d in form.digits)
+    digits = form.digits
     exponent = form.signed_exponent
 
     if abs(exponent) > _SCIENTIFIC_THRESHOLD:
@@ -251,7 +264,8 @@ def _rank(value: DecimalValue) -> int:
 def _compare_magnitude(a: ScientificForm, b: ScientificForm) -> int:
     if a.signed_exponent != b.signed_exponent:
         return -1 if a.signed_exponent < b.signed_exponent else 1
-    for da, db in itertools.zip_longest(a.digits, b.digits, fillvalue=0):
-        if da != db:
-            return -1 if da < db else 1
+    # Canonical texts have no trailing zeros, so text order is numeric order:
+    # a proper prefix is the smaller significand, as its missing digits are 0.
+    if a.digits != b.digits:
+        return -1 if a.digits < b.digits else 1
     return 0

@@ -54,13 +54,13 @@ class SelfTestResult:
         return self.passed and self.cases == 0
 
 
-def random_digits(rng: random.Random, max_digits: int = 60) -> tuple[int, ...]:
-    """A random canonical digit tuple: leading and final digits non-zero."""
+def random_digits(rng: random.Random, max_digits: int = 60) -> str:
+    """Random canonical digit text: leading and final digits non-zero."""
     n = rng.randint(1, max_digits)
     if n == 1:
-        return (rng.randint(1, 9),)
-    middle = tuple(rng.randint(0, 9) for _ in range(n - 2))
-    return (rng.randint(1, 9),) + middle + (rng.randint(1, 9),)
+        return str(rng.randint(1, 9))
+    middle = "".join([str(rng.randint(0, 9)) for _ in range(n - 2)])
+    return str(rng.randint(1, 9)) + middle + str(rng.randint(1, 9))
 
 
 def random_finite(
@@ -73,12 +73,8 @@ def random_finite(
         if exponent == 0
         else rng.choice((ExponentSign.NEGATIVE, ExponentSign.NON_NEGATIVE))
     )
-    form = ScientificForm(
-        sign=rng.choice((Sign.NEGATIVE, Sign.POSITIVE)),
-        exponent_sign=exponent_sign,
-        exponent=exponent,
-        digits=random_digits(rng, max_digits),
-    )
+    sign = rng.choice((Sign.NEGATIVE, Sign.POSITIVE))
+    form = ScientificForm._raw(sign, exponent_sign, exponent, random_digits(rng, max_digits))
     return DecimalValue.finite(form)
 
 
@@ -183,9 +179,7 @@ def _simpler(value: DecimalValue) -> Iterable[DecimalValue]:
 
     candidates = []
     if len(form.digits) > 1:
-        half = form.digits[: max(1, len(form.digits) // 2)]
-        while len(half) > 1 and half[-1] == 0:
-            half = half[:-1]
+        half = form.digits[: max(1, len(form.digits) // 2)].rstrip("0")
         candidates.append(build(form.sign, form.exponent_sign, form.exponent, half))
         candidates.append(build(form.sign, form.exponent_sign, form.exponent, form.digits[:1]))
     if form.exponent > 0:

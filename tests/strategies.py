@@ -22,11 +22,11 @@ SPECIALS = (NEGATIVE_INFINITY, NEGATIVE_ZERO, POSITIVE_ZERO, POSITIVE_INFINITY, 
 def canonical_digits(draw, max_digits=25):
     n = draw(st.integers(1, max_digits))
     if n == 1:
-        return (draw(st.integers(1, 9)),)
+        return str(draw(st.integers(1, 9)))
     first = draw(st.integers(1, 9))
-    middle = draw(st.lists(st.integers(0, 9), min_size=n - 2, max_size=n - 2))
+    middle = draw(st.text("0123456789", min_size=n - 2, max_size=n - 2))
     last = draw(st.integers(1, 9))
-    return (first, *middle, last)
+    return f"{first}{middle}{last}"
 
 
 @st.composite

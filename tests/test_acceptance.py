@@ -80,8 +80,8 @@ def exhaustive_grid():
     is checked separately rather than inside the sorted grid.
     """
     values = [NEGATIVE_INFINITY, NEGATIVE_ZERO, POSITIVE_ZERO, POSITIVE_INFINITY]
-    digit_sets = [(d,) for d in range(1, 10)] + [
-        (a, b) for a in range(1, 10) for b in range(1, 10)
+    digit_sets = [str(d) for d in range(1, 10)] + [
+        f"{a}{b}" for a in range(1, 10) for b in range(1, 10)
     ]
     for sign in (Sign.NEGATIVE, Sign.POSITIVE):
         for exponent_sign in (ExponentSign.NEGATIVE, ExponentSign.NON_NEGATIVE):

@@ -66,8 +66,7 @@ def oracle_encode(value) -> str:
         field = "".join("1" if c == "0" else "0" for c in field)
 
     n = len(f.digits)
-    mantissa = int("".join(str(d) for d in f.digits))
-    stored = str(10**n - mantissa).zfill(n) if negative else "".join(str(d) for d in f.digits)
+    stored = str(10**n - int(f.digits)).zfill(n) if negative else f.digits
     rest = stored[1:]
     rest += "0" * (-len(rest) % 3)
     out = ("00" if negative else "10") + field + format(int(stored[0]), "04b")
@@ -75,6 +74,9 @@ def oracle_encode(value) -> str:
         out += format(int(rest[i : i + 3]), "010b")
     return out
 
+
+# 1.001002003: a positive value with exponent 0 and three declets.
+THREE_DECLETS = "10 100 0001 0000000001 0000000010 0000000011"
 
 # Every decode failure class, with the bit position the error must report.
 ERROR_TAXONOMY = [
@@ -103,6 +105,28 @@ ERROR_TAXONOMY = [
     ("10 100", DecodeErrorKind.TRUNCATED_INPUT, 5),
     ("10 100 00", DecodeErrorKind.TRUNCATED_INPUT, 5),
     ("10 101 0001 00011", DecodeErrorKind.TRUNCATED_INPUT, 9),
+    # faults after three valid declets, read back from a declet index
+    (THREE_DECLETS + " 1111101000", DecodeErrorKind.DIGIT_OUT_OF_RANGE, 39),
+    (THREE_DECLETS + " 00101", DecodeErrorKind.TRUNCATED_INPUT, 39),
+]
+
+# The late faults above in the two other framings. Trimmed: the canonical
+# bits less their trailing zeros, and the error position, or the value when
+# the short last group is zero-extended into a valid one. Prefix-free: the
+# same groups with a continuation bit after each, and the error position.
+LATE_FAULTS = [
+    (
+        THREE_DECLETS + " 1111101000",
+        39,
+        "10 100 0001 1 0000000001 1 0000000010 1 0000000011 1 1111101000 0",
+        43,
+    ),
+    (
+        THREE_DECLETS + " 00101",
+        "1.00100200316",
+        "10 100 0001 1 0000000001 1 0000000010 1 0000000011 1 00101",
+        43,
+    ),
 ]
 
 
@@ -174,6 +198,20 @@ class TestDecode:
         with pytest.raises(DecodeError) as exc:
             decode(BitString(text))
         assert (exc.value.kind, exc.value.position) == (kind, position)
+
+    @pytest.mark.parametrize("text,trimmed,stream,stream_position", LATE_FAULTS)
+    def test_late_faults_in_every_framing(self, text, trimmed, stream, stream_position):
+        kind = next(k for t, k, _ in ERROR_TAXONOMY if t == text)
+        bits = BitString(text).strip_trailing_zeros()
+        if isinstance(trimmed, str):
+            assert decode(bits, trim=True) == parse_decimal(trimmed)
+        else:
+            with pytest.raises(DecodeError) as exc:
+                decode(bits, trim=True)
+            assert (exc.value.kind, exc.value.position) == (kind, trimmed)
+        with pytest.raises(DecodeError) as exc:
+            decode_prefix_free_stream(BitString(stream))
+        assert (exc.value.kind, exc.value.position) == (kind, stream_position)
 
     def test_error_positions(self):
         with pytest.raises(DecodeError) as exc:
@@ -300,20 +338,20 @@ class TestArbitraryBits:
 
 class TestSignificand:
     def test_encode_examples(self):
-        assert encode_significand((1, 0, 3, 2), True) == BitString("1000 1111001000")
+        assert encode_significand("1032", True) == BitString("1000 1111001000")
         assert encode_significand(
-            (4, 0, 0, 5, 0, 1, 2, 3, 4, 5), False
+            "4005012345", False
         ) == BitString("0100 0000000101 0000001100 0101011001")
-        assert encode_significand((7, 0, 7, 1, 0, 6), False) == BitString(
+        assert encode_significand("707106", False) == BitString(
             "0111 0001000111 0000111100"
         )
-        assert encode_significand((1,), False) == BitString("0001")
+        assert encode_significand("1", False) == BitString("0001")
 
     def test_decode_examples(self):
         cursor = BitCursor(BitString("1000 1111001000"))
-        assert decode_significand(cursor, negative=True) == (1, 0, 3, 2)
+        assert decode_significand(cursor, negative=True) == "1032"
         cursor = BitCursor(BitString("0001"))
-        assert decode_significand(cursor, negative=False) == (1,)
+        assert decode_significand(cursor, negative=False) == "1"
 
     def test_decode_rejects_complement_out_of_range(self):
         cursor = BitCursor(BitString("1001 0001100100"))
@@ -321,7 +359,7 @@ class TestSignificand:
             decode_significand(cursor, negative=True)
         assert exc.value.kind is DecodeErrorKind.SIGNIFICAND_OUT_OF_RANGE
 
-    @pytest.mark.parametrize("digits,negative", [((), False), ((), True), ((1, 0), True)])
+    @pytest.mark.parametrize("digits,negative", [("", False), ("", True), ("10", True)])
     def test_encode_rejects_digits_without_a_complement(self, digits, negative):
         # A negative significand ending in 0 has no complement to ten; packed
         # anyway, its last declet would read 1000, which no decoder accepts.
@@ -334,12 +372,38 @@ class TestSignificand:
         assert decode_significand(BitCursor(bits), negative=negative) == digits
 
 
+class TestLongSignificands:
+    """Significands past the 4,300 digits that ``int()`` converts from text."""
+
+    DIGITS = "1" + "0123456789" * 1000  # 10,001 digits
+
+    @pytest.mark.parametrize("sign", ["", "-"], ids=["positive", "negative"])
+    def test_round_trip_in_every_framing(self, sign):
+        text = f"{sign}1.{self.DIGITS[1:]}E25"
+        value = parse_decimal(text)
+        assert value.form.digits == self.DIGITS
+        assert render_decimal(decode(encode(value))) == text
+        assert render_decimal(decode(encode(value, trim=True), trim=True)) == text
+        stream = encode_prefix_free(value) + encode_prefix_free(NEGATIVE_ZERO)
+        assert decode_prefix_free_stream(stream) == [value, NEGATIVE_ZERO]
+        assert canonical_bit_length(value) == len(encode(value))
+
+    @pytest.mark.parametrize("sign", ["", "-"], ids=["positive", "negative"])
+    def test_orders_against_its_last_digit_neighbour(self, sign):
+        value = parse_decimal(f"{sign}1.{self.DIGITS[1:]}E25")
+        below = parse_decimal(f"{sign}1.{self.DIGITS[1:-1]}8E25")
+        expected = 1 if sign == "" else -1
+        assert compare_numeric(value, below) == expected
+        assert compare_numeric(below, value) == -expected
+        assert lex_compare(encode(value), encode(below)) == expected
+
+
 class TestComplement:
     def test_examples(self):
-        assert complement_to_ten((1, 0, 3, 2)) == (8, 9, 6, 8)
-        assert complement_to_ten((4, 0, 5)) == (5, 9, 5)
-        assert complement_to_ten((9,)) == (1,)
-        assert complement_to_ten((1, 5)) == (8, 5)
+        assert complement_to_ten("1032") == "8968"
+        assert complement_to_ten("405") == "595"
+        assert complement_to_ten("9") == "1"
+        assert complement_to_ten("15") == "85"
 
     @given(canonical_digits())
     def test_involution(self, digits):
@@ -347,9 +411,9 @@ class TestComplement:
 
     def test_rejects_trailing_zero(self):
         with pytest.raises(ValueError):
-            complement_to_ten((1, 0))
+            complement_to_ten("10")
         with pytest.raises(ValueError):
-            complement_to_ten(())
+            complement_to_ten("")
 
 
 class TestRoundTrip:

@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+import lexdec
 from lexdec import (
     NAN,
     NEGATIVE_INFINITY,
@@ -30,14 +31,14 @@ from strategies import decimal_values, finite_values
 
 def form(sign, exponent_sign, exponent, digits):
     return DecimalValue.finite(
-        ScientificForm(sign, exponent_sign, exponent, tuple(digits))
+        ScientificForm(sign, exponent_sign, exponent, digits)
     )
 
 
 def as_fraction(value):
     """Exact rational magnitude oracle, independent of the comparison code."""
     f = value.form
-    mantissa = int("".join(str(d) for d in f.digits))
+    mantissa = int(f.digits)
     scale = f.signed_exponent - (len(f.digits) - 1)
     base = Fraction(mantissa) * Fraction(10) ** scale
     return base if f.sign is Sign.POSITIVE else -base
@@ -46,20 +47,20 @@ def as_fraction(value):
 class TestParse:
     def test_worked_examples(self):
         assert parse_decimal("-103.2") == form(
-            Sign.NEGATIVE, ExponentSign.NON_NEGATIVE, 2, [1, 0, 3, 2]
+            Sign.NEGATIVE, ExponentSign.NON_NEGATIVE, 2, "1032"
         )
         assert parse_decimal("-0.0405") == form(
-            Sign.NEGATIVE, ExponentSign.NEGATIVE, 2, [4, 0, 5]
+            Sign.NEGATIVE, ExponentSign.NEGATIVE, 2, "405"
         )
         assert parse_decimal("0") == POSITIVE_ZERO
         assert parse_decimal("1.500") == form(
-            Sign.POSITIVE, ExponentSign.NON_NEGATIVE, 0, [1, 5]
+            Sign.POSITIVE, ExponentSign.NON_NEGATIVE, 0, "15"
         )
         assert parse_decimal("4.05E-2") == form(
-            Sign.POSITIVE, ExponentSign.NEGATIVE, 2, [4, 0, 5]
+            Sign.POSITIVE, ExponentSign.NEGATIVE, 2, "405"
         )
         assert parse_decimal("4005012345") == form(
-            Sign.POSITIVE, ExponentSign.NON_NEGATIVE, 9, [4, 0, 0, 5, 0, 1, 2, 3, 4, 5]
+            Sign.POSITIVE, ExponentSign.NON_NEGATIVE, 9, "4005012345"
         )
 
     def test_specials(self):
@@ -134,24 +135,24 @@ class TestParse:
 class TestRender:
     def test_examples(self):
         assert render_decimal(
-            form(Sign.POSITIVE, ExponentSign.NON_NEGATIVE, 9, [4, 0, 0, 5, 0, 1, 2, 3, 4, 5])
+            form(Sign.POSITIVE, ExponentSign.NON_NEGATIVE, 9, "4005012345")
         ) == "4005012345"
         assert render_decimal(POSITIVE_ZERO) == "0"
         assert render_decimal(NEGATIVE_ZERO) == "-0"
-        assert render_decimal(form(Sign.NEGATIVE, ExponentSign.NEGATIVE, 2, [4, 0, 5])) == "-0.0405"
-        assert render_decimal(form(Sign.NEGATIVE, ExponentSign.NON_NEGATIVE, 2, [1, 0, 3, 2])) == "-103.2"
+        assert render_decimal(form(Sign.NEGATIVE, ExponentSign.NEGATIVE, 2, "405")) == "-0.0405"
+        assert render_decimal(form(Sign.NEGATIVE, ExponentSign.NON_NEGATIVE, 2, "1032")) == "-103.2"
 
     def test_scientific_beyond_threshold(self):
-        assert render_decimal(form(Sign.POSITIVE, ExponentSign.NON_NEGATIVE, 21, [1])) == "1E21"
+        assert render_decimal(form(Sign.POSITIVE, ExponentSign.NON_NEGATIVE, 21, "1")) == "1E21"
         assert (
-            render_decimal(form(Sign.NEGATIVE, ExponentSign.NEGATIVE, 30, [4, 0, 5]))
+            render_decimal(form(Sign.NEGATIVE, ExponentSign.NEGATIVE, 30, "405"))
             == "-4.05E-30"
         )
 
     def test_positional_edges(self):
-        assert render_decimal(form(Sign.POSITIVE, ExponentSign.NON_NEGATIVE, 1, [5])) == "50"
-        assert render_decimal(form(Sign.POSITIVE, ExponentSign.NEGATIVE, 1, [5])) == "0.5"
-        assert render_decimal(form(Sign.POSITIVE, ExponentSign.NON_NEGATIVE, 0, [5, 5])) == "5.5"
+        assert render_decimal(form(Sign.POSITIVE, ExponentSign.NON_NEGATIVE, 1, "5")) == "50"
+        assert render_decimal(form(Sign.POSITIVE, ExponentSign.NEGATIVE, 1, "5")) == "0.5"
+        assert render_decimal(form(Sign.POSITIVE, ExponentSign.NON_NEGATIVE, 0, "55")) == "5.5"
 
     @given(decimal_values())
     def test_parse_render_identity(self, value):
@@ -208,7 +209,7 @@ class TestCompare:
                     if exponent == 0 and t is ExponentSign.NEGATIVE:
                         continue
                     for d in range(1, 10):
-                        values.append(form(sign, t, exponent, [d]))
+                        values.append(form(sign, t, exponent, str(d)))
         for a in values:
             for b in values:
                 ab = compare_numeric(a, b)
@@ -223,17 +224,38 @@ class TestCompare:
 class TestInvariants:
     def test_form_validation(self):
         with pytest.raises(ValueError):
-            ScientificForm(Sign.POSITIVE, ExponentSign.NON_NEGATIVE, 0, ())
+            ScientificForm(Sign.POSITIVE, ExponentSign.NON_NEGATIVE, 0, "")
         with pytest.raises(ValueError):
-            ScientificForm(Sign.POSITIVE, ExponentSign.NON_NEGATIVE, 0, (0, 5))
+            ScientificForm(Sign.POSITIVE, ExponentSign.NON_NEGATIVE, 0, "05")
         with pytest.raises(ValueError):
-            ScientificForm(Sign.POSITIVE, ExponentSign.NON_NEGATIVE, 0, (1, 5, 0))
+            ScientificForm(Sign.POSITIVE, ExponentSign.NON_NEGATIVE, 0, "150")
         with pytest.raises(ValueError):
-            ScientificForm(Sign.POSITIVE, ExponentSign.NON_NEGATIVE, -1, (1,))
+            ScientificForm(Sign.POSITIVE, ExponentSign.NON_NEGATIVE, -1, "1")
         with pytest.raises(ValueError):
-            ScientificForm(Sign.POSITIVE, ExponentSign.NEGATIVE, 0, (1,))
+            ScientificForm(Sign.POSITIVE, ExponentSign.NEGATIVE, 0, "1")
         # single zero-free digit and lone trailing digit rules
-        ScientificForm(Sign.POSITIVE, ExponentSign.NON_NEGATIVE, 0, (1,))
+        ScientificForm(Sign.POSITIVE, ExponentSign.NON_NEGATIVE, 0, "1")
+
+    @pytest.mark.parametrize("digits", ["", "0", "05", "150", "1a", "\u0663", "1\n", " 1"])
+    def test_form_rejects_non_canonical_digit_text(self, digits):
+        with pytest.raises(ValueError, match="^significand digits must be ASCII 0-9, start"):
+            ScientificForm(Sign.POSITIVE, ExponentSign.NON_NEGATIVE, 0, digits)
+
+    @pytest.mark.parametrize("digits", [(1, 5), [1], 15, b"15"])
+    def test_form_rejects_digits_that_are_not_text(self, digits):
+        with pytest.raises(TypeError, match="^significand digits must be a str, not "):
+            ScientificForm(Sign.POSITIVE, ExponentSign.NON_NEGATIVE, 0, digits)
+
+    def test_form_rejects_bad_exponents(self):
+        with pytest.raises(ValueError, match="^exponent must be non-negative$"):
+            ScientificForm(Sign.POSITIVE, ExponentSign.NON_NEGATIVE, -1, "15")
+        with pytest.raises(ValueError, match="^zero exponent must carry the non-negative sign$"):
+            ScientificForm(Sign.NEGATIVE, ExponentSign.NEGATIVE, 0, "15")
+
+    def test_unchecked_constructor_is_not_exported(self):
+        exported = [getattr(lexdec, name) for name in lexdec.__all__]
+        assert ScientificForm._raw not in exported
+        assert not [name for name in lexdec.__all__ if name.startswith("_")]
 
     def test_value_validation(self):
         with pytest.raises(ValueError):
@@ -241,5 +263,5 @@ class TestInvariants:
         with pytest.raises(ValueError):
             DecimalValue(
                 Kind.POSITIVE_ZERO,
-                ScientificForm(Sign.POSITIVE, ExponentSign.NON_NEGATIVE, 0, (1,)),
+                ScientificForm(Sign.POSITIVE, ExponentSign.NON_NEGATIVE, 0, "1"),
             )

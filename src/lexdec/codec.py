@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+
 from .bits import BitCursor, BitString
 from .decimal_values import (
     DEFAULT_MAX_EXPONENT,
@@ -89,7 +90,6 @@ EXPONENT_OFFSET = 2
 TETRADE_BITS = 4
 DECLET_BITS = 10
 DECLET_DIGITS = 3
-_NON_ZERO_DIGITS = frozenset("123456789")
 
 SPECIAL_ENCODINGS: dict[Kind, BitString] = {
     Kind.NEGATIVE_INFINITY: BitString("00"),
@@ -174,7 +174,7 @@ def complement_to_ten(digits: str) -> str:
     last. The input's last digit must be non-zero (canonical significands
     never end in zero), which keeps the operation an involution.
     """
-    if not digits or digits[-1] not in _NON_ZERO_DIGITS:
+    if not digits or digits[-1] not in "123456789":
         raise ValueError("last digit must be in 1..9")
     return _digit_text(*_significand_layout(digits, True))[: len(digits)]
 
@@ -185,7 +185,7 @@ def encode_significand(digits: str, negative: bool) -> BitString:
     For negative values the digits of ``10 - m`` are stored instead (their
     leading digit may then be zero).
     """
-    if not digits or (negative and digits[-1] not in _NON_ZERO_DIGITS):
+    if not digits or (negative and digits[-1] not in "123456789"):
         raise ValueError("need digits; a negative significand's last one must be in 1..9")
     return _pack(0, 0, *_significand_layout(digits, negative))
 
@@ -286,7 +286,10 @@ def _complement(first: int, declets: list[int]) -> tuple[int, list[int]]:
 
 def _digit_text(first: int, declets: list[int]) -> str:
     """The tetrade digit and every declet's three digits, padding included."""
-    return str(first) + "".join([f"{declet:03d}" for declet in declets])
+    return str(first) + "".join([_DECLET_TEXT[declet] for declet in declets])
+
+
+_DECLET_TEXT = tuple(f"{declet:03d}" for declet in range(1000))  # a lookup beats formatting
 
 
 def _pack(head: int, width: int, tetrade: int, declets: list[int], continued=False) -> BitString:
@@ -377,9 +380,10 @@ def _decode_value(cursor: BitCursor, framing: _Framing, max_exponent: int) -> De
     if cursor.at_end():
         return POSITIVE_ZERO if header == _HEADER_POSITIVE else NEGATIVE_INFINITY
 
-    sign = Sign.NEGATIVE if header == _HEADER_NEGATIVE else Sign.POSITIVE
+    negative = header == _HEADER_NEGATIVE
     inverted, run = _read_exponent_run(cursor)
-    exponent_sign = ExponentSign(-sign if inverted else sign)
+    # The field is flipped exactly when the two signs differ.
+    exponent_sign = ExponentSign.NEGATIVE if negative != inverted else ExponentSign.NON_NEGATIVE
     least = (1 << run) - EXPONENT_OFFSET
     if least > max_exponent:
         raise ExponentLimitError(exponent_sign * least, max_exponent)
@@ -389,7 +393,8 @@ def _decode_value(cursor: BitCursor, framing: _Framing, max_exponent: int) -> De
     if exponent == 0 and exponent_sign is ExponentSign.NEGATIVE:
         raise DecodeError(DecodeErrorKind.NEGATIVE_ZERO_EXPONENT, start + 2)
 
-    digits = _read_significand(cursor, sign is Sign.NEGATIVE, framing)
+    digits = _read_significand(cursor, negative, framing)
+    sign = Sign.NEGATIVE if negative else Sign.POSITIVE
     return DecimalValue.finite(ScientificForm._raw(sign, exponent_sign, exponent, digits))
 
 
@@ -431,15 +436,17 @@ def _read_to_end(cursor: BitCursor, repadded: bool) -> tuple[int, list[int]]:
     declet_bits = size - TETRADE_BITS
     tail = 0
     if repadded:
-        # A short last group is zero-extended.
-        bits <<= -declet_bits % DECLET_BITS
-        declet_bits += -declet_bits % DECLET_BITS
+        # A short last group, even a short tetrade, is zero-extended.
+        pad = -declet_bits % DECLET_BITS
+        bits <<= pad
+        declet_bits += pad
     else:
         # A short all-zero tail is byte-alignment padding; anything else
         # means the input was cut mid-declet.
-        tail = bits & ((1 << declet_bits % DECLET_BITS) - 1)
-        bits >>= declet_bits % DECLET_BITS
-        declet_bits -= declet_bits % DECLET_BITS
+        short = declet_bits % DECLET_BITS
+        tail = bits & ((1 << short) - 1)
+        bits >>= short
+        declet_bits -= short
     first = bits >> declet_bits
     if first > 9:
         raise DecodeError(DecodeErrorKind.DIGIT_OUT_OF_RANGE, start)
@@ -457,8 +464,8 @@ def _read_to_end(cursor: BitCursor, repadded: bool) -> tuple[int, list[int]]:
 def _cut_declets(bits: int, count: int) -> list[int]:
     """The last ``count`` 10-bit groups of ``bits``, leftmost first.
 
-    A long run is halved before it is cut, so that no shift spans more than
-    a few hundred bits and long significands cost n log n, not n squared.
+    A long run is halved first, so that the shifts that cut single declets
+    act on short integers: a long significand costs n log n, not n squared.
     """
     if count > 64:
         low = count // 2

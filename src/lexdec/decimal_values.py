@@ -84,7 +84,9 @@ class ScientificForm:
             raise ValueError("zero exponent must carry the non-negative sign")
 
     @classmethod
-    def _raw(cls, sign: Sign, exponent_sign: ExponentSign, exponent: int, digits: str):
+    def _raw(
+        cls, sign: Sign, exponent_sign: ExponentSign, exponent: int, digits: str
+    ) -> "ScientificForm":
         """Build without the checks, for producers that emit canonical forms."""
         form = object.__new__(cls)
         _set(form, "sign", sign)
@@ -265,7 +267,8 @@ def _compare_magnitude(a: ScientificForm, b: ScientificForm) -> int:
     if a.signed_exponent != b.signed_exponent:
         return -1 if a.signed_exponent < b.signed_exponent else 1
     # Canonical texts have no trailing zeros, so text order is numeric order:
-    # a proper prefix is the smaller significand, as its missing digits are 0.
+    # a proper prefix is the smaller significand, since the longer text has a
+    # non-zero digit where the prefix has only implied zeros.
     if a.digits != b.digits:
         return -1 if a.digits < b.digits else 1
     return 0

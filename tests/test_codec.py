@@ -359,7 +359,11 @@ class TestSignificand:
             decode_significand(cursor, negative=True)
         assert exc.value.kind is DecodeErrorKind.SIGNIFICAND_OUT_OF_RANGE
 
-    @pytest.mark.parametrize("digits,negative", [("", False), ("", True), ("10", True)])
+    @pytest.mark.parametrize(
+        "digits,negative",
+        [("", False), ("", True), ("10", True)],
+        ids=["digits0-False", "digits1-True", "digits2-True"],
+    )
     def test_encode_rejects_digits_without_a_complement(self, digits, negative):
         # A negative significand ending in 0 has no complement to ten; packed
         # anyway, its last declet would read 1000, which no decoder accepts.

@@ -451,7 +451,7 @@ def _read_to_end(cursor: BitCursor, repadded: bool) -> tuple[int, list[int]]:
     if first > 9:
         raise DecodeError(DecodeErrorKind.DIGIT_OUT_OF_RANGE, start)
     declets = _cut_declets(bits, declet_bits // DECLET_BITS)
-    if declets and max(declets) > 999:
+    if max(declets, default=0) > 999:
         index = next(i for i, declet in enumerate(declets) if declet > 999)
         raise DecodeError(
             DecodeErrorKind.DIGIT_OUT_OF_RANGE, start + TETRADE_BITS + DECLET_BITS * index

@@ -395,11 +395,11 @@ class TestLongSignificands:
     @pytest.mark.parametrize("sign", ["", "-"], ids=["positive", "negative"])
     def test_orders_against_its_last_digit_neighbour(self, sign):
         value = parse_decimal(f"{sign}1.{self.DIGITS[1:]}E25")
-        below = parse_decimal(f"{sign}1.{self.DIGITS[1:-1]}8E25")
+        smaller_magnitude = parse_decimal(f"{sign}1.{self.DIGITS[1:-1]}8E25")
         expected = 1 if sign == "" else -1
-        assert compare_numeric(value, below) == expected
-        assert compare_numeric(below, value) == -expected
-        assert lex_compare(encode(value), encode(below)) == expected
+        assert compare_numeric(value, smaller_magnitude) == expected
+        assert compare_numeric(smaller_magnitude, value) == -expected
+        assert lex_compare(encode(value), encode(smaller_magnitude)) == expected
 
 
 class TestComplement:

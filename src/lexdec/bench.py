@@ -98,8 +98,7 @@ def size_rows(max_value: int, samples: int) -> list[BenchRow]:
 def decimal_to_int(value: DecimalValue) -> int:
     """The exact integer a finite value denotes; error if it has a fraction."""
     form = value.form
-    mantissa = int(form.digits)
     shift = form.signed_exponent - (len(form.digits) - 1)
     if shift < 0:
         raise ValueError("value is not an integer")
-    return (1 if form.sign > 0 else -1) * mantissa * 10**shift
+    return (1 if form.sign > 0 else -1) * int(form.digits) * 10**shift

@@ -89,21 +89,12 @@ class BitString:
             return ""
         return format(self._value, f"0{self._length}b")
 
-    def startswith(self, prefix: "BitString") -> bool:
-        if prefix._length > self._length:
-            return False
-        return self._value >> (self._length - prefix._length) == prefix._value
-
     def strip_trailing_zeros(self) -> "BitString":
         """Drop every trailing zero bit (the empty string if all bits are zero)."""
         if self._value == 0:
             return BitString._raw(0, 0)
         trailing = (self._value & -self._value).bit_length() - 1
         return BitString._raw(self._value >> trailing, self._length - trailing)
-
-    def invert(self) -> "BitString":
-        """Flip every bit."""
-        return BitString._raw(self._value ^ ((1 << self._length) - 1), self._length)
 
     def __len__(self) -> int:
         return self._length
@@ -115,22 +106,6 @@ class BitString:
 
     def __hash__(self) -> int:
         return hash((self._length, self._value))
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            start, stop, step = index.indices(self._length)
-            if step != 1:
-                raise ValueError("only contiguous slices are supported")
-            if stop <= start:
-                return BitString._raw(0, 0)
-            length = stop - start
-            value = (self._value >> (self._length - stop)) & ((1 << length) - 1)
-            return BitString._raw(value, length)
-        if index < 0:
-            index += self._length
-        if not 0 <= index < self._length:
-            raise IndexError("bit index out of range")
-        return (self._value >> (self._length - index - 1)) & 1
 
     def __add__(self, other: "BitString") -> "BitString":
         if not isinstance(other, BitString):

@@ -29,6 +29,8 @@ EXIT_USAGE = 1
 EXIT_DECODE = 2
 EXIT_SELFTEST = 3
 
+BENCH_MAX_DIGITS = 1001
+
 
 class _UsageError(Exception):
     pass
@@ -187,13 +189,15 @@ def _cmd_bench_size(args) -> int:
     from .bench import decimal_to_int, size_rows
 
     maximum = parse_decimal(args.max, max_exponent=10**6)
-    if maximum.kind is not Kind.FINITE:
+    if maximum.kind is not Kind.FINITE or maximum.form.sign < 0:
         raise _UsageError("--max must be a positive integer")
+    # Sampling cost grows fast with the digit count, and int() refuses text
+    # past 4,300 digits, so the bound is checked before any conversion.
+    if maximum.form.signed_exponent >= BENCH_MAX_DIGITS:
+        raise _UsageError(f"--max must have at most {BENCH_MAX_DIGITS} digits")
     try:
         max_int = decimal_to_int(maximum)
     except ValueError:
-        raise _UsageError("--max must be a positive integer")
-    if max_int < 1:
         raise _UsageError("--max must be a positive integer")
     print("integer\tmeasured_bits\tlaw_bits\tapprox_bits\texponent_bits")
     for row in size_rows(max_int, args.samples):

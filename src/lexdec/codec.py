@@ -30,22 +30,27 @@ bytewise comparison of the keys reproduces numeric order on stores that only
 compare equal-length binaries.
 
 Encoding works on integers: one layout step lists a value's fields, and one
-packer shifts them into a single int, wrapped once as a :class:`BitString`,
-either plain or with continuation bits. The layout cuts the significand's
-digit text into three-character slices, one ``int()`` each, so no step
-converts the whole text at once. A fixed-width key is the canonical
-encoding's integer shifted to the key width. The complement to ten is one
-step on those declet integers, used by the encoder and the decoder alike.
+packer shifts them into a single int, wrapped once as a :class:`BitString`.
+The layout cuts the significand's digit text into three-character slices,
+one ``int()`` each, so no step converts the whole text at once. A fixed-width
+key is the canonical encoding's integer shifted to the key width. The
+complement to ten is one step on those declet integers, used by the encoder
+and the decoder alike.
 
-One value decoder reads all three framings of a significand: to the end of
-the input, re-padded after trimming, or with continuation bits. The first two
-read the whole significand with one read, cut the tetrade and declets from
-it by shifts, and write each declet back as three digits of text.
+The prefix-free form is the canonical form with a continuation bit in front
+of each declet and a 0 at the end. So one packer and one significand reader
+serve every framing, and the only difference between them is the stride of
+a group: 10 bits canonical and trimmed, 11 bits prefix-free. The reader
+finds the significand's span (the rest of the input, or the chain of groups
+that start with a 1), reads it with one read and cuts the declets from it by
+shifts. Long significands are joined and cut by halves, so they encode and
+decode in n log n time.
 """
 
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 
 from .bits import BitCursor, BitString
@@ -295,18 +300,33 @@ _DECLET_TEXT = tuple(f"{declet:03d}" for declet in range(1000))  # a lookup beat
 def _pack(head: int, width: int, tetrade: int, declets: list[int], continued=False) -> BitString:
     """Shift the fields into one integer, wrapped once as a bit string.
 
-    ``continued`` adds a bit after the tetrade and after each declet: 1 while
-    another declet follows, 0 after the last group.
+    ``continued`` puts a 1 in front of each declet, making 11-bit groups, and
+    a 0 after the last group: a continuation bit after the tetrade and after
+    each declet, 1 while another declet follows.
     """
-    if not continued:
-        bits = head << TETRADE_BITS | tetrade
-        for declet in declets:
-            bits = bits << DECLET_BITS | declet
-        return BitString._raw(bits, width + TETRADE_BITS + DECLET_BITS * len(declets))
-    bits = (head << TETRADE_BITS | tetrade) << 1 | 1
-    for declet in declets:
-        bits = (bits << DECLET_BITS | declet) << 1 | 1
-    return BitString._raw(bits - 1, width + TETRADE_BITS + 1 + (DECLET_BITS + 1) * len(declets))
+    if continued:
+        declets = [1 << DECLET_BITS | declet for declet in declets]
+    stride = DECLET_BITS + continued
+    bits = _append_groups(head << TETRADE_BITS | tetrade, declets, stride)
+    length = width + TETRADE_BITS + stride * len(declets) + continued
+    return BitString._raw(bits << continued, length)
+
+
+def _append_groups(bits: int, groups: list[int], stride: int) -> int:
+    """``bits`` followed by each group on ``stride`` bits.
+
+    A long run is halved first, as :func:`_cut_declets` cuts one, so that the
+    shifts act on short integers: a long significand costs n log n, not n
+    squared.
+    """
+    count = len(groups)
+    if count > 64:
+        low = count // 2
+        high = _append_groups(bits, groups[: count - low], stride)
+        return high << stride * low | _append_groups(0, groups[count - low :], stride)
+    for group in groups:
+        bits = bits << stride | group
+    return bits
 
 
 def decode(
@@ -408,12 +428,59 @@ def decode_significand(cursor: BitCursor, negative: bool) -> str:
     return _read_significand(cursor, negative, _Framing.TO_END)
 
 
+_CONTINUED_GROUPS = re.compile("(?:1[01]{10})*")  # a continuation bit of 1, then a declet
+
+
 def _read_significand(cursor: BitCursor, negative: bool, framing: _Framing) -> str:
+    """Read the stored groups with one read, check them and re-normalize.
+
+    The groups span the rest of the input or, under continuation framing, the
+    chain of groups that start with a 1: a declet every 11 bits, not every
+    10. Faults are reported in the order a reader taking one group at a time
+    would meet them: the tetrade, each declet, then the cut in the input.
+    """
     start = cursor.position
-    if framing is _Framing.CONTINUATION:
-        first, declets = _read_continued_groups(cursor)
-    else:
-        first, declets = _read_to_end(cursor, framing is _Framing.REPADDED)
+    size = cursor.remaining
+    continued = framing is _Framing.CONTINUATION
+    repadded = framing is _Framing.REPADDED
+    if size == 0 or (size < TETRADE_BITS and not repadded):
+        raise DecodeError(DecodeErrorKind.TRUNCATED_INPUT, start)
+    stride = DECLET_BITS + continued
+    cut = None  # where the input stops inside a group
+    if continued:
+        end = _CONTINUED_GROUPS.match(cursor._text, start + TETRADE_BITS).end()
+        # A 0 ends the chain; a 1 starts a group that the input cuts short.
+        stop = cursor._text[end : end + 1]
+        if stop != "0":
+            cut = end + len(stop)
+        size = end - start
+    bits = cursor.read_bits(size)
+    group_bits = size - TETRADE_BITS
+    if repadded:
+        # A short last group, even a short tetrade, is zero-extended.
+        pad = -group_bits % DECLET_BITS
+        bits <<= pad
+        group_bits += pad
+    elif not continued:
+        # A short all-zero tail is byte-alignment padding; anything else
+        # means the input was cut mid-declet.
+        short = group_bits % DECLET_BITS
+        if bits & ((1 << short) - 1):
+            cut = start + size - short
+        bits >>= short
+        group_bits -= short
+    first = bits >> group_bits
+    if first > 9:
+        raise DecodeError(DecodeErrorKind.DIGIT_OUT_OF_RANGE, start)
+    declets = _cut_declets(bits, group_bits // stride, stride)
+    if max(declets, default=0) > 999:
+        index = next(i for i, declet in enumerate(declets) if declet > 999)
+        position = start + TETRADE_BITS + stride * (index + 1) - DECLET_BITS
+        raise DecodeError(DecodeErrorKind.DIGIT_OUT_OF_RANGE, position)
+    if cut is not None:
+        raise DecodeError(DecodeErrorKind.TRUNCATED_INPUT, cut)
+    if continued:
+        cursor.read_bit()  # the 0 that ends the chain
     while declets and not declets[-1]:
         declets.pop()
     if negative:
@@ -426,68 +493,19 @@ def _read_significand(cursor: BitCursor, negative: bool, framing: _Framing) -> s
     return _digit_text(first, declets).rstrip("0")
 
 
-def _read_to_end(cursor: BitCursor, repadded: bool) -> tuple[int, list[int]]:
-    """The stored tetrade and declets, read with one read through the end."""
-    start = cursor.position
-    size = cursor.remaining
-    if size == 0 or (size < TETRADE_BITS and not repadded):
-        raise DecodeError(DecodeErrorKind.TRUNCATED_INPUT, start)
-    bits = cursor.read_bits(size)
-    declet_bits = size - TETRADE_BITS
-    tail = 0
-    if repadded:
-        # A short last group, even a short tetrade, is zero-extended.
-        pad = -declet_bits % DECLET_BITS
-        bits <<= pad
-        declet_bits += pad
-    else:
-        # A short all-zero tail is byte-alignment padding; anything else
-        # means the input was cut mid-declet.
-        short = declet_bits % DECLET_BITS
-        tail = bits & ((1 << short) - 1)
-        bits >>= short
-        declet_bits -= short
-    first = bits >> declet_bits
-    if first > 9:
-        raise DecodeError(DecodeErrorKind.DIGIT_OUT_OF_RANGE, start)
-    declets = _cut_declets(bits, declet_bits // DECLET_BITS)
-    if max(declets, default=0) > 999:
-        index = next(i for i, declet in enumerate(declets) if declet > 999)
-        raise DecodeError(
-            DecodeErrorKind.DIGIT_OUT_OF_RANGE, start + TETRADE_BITS + DECLET_BITS * index
-        )
-    if tail:
-        raise DecodeError(DecodeErrorKind.TRUNCATED_INPUT, start + TETRADE_BITS + declet_bits)
-    return first, declets
+def _cut_declets(bits: int, count: int, stride: int) -> list[int]:
+    """The declets of the last ``count`` groups of ``bits``, leftmost first.
 
-
-def _cut_declets(bits: int, count: int) -> list[int]:
-    """The last ``count`` 10-bit groups of ``bits``, leftmost first.
+    Each group is ``stride`` bits wide and its declet is its low 10 bits.
 
     A long run is halved first, so that the shifts that cut single declets
     act on short integers: a long significand costs n log n, not n squared.
     """
     if count > 64:
         low = count // 2
-        high_part = _cut_declets(bits >> DECLET_BITS * low, count - low)
-        return high_part + _cut_declets(bits & ((1 << DECLET_BITS * low) - 1), low)
-    return [bits >> shift & 1023 for shift in range(DECLET_BITS * (count - 1), -1, -DECLET_BITS)]
-
-
-def _read_continued_groups(cursor: BitCursor) -> tuple[int, list[int]]:
-    """The stored tetrade and declets, one group and continuation bit at a time."""
-    start = cursor.position
-    first = cursor.read_bits(TETRADE_BITS)
-    if first > 9:
-        raise DecodeError(DecodeErrorKind.DIGIT_OUT_OF_RANGE, start)
-    declets = []
-    while cursor.read_bit():
-        group_start = cursor.position
-        declet = cursor.read_bits(DECLET_BITS)
-        if declet > 999:
-            raise DecodeError(DecodeErrorKind.DIGIT_OUT_OF_RANGE, group_start)
-        declets.append(declet)
-    return first, declets
+        high_part = _cut_declets(bits >> stride * low, count - low, stride)
+        return high_part + _cut_declets(bits & ((1 << stride * low) - 1), low, stride)
+    return [bits >> shift & 1023 for shift in range(stride * (count - 1), -1, -stride)]
 
 
 def canonical_bit_length(value: DecimalValue) -> int:

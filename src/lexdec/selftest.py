@@ -40,7 +40,7 @@ SPECIAL_VALUES = (
     NAN,
 )
 
-_FORBIDDEN_PREFIXES = (BitString("10011"), BitString("00100"))
+_FORBIDDEN_PREFIXES = ("10011", "00100")
 
 
 @dataclass
@@ -113,10 +113,8 @@ def run_selftest(
             shrunk = _shrink(x, lambda v: not _round_trips(v, post))
             return _failure(cases, "round-trip", shrunk)
 
-        if any(enc_x.startswith(p) for p in _FORBIDDEN_PREFIXES):
-            shrunk = _shrink(
-                x, lambda v: any(encoded(v).startswith(p) for p in _FORBIDDEN_PREFIXES)
-            )
+        if enc_x.to_text().startswith(_FORBIDDEN_PREFIXES):
+            shrunk = _shrink(x, lambda v: encoded(v).to_text().startswith(_FORBIDDEN_PREFIXES))
             return _failure(cases, "header law", shrunk)
 
         if lex_compare(enc_x, encoded(y)) != compare_numeric(x, y):

@@ -25,7 +25,6 @@ def test_construction_and_text():
     assert BitString("10 100 0001").to_text() == "101000001"
     assert BitString("").to_text() == ""
     assert len(BitString("0001")) == 4
-    assert list(BitString("1011")) == [1, 0, 1, 1]
 
 
 def test_rejects_non_bits():
@@ -52,18 +51,6 @@ def test_append_examples():
     assert (BitString("10") + BitString("100")).to_text() == "10100"
     assert (BitString("") + BitString("")).to_text() == ""
     assert (BitString("00") + BitString("01111")).to_text() == "0001111"
-
-
-def test_indexing_and_slicing():
-    bs = BitString("10110")
-    assert bs[0] == 1
-    assert bs[4] == 0
-    assert bs[-1] == 0
-    assert bs[1:4].to_text() == "011"
-    assert bs[:0].to_text() == ""
-    assert bs[2:].to_text() == "110"
-    with pytest.raises(IndexError):
-        bs[5]
 
 
 def test_lex_compare_examples():
@@ -150,18 +137,10 @@ def test_text_round_trip(bs):
     assert BitString(bs.to_text()) == bs
 
 
-def test_strip_trailing_zeros_and_invert():
+def test_strip_trailing_zeros():
     assert BitString("101000").strip_trailing_zeros().to_text() == "101"
     assert BitString("0000").strip_trailing_zeros().to_text() == ""
     assert BitString("1").strip_trailing_zeros().to_text() == "1"
-    assert BitString("1010").invert().to_text() == "0101"
-
-
-def test_startswith():
-    assert BitString("10100").startswith(BitString("101"))
-    assert not BitString("10100").startswith(BitString("11"))
-    assert not BitString("1").startswith(BitString("10"))
-    assert BitString("1").startswith(BitString(""))
 
 
 def test_cursor_reads():

@@ -196,6 +196,19 @@ class TestBench:
         code, _, err = run(capsys, "bench-size", "--max", "1.5")
         assert code == 1
 
+    def test_max_at_the_digit_bound(self, capsys):
+        code, out, _ = run(capsys, "bench-size", "--max", "1e1000", "--samples", "2")
+        assert code == 0
+        assert out.splitlines()[-1].split("\t")[0] == str(10**1000)
+
+    # Past the bound, and past the 4,300 digits int() converts from text.
+    @pytest.mark.parametrize(
+        "maximum", ["1e1001", "1" + "2" * 4999], ids=["1e1001", "5000-digits"]
+    )
+    def test_max_above_the_digit_bound_rejected(self, capsys, maximum):
+        code, out, err = run(capsys, "bench-size", "--max", maximum)
+        assert (code, out, err) == (1, "", "error: --max must have at most 1001 digits\n")
+
 
 class TestSelfTest:
     def test_pass(self, capsys):

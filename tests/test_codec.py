@@ -2,6 +2,7 @@
 
 import functools
 import importlib
+import timeit
 
 import pytest
 from hypothesis import given
@@ -87,6 +88,8 @@ ERROR_TAXONOMY = [
     ("10 100 1010", DecodeErrorKind.DIGIT_OUT_OF_RANGE, 5),
     ("10 100 1111", DecodeErrorKind.DIGIT_OUT_OF_RANGE, 5),
     ("10 101 0001 1111101000", DecodeErrorKind.DIGIT_OUT_OF_RANGE, 9),
+    # a declet fault is met before the cut tail behind it
+    ("10 100 0001 1111101000 001", DecodeErrorKind.DIGIT_OUT_OF_RANGE, 9),
     # significand outside [1, 10)
     ("10 100 0000", DecodeErrorKind.SIGNIFICAND_OUT_OF_RANGE, 5),
     ("10 100 0000 0111110100", DecodeErrorKind.SIGNIFICAND_OUT_OF_RANGE, 5),
@@ -401,6 +404,26 @@ class TestLongSignificands:
         assert compare_numeric(smaller_magnitude, value) == -expected
         assert lex_compare(encode(value), encode(smaller_magnitude)) == expected
 
+    @pytest.mark.parametrize(
+        "operation",
+        [
+            encode,
+            encode_prefix_free,
+            lambda value: decode_prefix_free_stream(encode_prefix_free(value)),
+        ],
+        ids=["encode", "encode_prefix_free", "stream_round_trip"],
+    )
+    def test_time_grows_near_linearly(self, operation):
+        # A ratio of two timings on one machine, not a wall-clock bound:
+        # n log n work grows about 9-fold from 50,000 to 400,000 digits,
+        # quadratic work 64-fold.
+        def best_of_3(value):
+            return min(timeit.repeat(lambda: operation(value), number=1, repeat=3))
+
+        short, long = (parse_decimal("1." + "0123456789" * n) for n in (5_000, 40_000))
+        ratio = best_of_3(long) / best_of_3(short)
+        assert ratio < 20
+
 
 class TestComplement:
     def test_examples(self):
@@ -454,9 +477,7 @@ class TestOrder:
 
     @given(finite_values())
     def test_header_law(self, value):
-        bits = encode(value)
-        assert not bits.startswith(BitString("10011"))
-        assert not bits.startswith(BitString("00100"))
+        assert not encode(value).to_text().startswith(("10011", "00100"))
 
 
 class TestLengthLaw:

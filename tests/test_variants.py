@@ -125,6 +125,23 @@ class TestPrefixFree:
         assert exc.value.kind is DecodeErrorKind.DIGIT_OUT_OF_RANGE
         assert exc.value.position == len(head) + 10
 
+    @pytest.mark.parametrize(
+        "fault,kind,position",
+        [
+            # a declet fault is met before the cut group behind it
+            ("10 100 0001 1 1111101000 1 00000", DecodeErrorKind.DIGIT_OUT_OF_RANGE, 10),
+            # the input ends where a continuation bit is due
+            ("10 100 0001 1 0000000001", DecodeErrorKind.TRUNCATED_INPUT, 20),
+            # a continuation bit of 1 starts a declet the input cuts short
+            ("10 100 0001 1 00000", DecodeErrorKind.TRUNCATED_INPUT, 10),
+        ],
+    )
+    def test_faults_in_a_chain_in_reading_order(self, fault, kind, position):
+        head = pf("7") + pf("-0.0405")
+        with pytest.raises(DecodeError) as exc:
+            decode_prefix_free_stream(head + BitString(fault))
+        assert (exc.value.kind, exc.value.position) == (kind, len(head) + position)
+
     @given(decimal_values())
     def test_single_value_round_trip(self, value):
         assert decode_prefix_free_stream(encode_prefix_free(value)) == [value]
@@ -170,7 +187,7 @@ class TestFixedWidth:
         full = encode(value)
         key = fixed_width_key(value, 64)
         assert len(full) > 64
-        assert key.data == full[:64].to_bytes()[0]
+        assert key.data == BitString(full.to_text()[:64]).to_bytes()[0]
 
     def test_specials_order(self):
         width = 64

@@ -12,7 +12,6 @@ from .codec import (
     ExponentField,
     FixedWidthKey,
     canonical_bit_length,
-    complement_to_ten,
     decode,
     decode_exponent,
     decode_prefix_free_stream,
@@ -21,7 +20,6 @@ from .codec import (
     encode_exponent,
     encode_prefix_free,
     encode_significand,
-    exponent_field_length,
     fixed_width_key,
 )
 from .decimal_values import (
@@ -73,7 +71,6 @@ __all__ = [
     "Sign",
     "canonical_bit_length",
     "compare_numeric",
-    "complement_to_ten",
     "decode",
     "decode_exponent",
     "decode_prefix_free_stream",
@@ -82,7 +79,6 @@ __all__ = [
     "encode_exponent",
     "encode_prefix_free",
     "encode_significand",
-    "exponent_field_length",
     "fixed_width_key",
     "lex_compare",
     "parse_decimal",

@@ -1,13 +1,15 @@
 """Encoded-size measurements over log-spaced integers.
 
 The sample points are exact: the j-th of n points spanning ``[1, 10**d]`` is
-``floor(10 ** (d*j/(n-1)))``, computed with integer roots so that arbitrarily
-large sample values stay precise.
+``floor(10 ** (d*j/(n-1)))``. Each is seeded from a decimal power carried a
+few digits past its own length, then corrected by whole steps until integer
+arithmetic proves it is the floor, so arbitrarily large samples stay precise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Context, Decimal
 from fractions import Fraction
 
 from .codec import canonical_bit_length, encode, exponent_field_length
@@ -16,7 +18,6 @@ from .decimal_values import DecimalValue, parse_decimal
 __all__ = [
     "BenchRow",
     "decimal_to_int",
-    "integer_nth_root",
     "log_spaced_integers",
     "measure",
     "size_rows",
@@ -32,22 +33,15 @@ class BenchRow:
     exponent_bits: int
 
 
-def integer_nth_root(x: int, n: int) -> int:
-    """floor(x ** (1/n)) for x >= 0, n >= 1, exactly."""
-    if x < 0 or n < 1:
-        raise ValueError("x must be >= 0 and n >= 1")
-    if n == 1 or x < 2:
-        return x
-    # Newton's method from an over-estimate converges downward.
-    root = 1 << -(-x.bit_length() // n)
-    while True:
-        candidate = ((n - 1) * root + x // root ** (n - 1)) // n
-        if candidate >= root:
-            break
-        root = candidate
-    while root**n > x:
+def _power_of_ten_floor(t: int, n: int) -> int:
+    """floor(10 ** (t/n)) for t >= 0, n >= 1, exactly."""
+    # 25 digits past the result's own leave the seed only steps from the floor.
+    context = Context(prec=t // n + 25)
+    root = int(context.power(Decimal(10), context.divide(t, n)))
+    power = 10**t
+    while root**n > power:
         root -= 1
-    while (root + 1) ** n <= x:
+    while (root + 1) ** n <= power:
         root += 1
     return root
 
@@ -64,7 +58,7 @@ def log_spaced_integers(max_value: int, samples: int) -> list[int]:
     steps = samples - 1
     values = []
     for j in range(steps + 1):
-        value = integer_nth_root(10 ** (decades * j), steps)
+        value = _power_of_ten_floor(decades * j, steps)
         if not values or value != values[-1]:
             values.append(value)
     if values[-1] != max_value:

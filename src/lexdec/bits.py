@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import re
 
-from .errors import DecodeError, DecodeErrorKind
-
 __all__ = [
     "BitString",
     "BitCursor",
@@ -144,11 +142,10 @@ def lex_compare(a: BitString, b: BitString) -> int:
 class BitCursor:
     """A read position over a :class:`BitString`.
 
-    The source is rendered to ``0``/``1`` text once, so a read costs the bits
-    it reads, not the length of the source. Cursors are independent per
-    reader and mutate only their own position. Reads past the end raise a
-    truncation :class:`DecodeError` carrying the position at which the
-    failed read started.
+    The source is rendered to ``0``/``1`` text once. The decoder reads that
+    text directly and moves ``position`` past what it read, so a read costs
+    the bits it reads, not the length of the source. Cursors are independent
+    per reader and mutate only their own position.
     """
 
     __slots__ = ("position", "_text")
@@ -161,43 +158,5 @@ class BitCursor:
         self.position = position
         self._text = source.to_text()
 
-    @property
-    def remaining(self) -> int:
-        return len(self._text) - self.position
-
     def at_end(self) -> bool:
         return self.position >= len(self._text)
-
-    def peek_bit(self) -> int | None:
-        """The next bit without advancing, or ``None`` at the end."""
-        if self.at_end():
-            return None
-        return int(self._text[self.position])
-
-    def read_bit(self) -> int:
-        if self.at_end():
-            raise DecodeError(DecodeErrorKind.TRUNCATED_INPUT, self.position)
-        self.position += 1
-        return int(self._text[self.position - 1])
-
-    def read_bits(self, count: int) -> int:
-        """Read ``count`` bits as an unsigned integer, MSB first."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        start, end = self.position, self.position + count
-        if end > len(self._text):
-            raise DecodeError(DecodeErrorKind.TRUNCATED_INPUT, start)
-        self.position = end
-        return int(self._text[start:end], 2) if count else 0
-
-    def read_run(self, bit: int) -> int:
-        """Read a run of ``bit``, maybe empty, and the opposite bit ending it.
-
-        Returns the run's length; without an ending bit the read fails at
-        the end of the input.
-        """
-        end = self._text.find("0" if bit else "1", self.position)
-        if end < 0:
-            raise DecodeError(DecodeErrorKind.TRUNCATED_INPUT, len(self._text))
-        run, self.position = end - self.position, end + 1
-        return run

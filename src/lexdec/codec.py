@@ -40,11 +40,14 @@ and the decoder alike.
 The prefix-free form is the canonical form with a continuation bit in front
 of each declet and a 0 at the end. So one packer and one significand reader
 serve every framing, and the only difference between them is the stride of
-a group: 10 bits canonical and trimmed, 11 bits prefix-free. The reader
-finds the significand's span (the rest of the input, or the chain of groups
-that start with a 1), reads it with one read and cuts the declets from it by
-shifts. Long significands are joined and cut by halves, so they encode and
-decode in n log n time.
+a group: 10 bits canonical and trimmed, 11 bits prefix-free.
+
+Decoding reads the input's ``0``/``1`` text, rendered once, directly: each
+reader takes the text and a position and returns where it stopped. The
+exponent field's run ends at one ``str.find``. The significand's span (the
+rest of the input, or the chain of groups that start with a 1) is converted
+with one ``int()``, and its declets are cut by shifts. Long significands are
+joined and cut by halves, so they encode and decode in n log n time.
 """
 
 from __future__ import annotations
@@ -84,7 +87,6 @@ __all__ = [
     "decode_exponent",
     "encode_significand",
     "decode_significand",
-    "complement_to_ten",
     "canonical_bit_length",
     "SPECIAL_ENCODINGS",
 ]
@@ -105,9 +107,7 @@ SPECIAL_ENCODINGS: dict[Kind, BitString] = {
 }
 
 _HEADER_NEGATIVE = 0b00
-_HEADER_NEGATIVE_ZERO = 0b01
 _HEADER_POSITIVE = 0b10
-_HEADER_POSITIVE_OR_INF = 0b11
 
 
 @dataclass(frozen=True, slots=True)
@@ -146,42 +146,38 @@ def encode_exponent(exponent: int, invert: bool) -> ExponentField:
 
 
 def decode_exponent(cursor: BitCursor) -> ExponentField:
-    """Read an exponent field, un-flipping it when its leading bit is 0."""
-    inverted, run = _read_exponent_run(cursor)
-    payload = cursor.read_bits(run)
-    # The bits as read: the run, the opposite bit that ends it, the payload.
-    field = (1 << run if inverted else ((1 << run) - 1) << (run + 1)) | payload
-    exponent = _exponent_from_payload(inverted, run, payload)
-    return ExponentField(BitString._raw(field, 2 * run + 1), exponent, inverted)
+    """Read an exponent field at the cursor, un-flipping it when its leading bit is 0."""
+    inverted, run, position = _exponent_run(cursor._text, cursor.position)
+    exponent, cursor.position = _exponent_payload(cursor._text, position, inverted, run)
+    return encode_exponent(exponent, inverted)
 
 
-def _read_exponent_run(cursor: BitCursor) -> tuple[bool, int]:
+def _exponent_run(text: str, position: int) -> tuple[bool, int, int]:
     """Read an exponent field's leading run and the opposite bit ending it.
 
-    Returns ``(inverted, R)``: the field spans 2R+1 bits, and its exponent is
-    at least ``2**R - EXPONENT_OFFSET`` before the payload is even read.
+    Returns ``(inverted, R, position after the ending bit)``: the field spans
+    2R+1 bits, and its exponent is at least ``2**R - EXPONENT_OFFSET`` before
+    the payload is even read.
     """
-    first = cursor.read_bit()
-    return first == 0, 1 + cursor.read_run(first)
+    first = text[position : position + 1]
+    if not first:
+        raise DecodeError(DecodeErrorKind.TRUNCATED_INPUT, position)
+    end = text.find("1" if first == "0" else "0", position)
+    if end < 0:
+        raise DecodeError(DecodeErrorKind.TRUNCATED_INPUT, len(text))
+    return first == "0", end - position, end + 1
 
 
-def _exponent_from_payload(inverted: bool, run: int, payload: int) -> int:
-    """The exponent of a field whose run of ``run`` bits ends before ``payload``."""
+def _exponent_payload(text: str, position: int, inverted: bool, run: int) -> tuple[int, int]:
+    """The exponent of a field whose run of ``run`` bits ends before
+    ``position``, and the position after its ``run``-bit payload."""
+    end = position + run
+    if end > len(text):
+        raise DecodeError(DecodeErrorKind.TRUNCATED_INPUT, position)
+    payload = int(text[position:end], 2)
     if inverted:
         payload ^= (1 << run) - 1
-    return ((1 << run) | payload) - EXPONENT_OFFSET
-
-
-def complement_to_ten(digits: str) -> str:
-    """Digit text of ``10 - m``, same digit count as ``m``; self-inverse.
-
-    Nines' complement on every digit except the last, tens' complement on the
-    last. The input's last digit must be non-zero (canonical significands
-    never end in zero), which keeps the operation an involution.
-    """
-    if not digits or digits[-1] not in "123456789":
-        raise ValueError("last digit must be in 1..9")
-    return _digit_text(*_significand_layout(digits, True))[: len(digits)]
+    return ((1 << run) | payload) - EXPONENT_OFFSET, end
 
 
 def encode_significand(digits: str, negative: bool) -> BitString:
@@ -342,7 +338,7 @@ def decode(
     above ``max_exponent``, as :func:`parse_decimal` does.
     """
     framing = _Framing.REPADDED if trim else _Framing.TO_END
-    return _decode_value(BitCursor(bits), framing, max_exponent)
+    return _decode_value(BitCursor(bits)._text, 0, framing, max_exponent)[0]
 
 
 def decode_prefix_free_stream(
@@ -364,10 +360,12 @@ def decode_prefix_free_stream(
     Errors are those of :func:`decode`, with positions counted from the start
     of the stream.
     """
-    cursor = BitCursor(bits)
+    text = BitCursor(bits)._text
     values = []
-    while not cursor.at_end():
-        values.append(_decode_value(cursor, _Framing.CONTINUATION, max_exponent))
+    position = 0
+    while position < len(text):
+        value, position = _decode_value(text, position, _Framing.CONTINUATION, max_exponent)
+        values.append(value)
     return values
 
 
@@ -379,43 +377,48 @@ class _Framing(enum.Enum):
     CONTINUATION = enum.auto()  # a bit after each group: 1 while more groups follow
 
 
-def _decode_value(cursor: BitCursor, framing: _Framing, max_exponent: int) -> DecimalValue:
-    """Read one value; error positions are offsets into the cursor's whole source.
+def _decode_value(
+    text: str, start: int, framing: _Framing, max_exponent: int
+) -> tuple[DecimalValue, int]:
+    """Read one value from ``start`` in the bit text; return it and where it ends.
 
-    Under continuation framing, ``11`` is NaN when a 1 follows and positive
-    infinity otherwise. An exponent field whose length alone puts it above
-    ``max_exponent`` is rejected before its payload is read; the error then
-    carries the smallest exponent of that length.
+    Error positions are offsets into the whole text. Under continuation
+    framing, ``11`` is NaN when a 1 follows and positive infinity otherwise.
+    An exponent field whose length alone puts it above ``max_exponent`` is
+    rejected before its payload is read; the error then carries the smallest
+    exponent of that length.
     """
-    start = cursor.position
-    header = cursor.read_bits(2)
-    if header in (_HEADER_NEGATIVE_ZERO, _HEADER_POSITIVE_OR_INF):
-        value = NEGATIVE_ZERO if header == _HEADER_NEGATIVE_ZERO else POSITIVE_INFINITY
-        if header == _HEADER_POSITIVE_OR_INF and cursor.peek_bit() == 1:
-            cursor.read_bit()
+    header = text[start : start + 2]
+    if len(header) < 2:
+        raise DecodeError(DecodeErrorKind.TRUNCATED_INPUT, start)
+    position = start + 2
+    if header in ("01", "11"):
+        value = NEGATIVE_ZERO if header == "01" else POSITIVE_INFINITY
+        if header == "11" and text[position : position + 1] == "1":
+            position += 1
             value = NAN
-        if framing is not _Framing.CONTINUATION and not cursor.at_end():
+        if framing is not _Framing.CONTINUATION and position < len(text):
             raise DecodeError(DecodeErrorKind.INVALID_HEADER, start)
-        return value
-    if cursor.at_end():
-        return POSITIVE_ZERO if header == _HEADER_POSITIVE else NEGATIVE_INFINITY
+        return value, position
+    if position == len(text):
+        return (POSITIVE_ZERO if header == "10" else NEGATIVE_INFINITY), position
 
-    negative = header == _HEADER_NEGATIVE
-    inverted, run = _read_exponent_run(cursor)
+    negative = header == "00"
+    inverted, run, position = _exponent_run(text, position)
     # The field is flipped exactly when the two signs differ.
     exponent_sign = ExponentSign.NEGATIVE if negative != inverted else ExponentSign.NON_NEGATIVE
     least = (1 << run) - EXPONENT_OFFSET
     if least > max_exponent:
         raise ExponentLimitError(exponent_sign * least, max_exponent)
-    exponent = _exponent_from_payload(inverted, run, cursor.read_bits(run))
+    exponent, position = _exponent_payload(text, position, inverted, run)
     if exponent > max_exponent:
         raise ExponentLimitError(exponent_sign * exponent, max_exponent)
     if exponent == 0 and exponent_sign is ExponentSign.NEGATIVE:
         raise DecodeError(DecodeErrorKind.NEGATIVE_ZERO_EXPONENT, start + 2)
 
-    digits = _read_significand(cursor, negative, framing)
+    digits, position = _read_significand(text, position, negative, framing)
     sign = Sign.NEGATIVE if negative else Sign.POSITIVE
-    return DecimalValue.finite(ScientificForm._raw(sign, exponent_sign, exponent, digits))
+    return DecimalValue.finite(ScientificForm._raw(sign, exponent_sign, exponent, digits)), position
 
 
 def decode_significand(cursor: BitCursor, negative: bool) -> str:
@@ -425,22 +428,28 @@ def decode_significand(cursor: BitCursor, negative: bool) -> str:
     ten is taken back. Validates every tetrade/declet range and that the
     decoded significand lies in [1, 10).
     """
-    return _read_significand(cursor, negative, _Framing.TO_END)
+    digits, cursor.position = _read_significand(
+        cursor._text, cursor.position, negative, _Framing.TO_END
+    )
+    return digits
 
 
 _CONTINUED_GROUPS = re.compile("(?:1[01]{10})*")  # a continuation bit of 1, then a declet
 
 
-def _read_significand(cursor: BitCursor, negative: bool, framing: _Framing) -> str:
-    """Read the stored groups with one read, check them and re-normalize.
+def _read_significand(
+    text: str, start: int, negative: bool, framing: _Framing
+) -> tuple[str, int]:
+    """Read the stored groups from ``start`` with one read, check them and
+    re-normalize; return the digit text and where the significand ends.
 
     The groups span the rest of the input or, under continuation framing, the
     chain of groups that start with a 1: a declet every 11 bits, not every
     10. Faults are reported in the order a reader taking one group at a time
     would meet them: the tetrade, each declet, then the cut in the input.
     """
-    start = cursor.position
-    size = cursor.remaining
+    end = len(text)
+    size = end - start
     continued = framing is _Framing.CONTINUATION
     repadded = framing is _Framing.REPADDED
     if size == 0 or (size < TETRADE_BITS and not repadded):
@@ -448,13 +457,13 @@ def _read_significand(cursor: BitCursor, negative: bool, framing: _Framing) -> s
     stride = DECLET_BITS + continued
     cut = None  # where the input stops inside a group
     if continued:
-        end = _CONTINUED_GROUPS.match(cursor._text, start + TETRADE_BITS).end()
+        end = _CONTINUED_GROUPS.match(text, start + TETRADE_BITS).end()
         # A 0 ends the chain; a 1 starts a group that the input cuts short.
-        stop = cursor._text[end : end + 1]
+        stop = text[end : end + 1]
         if stop != "0":
             cut = end + len(stop)
         size = end - start
-    bits = cursor.read_bits(size)
+    bits = int(text[start:end], 2)
     group_bits = size - TETRADE_BITS
     if repadded:
         # A short last group, even a short tetrade, is zero-extended.
@@ -479,8 +488,6 @@ def _read_significand(cursor: BitCursor, negative: bool, framing: _Framing) -> s
         raise DecodeError(DecodeErrorKind.DIGIT_OUT_OF_RANGE, position)
     if cut is not None:
         raise DecodeError(DecodeErrorKind.TRUNCATED_INPUT, cut)
-    if continued:
-        cursor.read_bit()  # the 0 that ends the chain
     while declets and not declets[-1]:
         declets.pop()
     if negative:
@@ -490,7 +497,8 @@ def _read_significand(cursor: BitCursor, negative: bool, framing: _Framing) -> s
         first, declets = _complement(first, declets)
     elif first == 0:
         raise DecodeError(DecodeErrorKind.SIGNIFICAND_OUT_OF_RANGE, start)
-    return _digit_text(first, declets).rstrip("0")
+    # Under continuation framing the significand ends after the 0 closing the chain.
+    return _digit_text(first, declets).rstrip("0"), end + continued
 
 
 def _cut_declets(bits: int, count: int, stride: int) -> list[int]:

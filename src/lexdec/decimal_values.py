@@ -176,11 +176,14 @@ def parse_decimal(text: str, *, max_exponent: int = DEFAULT_MAX_EXPONENT) -> Dec
         return NEGATIVE_ZERO if negative else POSITIVE_ZERO
     magnitude = (exp_digits or "").lstrip("0")
     # The exponent's digit count alone can put |e| past the limit, whatever
-    # the mantissa's point shift; checking it first keeps int() off huge
-    # digit strings. The error then carries the least exponent of that length.
-    least = 10 ** (len(magnitude) - 1) if magnitude else 0
-    if least - len(digit_text) > max_exponent:
-        raise ExponentLimitError(-least if exp_sign == "-" else least, max_exponent)
+    # the mantissa's point shift (at most len(digit_text) places): D digits
+    # mean |e| >= 10**(D-1) - len(digit_text), past the limit exactly when
+    # 10**(D-1) > bound. Once D exceeds the bound's bit count that holds
+    # without the power, so huge digit strings are rejected in linear time,
+    # before int() or any power of ten sees them.
+    bound = max_exponent + len(digit_text)
+    if magnitude and (len(magnitude) > bound.bit_length() or 10 ** (len(magnitude) - 1) > bound):
+        raise ExponentLimitError._of_digits(len(magnitude), max_exponent)
     leading = len(digit_text) - len(digit_text.lstrip("0"))
     signed_exponent = int((exp_sign or "") + (magnitude or "0")) + len(int_part) - 1 - leading
     if abs(signed_exponent) > max_exponent:

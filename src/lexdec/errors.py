@@ -20,7 +20,10 @@ class ExponentLimitError(ValueError):
     """Raised when a numeral's exponent exceeds the configured safety limit.
 
     The data model itself places no bound on exponents; this guard exists so
-    that absurd inputs fail loudly instead of being truncated.
+    that absurd inputs fail loudly instead of being truncated. ``exponent``
+    is the rejected exponent, or ``None`` for a numeral whose exponent has
+    too many digits to be worth converting; the message then names their
+    count.
     """
 
     def __init__(self, exponent: int, limit: int):
@@ -29,6 +32,15 @@ class ExponentLimitError(ValueError):
         super().__init__(f"exponent magnitude {shown} exceeds limit {limit}")
         self.exponent = exponent
         self.limit = limit
+
+    @classmethod
+    def _of_digits(cls, count: int, limit: int) -> "ExponentLimitError":
+        """The error for an exponent of ``count`` digits, never converted."""
+        error = cls.__new__(cls)
+        ValueError.__init__(error, f"exponent magnitude of {count} digits exceeds limit {limit}")
+        error.exponent = None
+        error.limit = limit
+        return error
 
 
 class KeyWidthError(ValueError):

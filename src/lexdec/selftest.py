@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .bits import BitString, lex_compare
-from .codec import complement_to_ten, decode, encode
+from .codec import _complement, _significand_layout, decode, encode
 from .decimal_values import (
     NAN,
     NEGATIVE_INFINITY,
@@ -88,8 +88,11 @@ def run_selftest(
 
     ``mutate``, when given, corrupts each encoding before it is checked; a
     mutated run is expected to fail and serves as a negative control. The
-    first violation is minimized and reported.
+    first violation is minimized and reported. A negative ``cases`` is a
+    :class:`ValueError`; zero cases pass vacuously.
     """
+    if cases < 0:
+        raise ValueError(f"cases must be non-negative, not {cases}")
     rng = random.Random(seed)
     post = mutate if mutate is not None else lambda bs: bs
 
@@ -120,8 +123,8 @@ def run_selftest(
         if lex_compare(enc_x, encoded(y)) != compare_numeric(x, y):
             return _failure(cases, "order agreement", x, y)
 
-        digits = x.form.digits
-        if complement_to_ten(complement_to_ten(digits)) != digits:
+        layout = _significand_layout(x.form.digits, False)
+        if _complement(*_complement(*layout)) != layout:
             return _failure(cases, "complement involution", x)
 
     return SelfTestResult(passed=True, cases=cases)

@@ -1,26 +1,18 @@
 """Log-spaced size measurements."""
 
 import pytest
-from hypothesis import given
-import hypothesis.strategies as st
 
 from lexdec import parse_decimal
-from lexdec.bench import integer_nth_root, log_spaced_integers, measure, size_rows
+from lexdec.bench import log_spaced_integers, measure, size_rows
 
 
-@given(st.integers(0, 10**60), st.integers(1, 12))
-def test_integer_nth_root_is_exact_floor(x, n):
-    root = integer_nth_root(x, n)
-    assert root**n <= x
-    assert (root + 1) ** n > x
-
-
-def test_integer_nth_root_known_values():
-    assert integer_nth_root(0, 3) == 0
-    assert integer_nth_root(1, 7) == 1
-    assert integer_nth_root(8, 3) == 2
-    assert integer_nth_root(10**40, 4) == 10**10
-    assert integer_nth_root(10**3, 2) == 31
+def test_log_spaced_samples_are_exact_floors():
+    # The j-th of 50 samples up to 10**300 is floor(10 ** (300*j/49)); no
+    # sample coincides with another, so none is dropped as a duplicate.
+    values = log_spaced_integers(10**300, 50)
+    assert len(values) == 50
+    for j, value in enumerate(values):
+        assert value**49 <= 10 ** (300 * j) < (value + 1) ** 49
 
 
 def test_log_spaced_shape():

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given
 
-from lexdec import BitCursor, BitString, DecodeError, DecodeErrorKind, lex_compare
+from lexdec import BitCursor, BitString, lex_compare
 
 from strategies import bit_strings
 
@@ -141,28 +141,6 @@ def test_strip_trailing_zeros():
     assert BitString("101000").strip_trailing_zeros().to_text() == "101"
     assert BitString("0000").strip_trailing_zeros().to_text() == ""
     assert BitString("1").strip_trailing_zeros().to_text() == "1"
-
-
-def test_cursor_reads():
-    cur = BitCursor(BitString("10110"))
-    assert cur.peek_bit() == 1
-    assert cur.read_bit() == 1
-    assert cur.read_bits(3) == 0b011
-    assert cur.remaining == 1
-    assert not cur.at_end()
-    assert cur.read_bits(0) == 0
-    assert cur.read_bit() == 0
-    assert cur.at_end()
-    assert cur.peek_bit() is None
-
-
-def test_cursor_truncation():
-    cur = BitCursor(BitString("101"))
-    cur.read_bits(2)
-    with pytest.raises(DecodeError) as exc:
-        cur.read_bits(2)
-    assert exc.value.kind is DecodeErrorKind.TRUNCATED_INPUT
-    assert exc.value.position == 2
 
 
 def test_cursor_bounds():

@@ -61,7 +61,7 @@ class TestEncode:
         code, out, err = run(capsys, "encode", "1e" + exponent)
         assert code == 1
         assert out == ""
-        assert err.startswith("error: exponent magnitude of 16607 bits exceeds limit")
+        assert err == "error: exponent magnitude of 5000 digits exceeds limit 4294967296\n"
 
     def test_stdin_input(self, capsys, monkeypatch):
         feed(monkeypatch, "1\n2\n")
@@ -220,6 +220,11 @@ class TestSelfTest:
         code, out, _ = run(capsys, "selftest", "--cases", "0")
         assert code == 0
         assert "PASS (vacuous)" in out
+
+    def test_negative_cases_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "selftest", "--cases", "-3")
+        assert (code, out) == (1, "")
+        assert err == "error: cases must be non-negative, not -3\n"
 
 
 class TestUsage:

@@ -24,7 +24,6 @@ from lexdec import (
     Kind,
     Sign,
     canonical_bit_length,
-    complement_to_ten,
     compare_numeric,
     decode,
     decode_prefix_free_stream,
@@ -37,6 +36,7 @@ from lexdec import (
     parse_decimal,
     render_decimal,
 )
+from lexdec.codec import _complement, _digit_text, _significand_layout
 
 from golden import DECODE_WORKED_EXAMPLE, SMALL_INTEGER_TABLE, WORKED_EXAMPLES
 from strategies import canonical_digits, decimal_values, finite_values
@@ -426,21 +426,18 @@ class TestLongSignificands:
 
 
 class TestComplement:
+    """The complement to ten on the layout's tetrade digit and declets."""
+
     def test_examples(self):
-        assert complement_to_ten("1032") == "8968"
-        assert complement_to_ten("405") == "595"
-        assert complement_to_ten("9") == "1"
-        assert complement_to_ten("15") == "85"
+        for digits, stored in [("1032", "8968"), ("405", "595"), ("9", "1"), ("15", "85")]:
+            layout = _complement(*_significand_layout(digits, False))
+            assert _digit_text(*layout)[: len(digits)] == stored
+            assert layout == _significand_layout(digits, True)
 
     @given(canonical_digits())
     def test_involution(self, digits):
-        assert complement_to_ten(complement_to_ten(digits)) == digits
-
-    def test_rejects_trailing_zero(self):
-        with pytest.raises(ValueError):
-            complement_to_ten("10")
-        with pytest.raises(ValueError):
-            complement_to_ten("")
+        layout = _significand_layout(digits, False)
+        assert _complement(*_complement(*layout)) == layout
 
 
 class TestRoundTrip:

@@ -1,5 +1,6 @@
 """Parsing, rendering, and the numeric comparison oracle."""
 
+import timeit
 from dataclasses import replace
 from fractions import Fraction
 
@@ -119,12 +120,51 @@ class TestParse:
     @pytest.mark.parametrize("sign", ["", "-"])
     def test_exponent_digits_past_the_int_conversion_limit(self, sign):
         # 5,000 exponent digits are rejected from their count alone, before
-        # int() meets Python's limit on digit strings; the error carries the
-        # least exponent of that length.
+        # int() meets Python's limit on digit strings; the error names the
+        # count and carries no exponent.
         with pytest.raises(ExponentLimitError) as exc:
             parse_decimal("1e" + sign + "9" * 5000)
-        assert exc.value.exponent == int(sign + "1") * 10**4999
-        assert "of 16607 bits" in str(exc.value)
+        assert exc.value.exponent is None
+        assert exc.value.limit == lexdec.DEFAULT_MAX_EXPONENT
+        assert str(exc.value) == "exponent magnitude of 5000 digits exceeds limit 4294967296"
+
+    @given(
+        st.integers(0, 40),
+        st.booleans(),
+        st.sampled_from(["", "-"]),
+        st.integers(0, 10**7),
+        st.integers(0, 10**6),
+    )
+    def test_rejects_exactly_the_exponents_over_the_limit(
+        self, zeros, fraction, sign, exponent, limit
+    ):
+        # The digit-count rule must never reject an exponent that the point
+        # shift brings back within the limit.
+        mantissa = "0." + "0" * zeros + "1" if fraction else "1" + "0" * zeros
+        expected = int(sign + str(exponent)) + (-(zeros + 1) if fraction else zeros)
+        text = f"{mantissa}e{sign}{exponent}"
+        if abs(expected) > limit:
+            with pytest.raises(ExponentLimitError):
+                parse_decimal(text, max_exponent=limit)
+        else:
+            assert parse_decimal(text, max_exponent=limit).form.signed_exponent == expected
+
+    def test_over_long_exponent_rejected_in_linear_time(self):
+        # A ratio of two timings on one machine, not a wall-clock bound: 16
+        # times the digits costs about 16 times as much when the rejection is
+        # linear; building 10 ** (D-1) made it 80-90 times.
+        def best_of_3(digits):
+            text = "1e" + "9" * digits
+
+            def reject():
+                try:
+                    parse_decimal(text)
+                except ExponentLimitError:
+                    pass
+
+            return min(timeit.repeat(reject, number=1, repeat=3))
+
+        assert best_of_3(10**6) / best_of_3(62_500) < 40
 
     def test_leading_exponent_zeros_do_not_count(self):
         assert parse_decimal("1e" + "0" * 5000 + "5") == parse_decimal("1e5")

@@ -14,9 +14,9 @@ from lexdec import (
     DecodeErrorKind,
     decode_exponent,
     encode_exponent,
-    exponent_field_length,
     lex_compare,
 )
+from lexdec.codec import exponent_field_length
 
 from golden import EXPONENT_FIELD_TABLE as GOLDEN_EXPONENT_FIELDS
 

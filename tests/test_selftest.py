@@ -1,5 +1,7 @@
 """The randomized self-check engine."""
 
+import pytest
+
 from lexdec import BitString
 from lexdec.selftest import run_selftest
 
@@ -15,6 +17,11 @@ def test_zero_cases_is_vacuous():
     result = run_selftest(0, seed=9)
     assert result.passed
     assert result.vacuous
+
+
+def test_negative_cases_rejected():
+    with pytest.raises(ValueError, match="^cases must be non-negative, not -3$"):
+        run_selftest(-3, seed=9)
 
 
 def test_corrupted_codec_is_caught():

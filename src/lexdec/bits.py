@@ -8,6 +8,11 @@ sequence that is a strict prefix of another sorts first.
 Byte packing is most-significant-bit first with trailing zero padding, so a
 plain bytewise comparison of equal-length packed strings agrees with
 :func:`lex_compare`.
+
+Concatenation with ``+`` records its operands and joins their bits once, on
+the first read of the sum, so a left fold ``s = s + part`` of n parts costs
+O(1) per ``+`` and one join by halves, not n shifts of the growing sum. Sums
+stay immutable and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -27,7 +32,10 @@ class BitString:
     """An immutable sequence of bits; index 0 is the leftmost bit.
 
     Instances are hashable, comparable for equality, and safe to share
-    between threads. Concatenation with ``+`` returns a new value.
+    between threads. Concatenation with ``+`` returns a new value in O(1)
+    amortized time; a left fold of ``+`` joins its bits once, on first read.
+    A second extension of one prefix copies the prefix's list of parts, and
+    a right operand that is itself an unread sum is joined when it is added.
     """
 
     __slots__ = ("_value", "_length")
@@ -108,16 +116,70 @@ class BitString:
     def __add__(self, other: "BitString") -> "BitString":
         if not isinstance(other, BitString):
             return NotImplemented
-        return BitString._raw(
-            (self._value << other._length) | other._value,
-            self._length + other._length,
-        )
+        return _Joined(self, other)
 
     def __repr__(self) -> str:
         return f"BitString({self.to_text()!r})"
 
     def __str__(self) -> str:
         return self.to_text()
+
+
+class _Joined(BitString):
+    """A sum whose bits are joined from its parts on the first read of ``_value``.
+
+    Sums taken from one prefix share one append-only list of parts and each
+    reads only its first ``_count``; a sum that finds its slot taken by
+    another extension of the same prefix copies the prefix instead. Every
+    part already has its ``_value``, so joining never recurses. The
+    ``__getattr__`` lives here, not on :class:`BitString`, so that plain bit
+    strings keep CPython's fast slot reads.
+    """
+
+    __slots__ = ("_parts", "_count")
+
+    def __init__(self, left: BitString, right: BitString):
+        right._value  # join an unread right operand now, not at our first read
+        parts = left._parts if type(left) is _Joined else None
+        if parts is None:
+            parts, count = [left], 1
+        else:
+            count = left._count
+        parts.append(right)
+        if parts[count] is not right:
+            parts = parts[:count] + [right]
+        self._parts = parts
+        self._count = count + 1
+        self._length = left._length + right._length
+
+    def __getattr__(self, name: str):
+        # Called only when normal lookup fails: for ``_value``, until the join.
+        if name != "_value":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        parts = self._parts
+        if parts is None:  # another thread joined between our lookup and here
+            return self._value
+        value = self._value = _join(parts, 0, self._count)[0]
+        self._parts = None
+        return value
+
+
+def _join(parts: list[BitString], start: int, stop: int) -> tuple[int, int]:
+    """The bits of ``parts[start:stop]`` as one integer, and how many there are.
+
+    A long run is halved first, as ``codec._append_groups`` halves one, so
+    that the shifts act on short integers.
+    """
+    if stop - start > 64:
+        middle = (start + stop) // 2
+        high, high_length = _join(parts, start, middle)
+        low, low_length = _join(parts, middle, stop)
+        return high << low_length | low, high_length + low_length
+    value = length = 0
+    for part in parts[start:stop]:
+        value = value << part._length | part._value
+        length += part._length
+    return value, length
 
 
 def lex_compare(a: BitString, b: BitString) -> int:

@@ -30,6 +30,7 @@ EXIT_DECODE = 2
 EXIT_SELFTEST = 3
 
 BENCH_MAX_DIGITS = 1001
+BENCH_MAX_SAMPLES = 200  # twice the default; sampling time grows faster than samples**2
 
 
 class _UsageError(Exception):
@@ -188,6 +189,8 @@ def _cmd_sort(args) -> int:
 def _cmd_bench_size(args) -> int:
     from .bench import decimal_to_int, size_rows
 
+    if args.samples > BENCH_MAX_SAMPLES:
+        raise _UsageError(f"--samples must be at most {BENCH_MAX_SAMPLES}")
     maximum = parse_decimal(args.max, max_exponent=10**6)
     if maximum.kind is not Kind.FINITE or maximum.form.sign < 0:
         raise _UsageError("--max must be a positive integer")

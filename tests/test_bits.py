@@ -1,5 +1,8 @@
 """Bit container, orders, and byte packing."""
 
+import threading
+import timeit
+
 import pytest
 from hypothesis import given
 
@@ -146,3 +149,139 @@ def test_strip_trailing_zeros():
 def test_cursor_bounds():
     with pytest.raises(ValueError):
         BitCursor(BitString("10"), position=3)
+
+
+def assert_same_bits(bs, text):
+    """``bs`` behaves in every public way as ``BitString(text)`` does."""
+    plain = BitString(text)
+    assert bs == plain and plain == bs
+    assert hash(bs) == hash(plain)
+    assert repr(bs) == repr(plain)
+    assert bs.to_text() == text
+    assert bs.to_bytes() == plain.to_bytes()
+    assert len(bs) == len(text)
+    assert lex_compare(bs, plain) == 0 and lex_compare(plain, bs) == 0
+    for other in (BitString(text + "0"), BitString(text[:-1]), BitString("1" + text)):
+        assert lex_compare(bs, other) == lex_compare(plain, other)
+        assert lex_compare(other, bs) == lex_compare(other, plain)
+
+
+def fold(texts, start=""):
+    bs = BitString(start)
+    for text in texts:
+        bs = bs + BitString(text)
+    return bs
+
+
+class TestConcatenation:
+    """``+`` defers the join; every sum reads as the same plain bits."""
+
+    @pytest.mark.parametrize("first_then_second", [True, False])
+    def test_two_sums_from_one_prefix(self, first_then_second):
+        prefix = fold(["101", "0011", "1"])
+        if first_then_second:
+            a = prefix + BitString("110")
+            b = prefix + BitString("0001")
+        else:
+            b = prefix + BitString("0001")
+            a = prefix + BitString("110")
+        assert_same_bits(a + BitString("01"), "10100111110" + "01")
+        assert_same_bits(b + BitString("1"), "101001110001" + "1")
+        assert_same_bits(a, "10100111110")
+        assert_same_bits(b, "101001110001")
+        assert_same_bits(prefix, "10100111")
+
+    def test_prefix_read_before_and_after_extension(self):
+        prefix = fold(["1", "00"])
+        assert_same_bits(prefix, "100")
+        longer = prefix + BitString("11")
+        assert_same_bits(longer + BitString("0"), "100110")
+        assert_same_bits(prefix + BitString("0"), "1000")
+
+    @pytest.mark.parametrize(
+        "left, right, text",
+        [("", "", ""), ("", "0110", "0110"), ("0110", "", "0110"), ("0", "", "0")],
+    )
+    def test_empty_operands(self, left, right, text):
+        assert_same_bits(BitString(left) + BitString(right), text)
+        assert_same_bits(fold([left]) + fold([right]), text)
+        assert_same_bits(fold([left, right]) + BitString(""), text)
+
+    def test_zero_bits_are_kept(self):
+        assert_same_bits(fold(["0", "000", "0"]), "00000")
+        assert_same_bits(fold(["0", "1", "0"]), "010")
+
+    @pytest.mark.parametrize("left_joined", [False, True])
+    @pytest.mark.parametrize("right_joined", [False, True])
+    def test_joined_and_plain_operands(self, left_joined, right_joined):
+        left = fold(["10", "01"]) if left_joined else BitString("1001")
+        right = fold(["1", "110"]) if right_joined else BitString("1110")
+        assert_same_bits(left + right, "10011110")
+        assert_same_bits(right + left, "11101001")
+        assert_same_bits(left + right + left, "100111101001")
+
+    def test_right_fold_does_not_recurse(self):
+        bs = BitString("")
+        texts = [format(i % 4, "02b") for i in range(5_000)]
+        for text in reversed(texts):
+            bs = BitString(text) + bs
+            bs = BitString("") + bs
+        assert_same_bits(bs, "".join(texts))
+        nested = BitString("1")
+        for _ in range(5_000):
+            nested = BitString("0") + (nested + BitString("1"))
+        assert_same_bits(nested, "0" * 5_000 + "1" + "1" * 5_000)
+
+    def test_threads_extending_one_prefix(self):
+        prefix = fold(["1011", "0", "111"])
+        barrier = threading.Barrier(8)
+        results = {}
+
+        def extend(n):
+            barrier.wait()
+            bs = prefix
+            for _ in range(200):
+                bs = bs + BitString(format(n, "03b"))
+            results[n] = bs.to_text()
+
+        threads = [threading.Thread(target=extend, args=(n,)) for n in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for n in range(8):
+            assert results[n] == "10110111" + format(n, "03b") * 200
+        assert_same_bits(prefix, "10110111")
+
+    def test_threads_reading_one_sum(self):
+        total = fold(format(i, "b") for i in range(1, 2_000))
+        barrier = threading.Barrier(8)
+        texts = []
+
+        def read():
+            barrier.wait()
+            texts.append(total.to_text())
+
+        threads = [threading.Thread(target=read) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert texts == ["".join(format(i, "b") for i in range(1, 2_000))] * 8
+
+    def test_left_fold_time_grows_near_linearly(self):
+        # A ratio of two timings on one machine, not a wall-clock bound:
+        # linear work grows about 8-fold from 4,000 to 32,000 parts,
+        # quadratic work 64-fold.
+        parts = [BitString(format(i * 0x9E3779B97F4A7C15 % 2**64, "064b")) for i in range(32_000)]
+
+        def best_of_3(count):
+            def run():
+                bs = BitString()
+                for part in parts[:count]:
+                    bs = bs + part
+                return bs.to_bytes()
+
+            return min(timeit.repeat(run, number=1, repeat=3))
+
+        assert best_of_3(32_000) / best_of_3(4_000) < 20

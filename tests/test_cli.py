@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from lexdec.cli import main
+from lexdec.cli import BENCH_MAX_SAMPLES, main
 from lexdec.selftest import random_finite
 from lexdec import compare_numeric, parse_decimal, render_decimal
 
@@ -208,6 +208,16 @@ class TestBench:
     def test_max_above_the_digit_bound_rejected(self, capsys, maximum):
         code, out, err = run(capsys, "bench-size", "--max", maximum)
         assert (code, out, err) == (1, "", "error: --max must have at most 1001 digits\n")
+
+    def test_samples_at_the_bound(self, capsys):
+        code, out, _ = run(capsys, "bench-size", "--max", "1e6", "--samples", str(BENCH_MAX_SAMPLES))
+        assert code == 0
+        assert out.splitlines()[-1].split("\t")[0] == str(10**6)
+
+    def test_samples_above_the_bound_rejected(self, capsys):
+        samples = str(BENCH_MAX_SAMPLES + 1)
+        code, out, err = run(capsys, "bench-size", "--max", "1e1000", "--samples", samples)
+        assert (code, out, err) == (1, "", "error: --samples must be at most 200\n")
 
 
 class TestSelfTest:

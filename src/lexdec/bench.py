@@ -2,8 +2,10 @@
 
 The sample points are exact: the j-th of n points spanning ``[1, 10**d]`` is
 ``floor(10 ** (d*j/(n-1)))``. Each is seeded from a decimal power carried a
-few digits past its own length, then corrected by whole steps until integer
-arithmetic proves it is the floor, so arbitrarily large samples stay precise.
+few digits past its own length. A seed whose fraction is clear of a whole
+number by more than its proven error gives the floor at once; any other is
+corrected by whole steps until integer arithmetic proves it is the floor, so
+arbitrarily large samples stay precise.
 """
 
 from __future__ import annotations
@@ -33,11 +35,32 @@ class BenchRow:
     exponent_bits: int
 
 
+_SEED_MARGIN = Decimal("1e-10")
+
+
 def _power_of_ten_floor(t: int, n: int) -> int:
-    """floor(10 ** (t/n)) for t >= 0, n >= 1, exactly."""
-    # 25 digits past the result's own leave the seed only steps from the floor.
-    context = Context(prec=t // n + 25)
-    root = int(context.power(Decimal(10), context.divide(t, n)))
+    """floor(10 ** (t/n)) for t >= 0, n >= 1, exactly.
+
+    When n divides t the power is an integer. Otherwise 10 ** x, x = t/n, is
+    irrational, and the seed, carried to p = q + 25 significant digits with
+    q = floor(x), is within (12x + 1) * 1e-24 of it: the quotient x is off
+    by at most half a unit in its last place, at most x * 1e-24 / 2 / 10**q,
+    which moves 10 ** x by at most ln(10) * 10 ** x times that, under
+    12x * 1e-24 since 10 ** x < 10 ** (q+1); the power adds at most one unit
+    in its last place, 1e-24. For x < 1e12 that is under ``_SEED_MARGIN``,
+    so a seed whose fractional part lies more than the margin from 0 and
+    from 1 has the floor's integer part. Any other seed is corrected by
+    whole steps until integer arithmetic proves the floor.
+    """
+    q, r = divmod(t, n)
+    if not r:
+        return 10**q
+    context = Context(prec=q + 25)
+    seed = context.power(Decimal(10), context.divide(t, n))
+    root = int(seed)
+    fraction = context.subtract(seed, root)
+    if q < 10**12 and _SEED_MARGIN < fraction < 1 - _SEED_MARGIN:
+        return root
     power = 10**t
     while root**n > power:
         root -= 1

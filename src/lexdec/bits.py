@@ -185,19 +185,25 @@ def _join(parts: list[BitString], start: int, stop: int) -> tuple[int, int]:
 def lex_compare(a: BitString, b: BitString) -> int:
     """Full lexicographic comparison; a strict prefix sorts before its extensions.
 
-    Returns -1, 0 or 1.
+    Returns -1, 0 or 1. Only the shorter operand is shifted, left by the
+    difference in length, so both values line up at the longer one's width;
+    when they are then equal, the shorter operand is a prefix and the
+    lengths decide.
     """
     try:
-        width = max(a._length, b._length)
+        a_length, a_value = a._length, a._value
+        b_length, b_value = b._length, b._value
     except AttributeError:
         names = f"{type(a).__name__} and {type(b).__name__}"
         raise TypeError(f"lex_compare takes two BitStrings, not {names}") from None
-    av = a._value << (width - a._length)
-    bv = b._value << (width - b._length)
-    if av != bv:
-        return -1 if av < bv else 1
-    if a._length != b._length:
-        return -1 if a._length < b._length else 1
+    if a_length < b_length:
+        a_value <<= b_length - a_length
+    elif b_length < a_length:
+        b_value <<= a_length - b_length
+    if a_value != b_value:
+        return -1 if a_value < b_value else 1
+    if a_length != b_length:
+        return -1 if a_length < b_length else 1
     return 0
 
 

@@ -31,8 +31,10 @@ compare equal-length binaries.
 
 Encoding works on integers: one layout step lists a value's fields, and one
 packer shifts them into a single int, wrapped once as a :class:`BitString`.
-The layout cuts the significand's digit text into three-character slices,
-one ``int()`` each, so no step converts the whole text at once. A fixed-width
+The layout cuts the significand's digit text into three-character slices
+and looks each one up in ``_DECLET_VALUE``, so no step converts the whole
+text at once; the decoder turns declets back into text with its inverse,
+``_DECLET_TEXT``. One table pair serves both directions. A fixed-width
 key is the canonical encoding's integer shifted to the key width. The
 complement to ten is one step on those declet integers, used by the encoder
 and the decoder alike.
@@ -188,7 +190,10 @@ def encode_significand(digits: str, negative: bool) -> BitString:
     """
     if not digits or (negative and digits[-1] not in "123456789"):
         raise ValueError("need digits; a negative significand's last one must be in 1..9")
-    return _pack(0, 0, *_significand_layout(digits, negative))
+    try:
+        return _pack(0, 0, *_significand_layout(digits, negative))
+    except KeyError:
+        raise ValueError("significand digits must be ASCII 0-9") from None
 
 
 def encode(value: DecimalValue, *, trim: bool = False) -> BitString:
@@ -268,7 +273,9 @@ def _layout(form: ScientificForm) -> tuple[int, int, int, list[int]]:
 
 def _significand_layout(digits: str, negative: bool) -> tuple[int, list[int]]:
     padded = digits + "00"  # zero-pads the last group to three digits
-    declets = [int(padded[i : i + DECLET_DIGITS]) for i in range(1, len(digits), DECLET_DIGITS)]
+    declets = [
+        _DECLET_VALUE[padded[i : i + DECLET_DIGITS]] for i in range(1, len(digits), DECLET_DIGITS)
+    ]
     if negative:
         return _complement(int(digits[0]), declets)
     return int(digits[0]), declets
@@ -290,7 +297,9 @@ def _digit_text(first: int, declets: list[int]) -> str:
     return str(first) + "".join([_DECLET_TEXT[declet] for declet in declets])
 
 
-_DECLET_TEXT = tuple(f"{declet:03d}" for declet in range(1000))  # a lookup beats formatting
+# Lookups beat formatting and int(): a declet's three digits, and back.
+_DECLET_TEXT = tuple(f"{declet:03d}" for declet in range(1000))
+_DECLET_VALUE = {text: declet for declet, text in enumerate(_DECLET_TEXT)}
 
 
 def _pack(head: int, width: int, tetrade: int, declets: list[int], continued=False) -> BitString:
@@ -418,7 +427,8 @@ def _decode_value(
 
     digits, position = _read_significand(text, position, negative, framing)
     sign = Sign.NEGATIVE if negative else Sign.POSITIVE
-    return DecimalValue.finite(ScientificForm._raw(sign, exponent_sign, exponent, digits)), position
+    form = ScientificForm._raw(sign, exponent_sign, exponent, digits)
+    return DecimalValue._finite(form), position
 
 
 def decode_significand(cursor: BitCursor, negative: bool) -> str:

@@ -54,7 +54,6 @@ class ExponentSign(enum.IntEnum):
 
 # Not \d, which also matches non-ASCII digits such as "٣".
 _CANONICAL_DIGITS = re.compile(r"[1-9](?:[0-9]*[1-9])?")
-_set = object.__setattr__  # writes the fields of a frozen form
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,10 +88,10 @@ class ScientificForm:
     ) -> "ScientificForm":
         """Build without the checks, for producers that emit canonical forms."""
         form = object.__new__(cls)
-        _set(form, "sign", sign)
-        _set(form, "exponent_sign", exponent_sign)
-        _set(form, "exponent", exponent)
-        _set(form, "digits", digits)
+        _set_sign(form, sign)
+        _set_exponent_sign(form, exponent_sign)
+        _set_exponent(form, exponent)
+        _set_digits(form, digits)
         return form
 
     @property
@@ -124,9 +123,27 @@ class DecimalValue:
     def finite(cls, form: ScientificForm) -> "DecimalValue":
         return cls(Kind.FINITE, form)
 
+    @classmethod
+    def _finite(cls, form: ScientificForm) -> "DecimalValue":
+        """Build the finite variant without the check, for producers of canonical forms."""
+        value = object.__new__(cls)
+        _set_kind(value, Kind.FINITE)
+        _set_form(value, form)
+        return value
+
     def is_finite(self) -> bool:
         return self.kind is Kind.FINITE
 
+
+# The unchecked builders write the fields of frozen instances through the
+# slot descriptors, which skips the frozen __setattr__ and the name lookup
+# that object.__setattr__ makes.
+_set_sign = ScientificForm.sign.__set__
+_set_exponent_sign = ScientificForm.exponent_sign.__set__
+_set_exponent = ScientificForm.exponent.__set__
+_set_digits = ScientificForm.digits.__set__
+_set_kind = DecimalValue.kind.__set__
+_set_form = DecimalValue.form.__set__
 
 POSITIVE_ZERO = DecimalValue(Kind.POSITIVE_ZERO)
 NEGATIVE_ZERO = DecimalValue(Kind.NEGATIVE_ZERO)
@@ -145,9 +162,13 @@ def parse_decimal(text: str, *, max_exponent: int = DEFAULT_MAX_EXPONENT) -> Dec
 
     Raises :class:`ParseError` naming the offending position, or
     :class:`ExponentLimitError` when the exponent magnitude exceeds
-    ``max_exponent``.
+    ``max_exponent``, and :class:`TypeError` when ``text`` is not a ``str``.
     """
-    upper = text.upper()
+    try:
+        upper = text.upper()
+        match = _NUMERAL.match(text)
+    except (AttributeError, TypeError):
+        raise TypeError(f"parse_decimal takes a str, not {type(text).__name__}") from None
     if upper in ("INF", "+INF"):
         return POSITIVE_INFINITY
     if upper == "-INF":
@@ -157,7 +178,6 @@ def parse_decimal(text: str, *, max_exponent: int = DEFAULT_MAX_EXPONENT) -> Dec
 
     if not text:
         raise ParseError("empty input", 0)
-    match = _NUMERAL.match(text)
     # An absent part's group is None; an empty one is a missing digit run.
     sign, int_part, frac_part, exp_sign, exp_digits = match.groups()
     if not int_part:
@@ -195,7 +215,7 @@ def parse_decimal(text: str, *, max_exponent: int = DEFAULT_MAX_EXPONENT) -> Dec
         abs(signed_exponent),
         significant,
     )
-    return DecimalValue.finite(form)
+    return DecimalValue._finite(form)
 
 
 _NUMERAL = re.compile(r"([+-]?)([0-9]*)(?:\.([0-9]*))?(?:[eE]([+-]?)([0-9]*))?")
@@ -207,7 +227,12 @@ def render_decimal(value: DecimalValue) -> str:
     Finite values use plain positional notation while the exponent's
     magnitude is at most 20, and scientific notation beyond it.
     """
-    match value.kind:
+    try:
+        kind = value.kind
+    except AttributeError:
+        name = type(value).__name__
+        raise TypeError(f"render_decimal takes a DecimalValue, not {name}") from None
+    match kind:
         case Kind.POSITIVE_ZERO:
             return "0"
         case Kind.NEGATIVE_ZERO:
@@ -243,7 +268,12 @@ def compare_numeric(a: DecimalValue, b: DecimalValue) -> int | None:
     non-NaN values with negative infinity least, positive infinity greatest,
     and both zeros equal.
     """
-    if a.kind is Kind.NAN or b.kind is Kind.NAN:
+    try:
+        a_kind, b_kind = a.kind, b.kind
+    except AttributeError:
+        names = f"{type(a).__name__} and {type(b).__name__}"
+        raise TypeError(f"compare_numeric takes two DecimalValues, not {names}") from None
+    if a_kind is Kind.NAN or b_kind is Kind.NAN:
         return None
     ra, rb = _rank(a), _rank(b)
     if ra != rb:

@@ -75,7 +75,7 @@ def random_finite(
     )
     sign = rng.choice((Sign.NEGATIVE, Sign.POSITIVE))
     form = ScientificForm._raw(sign, exponent_sign, exponent, random_digits(rng, max_digits))
-    return DecimalValue.finite(form)
+    return DecimalValue._finite(form)
 
 
 def run_selftest(

@@ -3,7 +3,7 @@
 import pytest
 
 from lexdec import parse_decimal
-from lexdec.bench import log_spaced_integers, measure, size_rows
+from lexdec.bench import _power_of_ten_floor, log_spaced_integers, measure, size_rows
 
 
 def test_log_spaced_samples_are_exact_floors():
@@ -13,6 +13,20 @@ def test_log_spaced_samples_are_exact_floors():
     assert len(values) == 50
     for j, value in enumerate(values):
         assert value**49 <= 10 ** (300 * j) < (value + 1) ** 49
+
+
+def test_power_of_ten_floor_when_n_divides_t():
+    assert _power_of_ten_floor(0, 7) == 1
+    assert _power_of_ten_floor(300, 3) == 10**100
+    assert _power_of_ten_floor(3000, 1) == 10**3000
+    assert log_spaced_integers(10**40, 5) == [1, 10**10, 10**20, 10**30, 10**40]
+
+
+def test_power_of_ten_floor_is_exact_on_a_grid():
+    for n in range(1, 41):
+        for t in range(0, 301, 7):
+            value = _power_of_ten_floor(t, n)
+            assert value**n <= 10**t < (value + 1) ** n
 
 
 def test_log_spaced_shape():

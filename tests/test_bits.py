@@ -6,9 +6,11 @@ import timeit
 import pytest
 from hypothesis import given
 
-from lexdec import BitCursor, BitString, lex_compare
+import hypothesis.strategies as st
 
-from strategies import bit_strings
+from lexdec import BitCursor, BitString, encode, lex_compare
+
+from strategies import bit_strings, decimal_values
 
 # Every sequence of length 1..3, by length and then by value, and in
 # lexicographic order.
@@ -105,6 +107,34 @@ def test_lex_compare_matches_text_comparison(a, b):
     ta, tb = a.to_text(), b.to_text()
     expected = -1 if ta < tb else (1 if ta > tb else 0)
     assert lex_compare(a, b) == expected
+
+
+def check_lex_compare(a, b):
+    """Both orders, plain and joined operands: antisymmetric and as the texts order."""
+    ta, tb = a.to_text(), b.to_text()
+    expected = (ta > tb) - (ta < tb)
+    # A fresh, unread sum for each call.
+    for make_a in (lambda: a, lambda: fold([ta[: len(ta) // 2], ta[len(ta) // 2 :]])):
+        for make_b in (lambda: b, lambda: fold([tb[: len(tb) // 2], tb[len(tb) // 2 :]])):
+            assert lex_compare(make_a(), make_b()) == expected
+            assert lex_compare(make_b(), make_a()) == -expected
+
+
+@given(decimal_values(), decimal_values(), st.booleans())
+def test_lex_compare_on_encoded_keys(u, v, trim):
+    check_lex_compare(encode(u, trim=trim), encode(v, trim=trim))
+
+
+@given(bit_strings(max_size=96), st.integers(0, 70))
+def test_lex_compare_against_a_zero_extension(a, zeros):
+    # Equal once the shorter is shifted, so only the lengths decide.
+    check_lex_compare(a, BitString(a.to_text() + "0" * zeros))
+
+
+def test_lex_compare_rejects_other_types():
+    message = "^lex_compare takes two BitStrings, not BitString and str$"
+    with pytest.raises(TypeError, match=message):
+        lex_compare(BitString("1"), "1")
 
 
 def test_to_bytes_examples():

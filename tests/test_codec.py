@@ -378,6 +378,11 @@ class TestSignificand:
         bits = encode_significand(digits, negative)
         assert decode_significand(BitCursor(bits), negative=negative) == digits
 
+    @pytest.mark.parametrize("digits", ["1\u0663", "12 3", "1_23", "1a"])
+    def test_encode_rejects_what_is_not_ascii_digits(self, digits):
+        with pytest.raises(ValueError, match="^significand digits must be ASCII 0-9$"):
+            encode_significand(digits, False)
+
 
 class TestLongSignificands:
     """Significands past the 4,300 digits that ``int()`` converts from text."""
@@ -438,6 +443,29 @@ class TestComplement:
     def test_involution(self, digits):
         layout = _significand_layout(digits, False)
         assert _complement(*_complement(*layout)) == layout
+
+
+def int_slice_layout(digits, negative):
+    """The layout as ``int()`` on each three-digit slice builds it."""
+    padded = digits + "00"
+    declets = [int(padded[i : i + 3]) for i in range(1, len(digits), 3)]
+    return _complement(int(digits[0]), declets) if negative else (int(digits[0]), declets)
+
+
+class TestDecletTable:
+    """The layout's table lookups agree with converting each slice by ``int()``."""
+
+    @pytest.mark.parametrize("negative", [False, True])
+    def test_every_three_digit_text(self, negative):
+        for declet in range(1000):
+            text = f"{declet:03d}"
+            # Whole, and cut short so that the padding fills the group.
+            for digits in ("7" + text, "7" + text[:2], "7" + text[:1], "7" + text + "1"):
+                assert _significand_layout(digits, negative) == int_slice_layout(digits, negative)
+
+    @given(canonical_digits(max_digits=60), st.booleans())
+    def test_digit_texts(self, digits, negative):
+        assert _significand_layout(digits, negative) == int_slice_layout(digits, negative)
 
 
 class TestRoundTrip:

@@ -1,7 +1,9 @@
 """Parsing, rendering, and the numeric comparison oracle."""
 
+import re
 import timeit
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -23,6 +25,8 @@ from lexdec import (
     ScientificForm,
     Sign,
     compare_numeric,
+    decode,
+    encode,
     parse_decimal,
     render_decimal,
 )
@@ -172,6 +176,81 @@ class TestParse:
         assert parse_decimal("0e" + "9" * 5000) == POSITIVE_ZERO
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: parse_decimal(12), "parse_decimal takes a str, not int"),
+        (lambda: parse_decimal(b"12"), "parse_decimal takes a str, not bytes"),
+        (lambda: parse_decimal(None), "parse_decimal takes a str, not NoneType"),
+        (lambda: render_decimal("1"), "render_decimal takes a DecimalValue, not str"),
+        (
+            lambda: compare_numeric("1", NAN),
+            "compare_numeric takes two DecimalValues, not str and DecimalValue",
+        ),
+        (
+            lambda: compare_numeric(NAN, 1),
+            "compare_numeric takes two DecimalValues, not DecimalValue and int",
+        ),
+    ],
+    ids=["parse-int", "parse-bytes", "parse-none", "render-str", "compare-str", "compare-nan-int"],
+)
+def test_wrong_argument_types_raise_type_error(call, message):
+    with pytest.raises(TypeError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+# Numeral pieces, so that fuzzed text often parses or fails late in the scan.
+_PIECES = st.sampled_from(
+    list("0123456789+-.eE _") + ["\u0663", "INF", "inf", "NaN", "nan", "0" * 30, "9" * 30]
+)
+numeral_texts = st.one_of(
+    st.from_regex(r"[+-]?[0-9]{0,30}(\.[0-9]{0,30})?([eE][+-]?[0-9]{0,11})?", fullmatch=True),
+    st.lists(_PIECES, max_size=12).map("".join),
+    st.builds(
+        lambda mantissa, sign, digit, count: f"{mantissa}e{sign}{digit * count}",
+        st.lists(_PIECES, max_size=6).map("".join),
+        st.sampled_from(["", "+", "-"]),
+        st.sampled_from("0159"),
+        st.integers(1, 5000),
+    ),
+    st.text(),
+)
+
+
+def as_decimal(value):
+    """The value as a ``decimal.Decimal``, built from its fields."""
+    if value.kind is Kind.FINITE:
+        f = value.form
+        sign = 1 if f.sign is Sign.NEGATIVE else 0
+        return Decimal((sign, tuple(map(int, f.digits)), f.signed_exponent - len(f.digits) + 1))
+    return {
+        Kind.POSITIVE_ZERO: Decimal("0"),
+        Kind.NEGATIVE_ZERO: Decimal("-0"),
+        Kind.POSITIVE_INFINITY: Decimal("Infinity"),
+        Kind.NEGATIVE_INFINITY: Decimal("-Infinity"),
+    }[value.kind]
+
+
+@given(numeral_texts)
+def test_fuzzed_text_parses_exactly_or_fails_typed(text):
+    try:
+        value = parse_decimal(text)
+    except (ParseError, ExponentLimitError):
+        return
+    assert parse_decimal(render_decimal(value)) == value
+    if value.kind is Kind.NAN:
+        assert Decimal(text).is_nan()
+        return
+    expected = as_decimal(value)
+    if value.kind in (Kind.POSITIVE_ZERO, Kind.NEGATIVE_ZERO):
+        # Decimal cannot hold a zero's exponent of thousands of digits; a
+        # zero's value and sign are in the part before the exponent.
+        text = re.split("[eE]", text)[0]
+    actual = Decimal(text)
+    assert actual == expected and actual.is_signed() == expected.is_signed()
+
+
 class TestRender:
     def test_examples(self):
         assert render_decimal(
@@ -285,9 +364,22 @@ class TestInvariants:
     def test_unchecked_constructor_is_not_exported(self):
         exported = [getattr(lexdec, name) for name in lexdec.__all__]
         assert ScientificForm._raw not in exported
+        assert DecimalValue._finite not in exported
         assert not [name for name in lexdec.__all__ if name.startswith("_")]
 
+    @given(finite_values())
+    def test_parsed_and_decoded_values_equal_checked_ones(self, value):
+        f = value.form
+        checked = form(f.sign, f.exponent_sign, f.exponent, f.digits)
+        for built in (parse_decimal(render_decimal(value)), decode(encode(value))):
+            assert type(built) is DecimalValue and built.kind is Kind.FINITE
+            assert built == checked and hash(built) == hash(checked)
+
     def test_value_validation(self):
+        with pytest.raises(ValueError):
+            DecimalValue(Kind.FINITE)
+        with pytest.raises(ValueError):
+            DecimalValue.finite(None)
         with pytest.raises(ValueError):
             DecimalValue(Kind.FINITE, None)
         with pytest.raises(ValueError):

@@ -77,7 +77,11 @@ def log_spaced_integers(max_value: int, samples: int) -> list[int]:
         return []
     if samples == 1 or max_value == 1:
         return [max_value]
-    decades = len(str(max_value)) - 1
+    # floor(log10(max_value)) without str(), which stops at 4,300 digits: the
+    # bit-length estimate is never high, and below 2**(10**10) at most one low.
+    decades = (max_value.bit_length() - 1) * 3010299956 // 10**10
+    while 10 ** (decades + 1) <= max_value:
+        decades += 1
     steps = samples - 1
     values = []
     for j in range(steps + 1):

@@ -1,4 +1,4 @@
-"""Immutable bit sequences, read cursors, and the bit-string order.
+"""Immutable bit sequences and the bit-string order.
 
 A :class:`BitString` is an ordered sequence of bits with no implicit padding;
 the logical length in bits always travels with the value. Bit strings are
@@ -21,7 +21,6 @@ import re
 
 __all__ = [
     "BitString",
-    "BitCursor",
     "lex_compare",
 ]
 
@@ -46,7 +45,10 @@ class BitString:
         Spaces and underscores are ignored so that grouped renderings can be
         pasted back in unchanged.
         """
-        bad = _NOT_A_BIT.search(text)
+        try:
+            bad = _NOT_A_BIT.search(text)
+        except TypeError:
+            raise TypeError(f"BitString takes a str, not {type(text).__name__}") from None
         if bad:
             raise ValueError(f"invalid bit character {bad.group()!r}")
         digits = text.replace(" ", "").replace("_", "")
@@ -69,12 +71,16 @@ class BitString:
         """
         if bit_length < 0:
             raise ValueError("bit_length must be non-negative")
+        try:
+            value = int.from_bytes(data, "big")
+        except TypeError:
+            name = type(data).__name__
+            raise TypeError(f"BitString.from_bytes takes bytes, not {name}") from None
         pad = 8 * len(data) - bit_length
         if pad < 0:
             raise ValueError(
                 f"bit_length {bit_length} exceeds {8 * len(data)} available bits"
             )
-        value = int.from_bytes(data, "big")
         if value & ((1 << pad) - 1):
             raise ValueError("nonzero padding bits")
         return cls._raw(value >> pad, bit_length)
@@ -208,12 +214,11 @@ def lex_compare(a: BitString, b: BitString) -> int:
 
 
 class BitCursor:
-    """A read position over a :class:`BitString`.
-
-    The source is rendered to ``0``/``1`` text once. The decoder reads that
-    text directly and moves ``position`` past what it read, so a read costs
-    the bits it reads, not the length of the source. Cursors are independent
-    per reader and mutate only their own position.
+    """A read position over a :class:`BitString`, used only by the field
+    adapters ``codec.decode_exponent`` and ``codec.decode_significand``; the
+    decoder reads the bit text itself. The source is rendered to ``0``/``1``
+    text once, and an adapter moves ``position`` past what it read. Cursors
+    are independent per reader and mutate only their own position.
     """
 
     __slots__ = ("position", "_text")
@@ -225,6 +230,3 @@ class BitCursor:
             raise ValueError("cursor position out of range")
         self.position = position
         self._text = source.to_text()
-
-    def at_end(self) -> bool:
-        return self.position >= len(self._text)

@@ -21,7 +21,7 @@ from .codec import (
     fixed_width_key,
 )
 from .decimal_values import Kind, parse_decimal, render_decimal
-from .errors import DecodeError, ExponentLimitError, KeyWidthError, ParseError
+from .errors import DecodeError, ExponentLimitError, ParseError
 from .selftest import run_selftest
 
 EXIT_OK = 0
@@ -241,10 +241,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ParseError, ExponentLimitError, KeyWidthError, ValueError) as exc:
+    except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DecodeError as exc:

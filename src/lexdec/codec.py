@@ -75,22 +75,13 @@ from .decimal_values import (
 from .errors import DecodeError, DecodeErrorKind, ExponentLimitError, KeyWidthError
 
 __all__ = [
-    "DecodeError",
-    "DecodeErrorKind",
-    "ExponentField",
     "FixedWidthKey",
     "encode",
     "decode",
     "encode_prefix_free",
     "decode_prefix_free_stream",
     "fixed_width_key",
-    "exponent_field_length",
-    "encode_exponent",
-    "decode_exponent",
-    "encode_significand",
-    "decode_significand",
     "canonical_bit_length",
-    "SPECIAL_ENCODINGS",
 ]
 
 # The exponent is coded offset by 2 so the length-discriminating run is never
@@ -188,12 +179,14 @@ def encode_significand(digits: str, negative: bool) -> BitString:
     For negative values the digits of ``10 - m`` are stored instead (their
     leading digit may then be zero).
     """
-    if not digits or (negative and digits[-1] not in "123456789"):
-        raise ValueError("need digits; a negative significand's last one must be in 1..9")
     try:
+        if not digits or (negative and digits[-1] not in "123456789"):
+            raise ValueError("need digits; a negative significand's last one must be in 1..9")
         return _pack(0, 0, *_significand_layout(digits, negative))
     except KeyError:
         raise ValueError("significand digits must be ASCII 0-9") from None
+    except TypeError:
+        raise TypeError(f"encode_significand takes a str, not {type(digits).__name__}") from None
 
 
 def encode(value: DecimalValue, *, trim: bool = False) -> BitString:
@@ -347,7 +340,7 @@ def decode(
     above ``max_exponent``, as :func:`parse_decimal` does.
     """
     framing = _Framing.REPADDED if trim else _Framing.TO_END
-    return _decode_value(BitCursor(bits)._text, 0, framing, max_exponent)[0]
+    return _decode_value(_bit_text(bits, "decode"), 0, framing, max_exponent)[0]
 
 
 def decode_prefix_free_stream(
@@ -369,13 +362,21 @@ def decode_prefix_free_stream(
     Errors are those of :func:`decode`, with positions counted from the start
     of the stream.
     """
-    text = BitCursor(bits)._text
+    text = _bit_text(bits, "decode_prefix_free_stream")
     values = []
     position = 0
     while position < len(text):
         value, position = _decode_value(text, position, _Framing.CONTINUATION, max_exponent)
         values.append(value)
     return values
+
+
+def _bit_text(bits: BitString, caller: str) -> str:
+    """The ``0``/``1`` text of a decoder's input, which must be a :class:`BitString`."""
+    try:
+        return bits.to_text()
+    except AttributeError:
+        raise TypeError(f"{caller} takes a BitString, not {type(bits).__name__}") from None
 
 
 class _Framing(enum.Enum):

@@ -29,6 +29,18 @@ def test_power_of_ten_floor_is_exact_on_a_grid():
             assert value**n <= 10**t < (value + 1) ** n
 
 
+def test_log_spaced_past_the_int_to_text_limit():
+    # 10**5000 has more digits than int() will render as text.
+    assert log_spaced_integers(10**5000, 3) == [1, 10**2500, 10**5000]
+
+
+def test_decade_count_at_powers_of_ten():
+    # Two samples are 1 and the largest power of ten not above v, then v.
+    powers = [10**k for k in [*range(1, 300), *range(300, 4001, 100)]]
+    for v in [*range(1, 1001), *(p + d for p in powers for d in (-1, 0, 1))]:
+        assert log_spaced_integers(v, 2) == sorted({1, 10 ** (len(str(v)) - 1), v})
+
+
 def test_log_spaced_shape():
     values = log_spaced_integers(10**40, 100)
     assert values[0] == 1

@@ -8,7 +8,8 @@ from hypothesis import given
 
 import hypothesis.strategies as st
 
-from lexdec import BitCursor, BitString, encode, lex_compare
+from lexdec import BitString, encode, lex_compare
+from lexdec.bits import BitCursor
 
 from strategies import bit_strings, decimal_values
 
@@ -129,6 +130,21 @@ def test_lex_compare_on_encoded_keys(u, v, trim):
 def test_lex_compare_against_a_zero_extension(a, zeros):
     # Equal once the shorter is shifted, so only the lengths decide.
     check_lex_compare(a, BitString(a.to_text() + "0" * zeros))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: BitString(b"01"), "BitString takes a str, not bytes"),
+        (lambda: BitString(5), "BitString takes a str, not int"),
+        (lambda: BitString.from_bytes("ab", 3), "BitString.from_bytes takes bytes, not str"),
+    ],
+    ids=["bytes", "int", "from-bytes-str"],
+)
+def test_wrong_argument_types_raise_type_error(call, message):
+    with pytest.raises(TypeError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def test_lex_compare_rejects_other_types():

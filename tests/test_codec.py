@@ -2,7 +2,9 @@
 
 import functools
 import importlib
+import re
 import timeit
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -14,7 +16,6 @@ from lexdec import (
     NEGATIVE_ZERO,
     POSITIVE_INFINITY,
     POSITIVE_ZERO,
-    BitCursor,
     BitString,
     DEFAULT_MAX_EXPONENT,
     DecodeError,
@@ -27,16 +28,21 @@ from lexdec import (
     compare_numeric,
     decode,
     decode_prefix_free_stream,
-    decode_significand,
     encode,
     encode_prefix_free,
-    encode_significand,
     fixed_width_key,
     lex_compare,
     parse_decimal,
     render_decimal,
 )
-from lexdec.codec import _complement, _digit_text, _significand_layout
+from lexdec.bits import BitCursor
+from lexdec.codec import (
+    _complement,
+    _digit_text,
+    _significand_layout,
+    decode_significand,
+    encode_significand,
+)
 
 from golden import DECODE_WORKED_EXAMPLE, SMALL_INTEGER_TABLE, WORKED_EXAMPLES
 from strategies import canonical_digits, decimal_values, finite_values
@@ -251,6 +257,23 @@ class TestDecode:
         # Raw to_bytes() output once read as a bogus truncation at bit 0.
         with pytest.raises(TypeError):
             decoder(source)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: decode(5), "decode takes a BitString, not int"),
+            (
+                lambda: decode_prefix_free_stream("10"),
+                "decode_prefix_free_stream takes a BitString, not str",
+            ),
+            (lambda: encode_significand(123, False), "encode_significand takes a str, not int"),
+        ],
+        ids=["decode-int", "stream-str", "significand-int"],
+    )
+    def test_wrong_argument_types_name_the_function(self, call, message):
+        with pytest.raises(TypeError) as exc:
+            call()
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize(
         "call",
@@ -524,3 +547,30 @@ def test_public_names_resolve():
     for module in ("lexdec.variants", "lexdec.gamma"):
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module(module)
+
+
+def test_readme_lists_exactly_the_public_names():
+    lexdec = importlib.import_module("lexdec")
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"`(\w+)`", library.split("(`lexdec.__all__`):", 1)[1])
+    assert sorted(listed) == sorted(lexdec.__all__)
+    assert len(lexdec.__all__) == len(set(lexdec.__all__)) == 28
+
+
+def test_field_internals_are_not_public():
+    lexdec = importlib.import_module("lexdec")
+    internals = {
+        "BitCursor",
+        "ExponentField",
+        "encode_exponent",
+        "decode_exponent",
+        "encode_significand",
+        "decode_significand",
+    }
+    assert internals.isdisjoint(lexdec.__all__)
+    assert not hasattr(lexdec, "ExponentField")
+    assert not hasattr(BitCursor, "at_end")
+    for module in (lexdec.bits, lexdec.codec):
+        assert internals.isdisjoint(module.__all__)
+    assert {"exponent_field_length", "SPECIAL_ENCODINGS"}.isdisjoint(lexdec.codec.__all__)

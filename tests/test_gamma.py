@@ -7,16 +7,16 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from lexdec import (
-    BitCursor,
-    BitString,
-    DecodeError,
-    DecodeErrorKind,
+from lexdec import BitString, DecodeError, DecodeErrorKind, lex_compare
+from lexdec.bits import BitCursor
+from lexdec.codec import (
+    _exponent_payload,
+    _exponent_run,
     decode_exponent,
     encode_exponent,
-    lex_compare,
+    exponent_field,
+    exponent_field_length,
 )
-from lexdec.codec import exponent_field_length
 
 from golden import EXPONENT_FIELD_TABLE as GOLDEN_EXPONENT_FIELDS
 
@@ -32,9 +32,26 @@ GOLDEN_CODEWORDS = {
 }
 
 
+def field_text(exponent, invert):
+    """The exponent field as ``0``/``1`` text, from the integer writer."""
+    code, width = exponent_field(exponent, invert)
+    return format(code, f"0{width}b")
+
+
+def field_bits(exponent, invert):
+    return BitString._raw(*exponent_field(exponent, invert))
+
+
+def read_field(text, position=0):
+    """``(exponent, inverted, end)`` of the field at ``position``, by the text reader."""
+    inverted, run, position = _exponent_run(text, position)
+    exponent, end = _exponent_payload(text, position, inverted, run)
+    return exponent, inverted, end
+
+
 def test_golden_codewords():
     for k, expected in GOLDEN_CODEWORDS.items():
-        assert encode_exponent(k - 2, False).bits.to_text() == expected
+        assert field_text(k - 2, False) == expected
 
 
 def test_decode_examples():
@@ -43,40 +60,39 @@ def test_decode_examples():
         ("11010", 4, False),
         ("011", 0, True),
     ]:
-        cursor = BitCursor(BitString(text + "111"))  # trailing junk must not be read
-        field = decode_exponent(cursor)
-        assert (field.exponent, field.inverted) == (exponent, inverted)
-        assert cursor.position == len(text)
+        # Trailing junk must not be read.
+        assert read_field(text + "111") == (exponent, inverted, len(text))
 
 
 def test_decode_truncation():
     for text in ["11", "1101", "", "0010"]:
         with pytest.raises(DecodeError) as exc:
-            decode_exponent(BitCursor(BitString(text)))
+            read_field(text)
         assert exc.value.kind is DecodeErrorKind.TRUNCATED_INPUT
 
 
 def test_golden_exponent_fields():
     for exponent, plain, flipped in GOLDEN_EXPONENT_FIELDS:
-        assert encode_exponent(exponent, False).bits.to_text() == plain
-        assert encode_exponent(exponent, True).bits.to_text() == flipped
+        assert field_text(exponent, False) == plain
+        assert field_text(exponent, True) == flipped
 
 
 def test_exponent_examples():
-    assert encode_exponent(0, False).bits.to_text() == "100"
-    assert encode_exponent(2, True).bits.to_text() == "00111"
-    assert encode_exponent(9, False).bits.to_text() == "1110011"
-    assert encode_exponent(5, True).bits.to_text() == "00100"
+    assert field_text(0, False) == "100"
+    assert field_text(2, True) == "00111"
+    assert field_text(9, False) == "1110011"
+    assert field_text(5, True) == "00100"
 
 
 def test_decode_exponent_examples():
-    # Field length is found from the run of identical leading bits: three
-    # ones here, so the field spans seven bits.
+    # The adapters, over a cursor. Field length is found from the run of
+    # identical leading bits: three ones here, so the field spans seven bits.
     cursor = BitCursor(BitString("1110011" + "0100000000010100000011000101011001"))
     field = decode_exponent(cursor)
     assert (field.exponent, field.inverted) == (9, False)
     assert cursor.position == 7
-    assert len(field.bits) == 7
+    assert field == encode_exponent(9, False)
+    assert field.bits == BitString("1110011")
 
     cursor = BitCursor(BitString("100" + "0001"))
     field = decode_exponent(cursor)
@@ -90,16 +106,17 @@ def test_decode_exponent_examples():
 
 
 def test_exponent_field_invariants():
-    field = encode_exponent(9, False)
-    assert len(field.bits) % 2 == 1
-    assert len(field.bits) == 2 * (9 + 2).bit_length() - 1
-    assert field.bits.to_text()[0] == "1"
-    assert encode_exponent(9, True).bits.to_text()[0] == "0"
+    text = field_text(9, False)
+    assert len(text) % 2 == 1
+    assert len(text) == 2 * (9 + 2).bit_length() - 1
+    assert text[0] == "1"
+    assert field_text(9, True)[0] == "0"
 
 
 @pytest.mark.parametrize("exponent", [-1, -2, -5])
 @pytest.mark.parametrize("invert", [False, True])
 def test_encode_exponent_rejects_negative(exponent, invert):
+    # The adapter's own check; the integer writer trusts its callers.
     with pytest.raises(ValueError, match="^exponent must be non-negative$"):
         encode_exponent(exponent, invert)
 
@@ -107,36 +124,31 @@ def test_encode_exponent_rejects_negative(exponent, invert):
 def test_round_trip_exhaustive_to_one_million():
     for exponent in range(10**6 + 1):
         for invert in (False, True):
-            field = encode_exponent(exponent, invert)
-            cursor = BitCursor(field.bits)
-            decoded = decode_exponent(cursor)
-            assert decoded.exponent == exponent
-            assert decoded.inverted is invert
-            assert cursor.at_end()
+            text = field_text(exponent, invert)
+            assert read_field(text) == (exponent, invert, len(text))
 
 
 @given(st.integers(10**6, 10**30), st.booleans())
 def test_round_trip_large_sampled(exponent, invert):
-    field = encode_exponent(exponent, invert)
-    decoded = decode_exponent(BitCursor(field.bits))
-    assert (decoded.exponent, decoded.inverted) == (exponent, invert)
+    text = field_text(exponent, invert)
+    assert read_field(text) == (exponent, invert, len(text))
 
 
 @given(st.integers(0, 10**9), st.integers(0, 10**9))
 def test_order_non_inverted(e1, e2):
     if e1 < e2:
-        assert lex_compare(encode_exponent(e1, False).bits, encode_exponent(e2, False).bits) == -1
+        assert lex_compare(field_bits(e1, False), field_bits(e2, False)) == -1
 
 
 @given(st.integers(0, 10**9), st.integers(0, 10**9))
 def test_order_inverted(e1, e2):
     if e1 < e2:
-        assert lex_compare(encode_exponent(e1, True).bits, encode_exponent(e2, True).bits) == 1
+        assert lex_compare(field_bits(e1, True), field_bits(e2, True)) == 1
 
 
 def test_order_exhaustive_small():
-    plain = [encode_exponent(e, False).bits for e in range(200)]
-    flipped = [encode_exponent(e, True).bits for e in range(200)]
+    plain = [field_bits(e, False) for e in range(200)]
+    flipped = [field_bits(e, True) for e in range(200)]
     ordered = sorted(plain, key=functools.cmp_to_key(lex_compare))
     assert ordered == plain
     ordered = sorted(flipped, key=functools.cmp_to_key(lex_compare), reverse=True)
@@ -145,7 +157,7 @@ def test_order_exhaustive_small():
 
 @pytest.mark.parametrize("invert", [False, True])
 def test_prefix_code_property(invert):
-    codes = [encode_exponent(e, invert).bits.to_text() for e in range(256)]
+    codes = [field_text(e, invert) for e in range(256)]
     for i, a in enumerate(codes):
         for j, b in enumerate(codes):
             if i != j:
@@ -159,17 +171,19 @@ def test_concatenations_split_unambiguously():
         invert = rng.random() < 0.5
         stream = BitString("")
         for e in exponents:
-            stream = stream + encode_exponent(e, invert).bits
-        cursor = BitCursor(stream)
+            stream = stream + field_bits(e, invert)
+        text = stream.to_text()
         decoded = []
-        while not cursor.at_end():
-            decoded.append(decode_exponent(cursor).exponent)
+        position = 0
+        while position < len(text):
+            exponent, _, position = read_field(text, position)
+            decoded.append(exponent)
         assert decoded == exponents
 
 
 @given(st.integers(0, 10**12), st.booleans())
 def test_length_law(exponent, invert):
-    bits = encode_exponent(exponent, invert).bits
+    width = exponent_field(exponent, invert)[1]
     n = (exponent + 2).bit_length()
-    assert len(bits) == 2 * n - 1
-    assert len(bits) == exponent_field_length(exponent)
+    assert width == 2 * n - 1
+    assert width == exponent_field_length(exponent)

@@ -25,12 +25,11 @@ from lexdec import (
     decode,
     decode_prefix_free_stream,
     encode,
-    encode_exponent,
     encode_prefix_free,
-    encode_significand,
     fixed_width_key,
     parse_decimal,
 )
+from lexdec.codec import encode_exponent, encode_significand
 from lexdec.selftest import random_finite
 
 from strategies import canonical_digits, decimal_values, decodable_sequence, finite_values

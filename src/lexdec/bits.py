@@ -66,16 +66,21 @@ class BitString:
     def from_bytes(cls, data: bytes, bit_length: int) -> "BitString":
         """Inverse of :meth:`to_bytes`.
 
-        ``bit_length`` must not exceed ``8 * len(data)`` and every padding bit
-        beyond it must be zero; otherwise the packed form is malformed.
+        ``data`` is ``bytes`` or another bytes-like object, such as a
+        ``bytearray`` or a ``memoryview``. ``bit_length`` must not exceed
+        ``8 * len(data)`` and every padding bit beyond it must be zero;
+        otherwise the packed form is malformed.
         """
         if bit_length < 0:
             raise ValueError("bit_length must be non-negative")
-        try:
-            value = int.from_bytes(data, "big")
-        except TypeError:
-            name = type(data).__name__
-            raise TypeError(f"BitString.from_bytes takes bytes, not {name}") from None
+        if type(data) is not bytes:
+            # int.from_bytes would also take a list or any iterable of ints.
+            try:
+                data = memoryview(data).tobytes()
+            except TypeError:
+                name = type(data).__name__
+                raise TypeError(f"BitString.from_bytes takes bytes, not {name}") from None
+        value = int.from_bytes(data, "big")
         pad = 8 * len(data) - bit_length
         if pad < 0:
             raise ValueError(
@@ -215,13 +220,14 @@ def lex_compare(a: BitString, b: BitString) -> int:
 
 class BitCursor:
     """A read position over a :class:`BitString`, used only by the field
-    adapters ``codec.decode_exponent`` and ``codec.decode_significand``; the
-    decoder reads the bit text itself. The source is rendered to ``0``/``1``
-    text once, and an adapter moves ``position`` past what it read. Cursors
-    are independent per reader and mutate only their own position.
+    adapters ``codec.decode_exponent`` and ``codec.decode_significand``. It
+    holds the source's integer and width in bits, which the adapters hand to
+    the decoder's own readers, and an adapter moves ``position`` past what it
+    read. Cursors are independent per reader and mutate only their own
+    position.
     """
 
-    __slots__ = ("position", "_text")
+    __slots__ = ("position", "_value", "_length")
 
     def __init__(self, source: BitString, position: int = 0):
         if not isinstance(source, BitString):
@@ -229,4 +235,5 @@ class BitCursor:
         if not 0 <= position <= len(source):
             raise ValueError("cursor position out of range")
         self.position = position
-        self._text = source.to_text()
+        self._value = source._value
+        self._length = source._length

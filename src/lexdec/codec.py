@@ -44,18 +44,19 @@ of each declet and a 0 at the end. So one packer and one significand reader
 serve every framing, and the only difference between them is the stride of
 a group: 10 bits canonical and trimmed, 11 bits prefix-free.
 
-Decoding reads the input's ``0``/``1`` text, rendered once, directly: each
-reader takes the text and a position and returns where it stopped. The
-exponent field's run ends at one ``str.find``. The significand's span (the
-rest of the input, or the chain of groups that start with a 1) is converted
-with one ``int()``, and its declets are cut by shifts. Long significands are
-joined and cut by halves, so they encode and decode in n log n time.
+Decoding reads the input's integer and its width in bits, never its
+``0``/``1`` text. The header is a shift; the exponent field's run ends where
+``bit_length()`` of the rest of the input (or of its complement) says; the
+payload and the significand are a shift and a mask each, and the declets are
+cut by shifts. Under prefix-free framing the chain of groups ends at the
+highest set bit of the group-leading bits that are 0, found in one step.
+Long significands are joined and cut by halves, so they encode and decode in
+n log n time. A stream is read through byte windows of its packed form, so
+splitting it stays linear.
 """
 
 from __future__ import annotations
 
-import enum
-import re
 from dataclasses import dataclass
 
 from .bits import BitCursor, BitString
@@ -140,36 +141,46 @@ def encode_exponent(exponent: int, invert: bool) -> ExponentField:
 
 def decode_exponent(cursor: BitCursor) -> ExponentField:
     """Read an exponent field at the cursor, un-flipping it when its leading bit is 0."""
-    inverted, run, position = _exponent_run(cursor._text, cursor.position)
-    exponent, cursor.position = _exponent_payload(cursor._text, position, inverted, run)
+    value, length = cursor._value, cursor._length
+    inverted, run, position = _read_run(value, length, cursor.position)
+    exponent, cursor.position = _read_payload(value, length, position, inverted, run)
     return encode_exponent(exponent, inverted)
 
 
-def _exponent_run(text: str, position: int) -> tuple[bool, int, int]:
-    """Read an exponent field's leading run and the opposite bit ending it.
+def _read_run(value: int, length: int, position: int) -> tuple[bool, int, int]:
+    """Read the leading run of an exponent field at ``position`` in the
+    ``length``-bit integer ``value``, and the opposite bit ending it.
 
     Returns ``(inverted, R, position after the ending bit)``: the field spans
     2R+1 bits, and its exponent is at least ``2**R - EXPONENT_OFFSET`` before
     the payload is even read.
     """
-    first = text[position : position + 1]
-    if not first:
-        raise DecodeError(DecodeErrorKind.TRUNCATED_INPUT, position)
-    end = text.find("1" if first == "0" else "0", position)
-    if end < 0:
-        raise DecodeError(DecodeErrorKind.TRUNCATED_INPUT, len(text))
-    return first == "0", end - position, end + 1
+    rest = length - position
+    mask = (1 << rest) - 1
+    body = value & mask
+    # A 0 first bit shortens the rest's bit length; a run of ones is a run
+    # of zeros in the complement.
+    inverted = body.bit_length() < rest
+    if not inverted:
+        body ^= mask
+    if not body:
+        raise DecodeError(DecodeErrorKind.TRUNCATED_INPUT, length)
+    run = rest - body.bit_length()
+    return inverted, run, position + run + 1
 
 
-def _exponent_payload(text: str, position: int, inverted: bool, run: int) -> tuple[int, int]:
+def _read_payload(
+    value: int, length: int, position: int, inverted: bool, run: int
+) -> tuple[int, int]:
     """The exponent of a field whose run of ``run`` bits ends before
     ``position``, and the position after its ``run``-bit payload."""
     end = position + run
-    if end > len(text):
+    if end > length:
         raise DecodeError(DecodeErrorKind.TRUNCATED_INPUT, position)
-    payload = int(text[position:end], 2)
+    mask = (1 << run) - 1
+    payload = value >> (length - end) & mask
     if inverted:
-        payload ^= (1 << run) - 1
+        payload ^= mask
     return ((1 << run) | payload) - EXPONENT_OFFSET, end
 
 
@@ -179,14 +190,14 @@ def encode_significand(digits: str, negative: bool) -> BitString:
     For negative values the digits of ``10 - m`` are stored instead (their
     leading digit may then be zero).
     """
+    if not isinstance(digits, str):
+        raise TypeError(f"encode_significand takes a str, not {type(digits).__name__}")
+    if not digits or (negative and digits[-1] not in "123456789"):
+        raise ValueError("need digits; a negative significand's last one must be in 1..9")
     try:
-        if not digits or (negative and digits[-1] not in "123456789"):
-            raise ValueError("need digits; a negative significand's last one must be in 1..9")
         return _pack(0, 0, *_significand_layout(digits, negative))
     except KeyError:
         raise ValueError("significand digits must be ASCII 0-9") from None
-    except TypeError:
-        raise TypeError(f"encode_significand takes a str, not {type(digits).__name__}") from None
 
 
 def encode(value: DecimalValue, *, trim: bool = False) -> BitString:
@@ -339,8 +350,15 @@ def decode(
     valid forms and :class:`ExponentLimitError` for an exponent magnitude
     above ``max_exponent``, as :func:`parse_decimal` does.
     """
-    framing = _Framing.REPADDED if trim else _Framing.TO_END
-    return _decode_value(_bit_text(bits, "decode"), 0, framing, max_exponent)[0]
+    if not isinstance(bits, BitString):
+        raise TypeError(f"decode takes a BitString, not {type(bits).__name__}")
+    framing = _REPADDED if trim else _TO_END
+    return _read_value(bits._value, bits._length, framing, max_exponent)[0]
+
+
+# Bytes per first read of a stream value; a value that runs past the window
+# is read again through one twice as wide.
+_WINDOW_BYTES = 64
 
 
 def decode_prefix_free_stream(
@@ -348,10 +366,15 @@ def decode_prefix_free_stream(
 ) -> list[DecimalValue]:
     """Split a concatenation of prefix-free encodings back into values.
 
-    Time is linear in the length of the stream. Finite values, negative zero
-    and NaN are self-delimiting anywhere in the stream. The two-bit headers
-    of the remaining specials collide with the headers of finite values, so
-    the decoder resolves them as follows:
+    Time is linear in the length of the stream: the stream is packed to bytes
+    once, and each value is read from a window of those bytes that starts at
+    the value. A value that runs past its window, or ends exactly at it, is
+    read again through a window twice as wide, so each value costs time in
+    proportion to its own length plus one window.
+
+    Finite values, negative zero and NaN are self-delimiting anywhere in the
+    stream. The two-bit headers of the remaining specials collide with the
+    headers of finite values, so the decoder resolves them as follows:
 
     * ``11`` is read as NaN when the next bit is a 1, as positive infinity
       when the next bit is a 0 or the input ends;
@@ -362,73 +385,91 @@ def decode_prefix_free_stream(
     Errors are those of :func:`decode`, with positions counted from the start
     of the stream.
     """
-    text = _bit_text(bits, "decode_prefix_free_stream")
+    if not isinstance(bits, BitString):
+        raise TypeError(f"decode_prefix_free_stream takes a BitString, not {type(bits).__name__}")
+    data, length = bits.to_bytes()
     values = []
     position = 0
-    while position < len(text):
-        value, position = _decode_value(text, position, _Framing.CONTINUATION, max_exponent)
+    while position < length:
+        start = position >> 3  # the byte holding the value's first bit
+        size = _WINDOW_BYTES
+        while True:
+            end = min(8 * (start + size), length)  # the window's end in the stream
+            width = end - position
+            # The bytes up to the window's end, less the stream's padding
+            # bits and the bits before the value.
+            window = int.from_bytes(data[start : (end + 7) // 8], "big") >> (-end % 8)
+            window &= (1 << width) - 1
+            try:
+                value, used = _read_value(window, width, _CONTINUATION, max_exponent)
+            except DecodeError as error:
+                # Faults are met in order, and a cut is the last one: any
+                # other fault inside the window is the stream's own.
+                if end < length and error.kind is DecodeErrorKind.TRUNCATED_INPUT:
+                    size *= 2
+                    continue
+                raise DecodeError(error.kind, position + error.position) from None
+            if used < width or end == length:
+                break
+            size *= 2  # the bits after the window might extend the value
         values.append(value)
+        position += used
     return values
 
 
-def _bit_text(bits: BitString, caller: str) -> str:
-    """The ``0``/``1`` text of a decoder's input, which must be a :class:`BitString`."""
-    try:
-        return bits.to_text()
-    except AttributeError:
-        raise TypeError(f"{caller} takes a BitString, not {type(bits).__name__}") from None
+# Framings: where a value ends, its significand's last group, and its special
+# values. They are plain ints, and the signs below are read from tuples,
+# because reading an enum member off its class calls a descriptor on
+# Python 3.11.
+_TO_END = 0  # at the end of input; a short all-zero tail is padding
+_REPADDED = 1  # at the end of input; a short last group is zero-extended
+_CONTINUATION = 2  # a bit after each group: 1 while more groups follow
+_SIGNS = (Sign.POSITIVE, Sign.NEGATIVE)  # indexed by "negative"
+_EXPONENT_SIGNS = (ExponentSign.NON_NEGATIVE, ExponentSign.NEGATIVE)  # by "signs differ"
 
 
-class _Framing(enum.Enum):
-    """Where a value ends: its significand's last group, and its special values."""
-
-    TO_END = enum.auto()  # at the end of input; a short all-zero tail is padding
-    REPADDED = enum.auto()  # at the end of input; a short last group is zero-extended
-    CONTINUATION = enum.auto()  # a bit after each group: 1 while more groups follow
-
-
-def _decode_value(
-    text: str, start: int, framing: _Framing, max_exponent: int
+def _read_value(
+    value: int, length: int, framing: int, max_exponent: int
 ) -> tuple[DecimalValue, int]:
-    """Read one value from ``start`` in the bit text; return it and where it ends.
+    """Read one value from the start of the ``length``-bit integer ``value``;
+    return it and where it ends.
 
-    Error positions are offsets into the whole text. Under continuation
-    framing, ``11`` is NaN when a 1 follows and positive infinity otherwise.
-    An exponent field whose length alone puts it above ``max_exponent`` is
+    Error positions are offsets from the start. Under continuation framing,
+    ``11`` is NaN when a 1 follows and positive infinity otherwise. An
+    exponent field whose length alone puts it above ``max_exponent`` is
     rejected before its payload is read; the error then carries the smallest
     exponent of that length.
     """
-    header = text[start : start + 2]
-    if len(header) < 2:
-        raise DecodeError(DecodeErrorKind.TRUNCATED_INPUT, start)
-    position = start + 2
-    if header in ("01", "11"):
-        value = NEGATIVE_ZERO if header == "01" else POSITIVE_INFINITY
-        if header == "11" and text[position : position + 1] == "1":
-            position += 1
-            value = NAN
-        if framing is not _Framing.CONTINUATION and position < len(text):
-            raise DecodeError(DecodeErrorKind.INVALID_HEADER, start)
-        return value, position
-    if position == len(text):
-        return (POSITIVE_ZERO if header == "10" else NEGATIVE_INFINITY), position
+    if length < 2:
+        raise DecodeError(DecodeErrorKind.TRUNCATED_INPUT, 0)
+    header = value >> (length - 2)
+    if header & 1:  # 01 or 11
+        position = 2
+        result = NEGATIVE_ZERO if header == 0b01 else POSITIVE_INFINITY
+        if header == 0b11 and length > 2 and value >> (length - 3) & 1:
+            position = 3
+            result = NAN
+        if framing != _CONTINUATION and position < length:
+            raise DecodeError(DecodeErrorKind.INVALID_HEADER, 0)
+        return result, position
+    if length == 2:
+        return (POSITIVE_ZERO if header == _HEADER_POSITIVE else NEGATIVE_INFINITY), 2
 
-    negative = header == "00"
-    inverted, run, position = _exponent_run(text, position)
+    negative = header == _HEADER_NEGATIVE
+    inverted, run, position = _read_run(value, length, 2)
     # The field is flipped exactly when the two signs differ.
-    exponent_sign = ExponentSign.NEGATIVE if negative != inverted else ExponentSign.NON_NEGATIVE
+    exponent_sign = _EXPONENT_SIGNS[negative != inverted]
     least = (1 << run) - EXPONENT_OFFSET
     if least > max_exponent:
         raise ExponentLimitError(exponent_sign * least, max_exponent)
-    exponent, position = _exponent_payload(text, position, inverted, run)
+    exponent, position = _read_payload(value, length, position, inverted, run)
     if exponent > max_exponent:
         raise ExponentLimitError(exponent_sign * exponent, max_exponent)
-    if exponent == 0 and exponent_sign is ExponentSign.NEGATIVE:
-        raise DecodeError(DecodeErrorKind.NEGATIVE_ZERO_EXPONENT, start + 2)
+    if exponent == 0 and negative != inverted:
+        raise DecodeError(DecodeErrorKind.NEGATIVE_ZERO_EXPONENT, 2)
 
-    digits, position = _read_significand(text, position, negative, framing)
-    sign = Sign.NEGATIVE if negative else Sign.POSITIVE
-    form = ScientificForm._raw(sign, exponent_sign, exponent, digits)
+    digits, position = _read_significand(value, length, position, negative, framing)
+    form = ScientificForm._raw(_SIGNS[negative], exponent_sign, exponent, digits)
     return DecimalValue._finite(form), position
 
 
@@ -440,41 +481,47 @@ def decode_significand(cursor: BitCursor, negative: bool) -> str:
     decoded significand lies in [1, 10).
     """
     digits, cursor.position = _read_significand(
-        cursor._text, cursor.position, negative, _Framing.TO_END
+        cursor._value, cursor._length, cursor.position, negative, _TO_END
     )
     return digits
 
 
-_CONTINUED_GROUPS = re.compile("(?:1[01]{10})*")  # a continuation bit of 1, then a declet
-
-
 def _read_significand(
-    text: str, start: int, negative: bool, framing: _Framing
+    value: int, length: int, start: int, negative: bool, framing: int
 ) -> tuple[str, int]:
-    """Read the stored groups from ``start`` with one read, check them and
-    re-normalize; return the digit text and where the significand ends.
+    """Read the stored groups from ``start`` with one shift and mask, check
+    them and re-normalize; return the digit text and where the significand ends.
 
     The groups span the rest of the input or, under continuation framing, the
     chain of groups that start with a 1: a declet every 11 bits, not every
     10. Faults are reported in the order a reader taking one group at a time
     would meet them: the tetrade, each declet, then the cut in the input.
     """
-    end = len(text)
-    size = end - start
-    continued = framing is _Framing.CONTINUATION
-    repadded = framing is _Framing.REPADDED
+    size = length - start
+    continued = framing == _CONTINUATION
+    repadded = framing == _REPADDED
     if size == 0 or (size < TETRADE_BITS and not repadded):
         raise DecodeError(DecodeErrorKind.TRUNCATED_INPUT, start)
     stride = DECLET_BITS + continued
     cut = None  # where the input stops inside a group
     if continued:
-        end = _CONTINUED_GROUPS.match(text, start + TETRADE_BITS).end()
-        # A 0 ends the chain; a 1 starts a group that the input cuts short.
-        stop = text[end : end + 1]
-        if stop != "0":
-            cut = end + len(stop)
-        size = end - start
-    bits = int(text[start:end], 2)
+        count, spare = divmod(size - TETRADE_BITS, stride)  # whole groups, and the rest
+        whole = (1 << stride * count) - 1
+        groups = value >> spare & whole
+        # ``leading`` has a 1 at the top of each group. The first group whose
+        # top bit is 0 ends the chain; it holds the highest set bit of ``ended``.
+        leading = whole // ((1 << stride) - 1) << DECLET_BITS
+        ended = ~groups & leading
+        if ended:
+            count -= ended.bit_length() // stride
+        elif not spare:
+            cut = length  # the input ends where another group could start
+        elif value >> (spare - 1) & 1:
+            cut = length - spare + 1  # a group starts, and the input cuts it short
+        size = TETRADE_BITS + stride * count
+        bits = value >> (length - start - size) & ((1 << size) - 1)
+    else:
+        bits = value & ((1 << size) - 1)
     group_bits = size - TETRADE_BITS
     if repadded:
         # A short last group, even a short tetrade, is zero-extended.
@@ -509,7 +556,7 @@ def _read_significand(
     elif first == 0:
         raise DecodeError(DecodeErrorKind.SIGNIFICAND_OUT_OF_RANGE, start)
     # Under continuation framing the significand ends after the 0 closing the chain.
-    return _digit_text(first, declets).rstrip("0"), end + continued
+    return _digit_text(first, declets).rstrip("0"), start + size + continued
 
 
 def _cut_declets(bits: int, count: int, stride: int) -> list[int]:

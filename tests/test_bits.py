@@ -138,8 +138,9 @@ def test_lex_compare_against_a_zero_extension(a, zeros):
         (lambda: BitString(b"01"), "BitString takes a str, not bytes"),
         (lambda: BitString(5), "BitString takes a str, not int"),
         (lambda: BitString.from_bytes("ab", 3), "BitString.from_bytes takes bytes, not str"),
+        (lambda: BitString.from_bytes([1, 2], 16), "BitString.from_bytes takes bytes, not list"),
     ],
-    ids=["bytes", "int", "from-bytes-str"],
+    ids=["bytes", "int", "from-bytes-str", "from-bytes-list"],
 )
 def test_wrong_argument_types_raise_type_error(call, message):
     with pytest.raises(TypeError) as exc:

@@ -267,8 +267,13 @@ class TestDecode:
                 "decode_prefix_free_stream takes a BitString, not str",
             ),
             (lambda: encode_significand(123, False), "encode_significand takes a str, not int"),
+            (lambda: encode_significand(0, False), "encode_significand takes a str, not int"),
+            (
+                lambda: encode_significand(None, False),
+                "encode_significand takes a str, not NoneType",
+            ),
         ],
-        ids=["decode-int", "stream-str", "significand-int"],
+        ids=["decode-int", "stream-str", "significand-int", "significand-zero", "significand-none"],
     )
     def test_wrong_argument_types_name_the_function(self, call, message):
         with pytest.raises(TypeError) as exc:
@@ -451,6 +456,22 @@ class TestLongSignificands:
         short, long = (parse_decimal("1." + "0123456789" * n) for n in (5_000, 40_000))
         ratio = best_of_3(long) / best_of_3(short)
         assert ratio < 20
+
+
+def test_stream_split_time_grows_near_linearly_in_values():
+    # A ratio of two timings on one machine, as above: splitting 16,000 short
+    # values takes about 8 times as long as splitting 2,000 when each value
+    # costs the same, 64 times when each costs time in the stream's length.
+    parts = [encode_prefix_free(parse_decimal(f"-{i}.{i * 7}e{i % 50}")) for i in range(1, 16_001)]
+
+    def best_of_3(count):
+        stream = BitString()
+        for part in parts[:count]:
+            stream = stream + part
+        runs = timeit.repeat(lambda: decode_prefix_free_stream(stream), number=1, repeat=3)
+        return min(runs)
+
+    assert best_of_3(16_000) / best_of_3(2_000) < 20
 
 
 class TestComplement:

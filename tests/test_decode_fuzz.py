@@ -1,18 +1,27 @@
 """Fuzzed decoding: any bits either fail with a typed error or re-encode to themselves."""
 
+from unittest import mock
+
 import hypothesis.strategies as st
-from hypothesis import given
+import pytest
+from hypothesis import given, settings
 
 from lexdec import (
+    NAN,
     BitString,
+    DecimalValue,
     DecodeError,
     ExponentLimitError,
+    ExponentSign,
     Kind,
+    ScientificForm,
+    Sign,
     decode,
     decode_prefix_free_stream,
     encode,
     encode_prefix_free,
 )
+from lexdec import codec
 
 from strategies import decimal_values
 
@@ -99,3 +108,69 @@ def test_from_bytes(data, pad):
     check_decode(text, trim=False)
     check_decode(text, trim=True)
     check_stream(text)
+
+
+@st.composite
+def long_values(draw):
+    """Finite values of 100 to 1,000 digits, longer than the stream
+    splitter's first window."""
+    digits = str(draw(st.integers(10**98, 10**999 - 1))) + str(draw(st.integers(1, 9)))
+    exponent = draw(st.integers(0, 10**6))
+    negative_exponent = exponent > 0 and draw(st.booleans())
+    form = ScientificForm(
+        sign=draw(st.sampled_from(Sign)),
+        exponent_sign=ExponentSign.NEGATIVE if negative_exponent else ExponentSign.NON_NEGATIVE,
+        exponent=exponent,
+        digits=digits,
+    )
+    return DecimalValue.finite(form)
+
+
+def stream_outcome(text: str):
+    """The values a stream splits into, or its error's type, kind and position."""
+    try:
+        return decode_prefix_free_stream(BitString(text))
+    except DecodeError as error:
+        return type(error), error.kind, error.position
+    except ExponentLimitError as error:
+        return type(error), str(error)
+
+
+@pytest.mark.parametrize(
+    "window_bytes", [codec._WINDOW_BYTES, 1], ids=["first-window", "one-byte-window"]
+)
+@pytest.mark.parametrize("offset", range(8))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_stream_reads_through_windows(window_bytes, offset, data):
+    # A one-byte first window makes nearly every read retry.
+    with mock.patch.object(codec, "_WINDOW_BYTES", window_bytes):
+        check_stream_windows(offset, data)
+
+
+def check_stream_windows(offset, data):
+    # NaN is 3 bits and 3 is its own inverse mod 8, so 3 * offset % 8 NaNs in
+    # front put the first long value at bit ``offset`` of a byte.
+    values = [NAN] * (3 * offset % 8) + data.draw(st.lists(long_values(), min_size=1, max_size=4))
+    texts = [encode_prefix_free(value).to_text() for value in values]
+    assert decode_prefix_free_stream(BitString("".join(texts))) == values
+
+    # Flip one bit of value k, or cut the stream inside it. From there on the
+    # stream holds the same bits as ``rest``, read alone from bit 0, so it
+    # must split the same way, its errors shifted by the bits before value k.
+    k = data.draw(st.integers(3 * offset % 8, len(values) - 1))
+    before = "".join(texts[:k])
+    i = data.draw(st.integers(0, len(texts[k]) - 1))
+    if data.draw(st.booleans()):
+        flipped = texts[k][:i] + "10"[int(texts[k][i])] + texts[k][i + 1 :]
+        rest = flipped + "".join(texts[k + 1 :])
+    else:
+        rest = texts[k][:i]
+    expected = stream_outcome(rest)
+    got = stream_outcome(before + rest)
+    if isinstance(expected, list):
+        assert got == values[:k] + expected
+    elif expected[0] is DecodeError:
+        assert got == (DecodeError, expected[1], expected[2] + len(before))
+    else:
+        assert got == expected

@@ -10,8 +10,8 @@ import hypothesis.strategies as st
 from lexdec import BitString, DecodeError, DecodeErrorKind, lex_compare
 from lexdec.bits import BitCursor
 from lexdec.codec import (
-    _exponent_payload,
-    _exponent_run,
+    _read_payload,
+    _read_run,
     decode_exponent,
     encode_exponent,
     exponent_field,
@@ -42,10 +42,12 @@ def field_bits(exponent, invert):
     return BitString._raw(*exponent_field(exponent, invert))
 
 
-def read_field(text, position=0):
-    """``(exponent, inverted, end)`` of the field at ``position``, by the text reader."""
-    inverted, run, position = _exponent_run(text, position)
-    exponent, end = _exponent_payload(text, position, inverted, run)
+def read_field(bits, position=0):
+    """``(exponent, inverted, end)`` of the field at ``position`` in a bit
+    string, by the decoder's integer reader."""
+    value, length = bits._value, bits._length
+    inverted, run, position = _read_run(value, length, position)
+    exponent, end = _read_payload(value, length, position, inverted, run)
     return exponent, inverted, end
 
 
@@ -61,13 +63,13 @@ def test_decode_examples():
         ("011", 0, True),
     ]:
         # Trailing junk must not be read.
-        assert read_field(text + "111") == (exponent, inverted, len(text))
+        assert read_field(BitString(text + "111")) == (exponent, inverted, len(text))
 
 
 def test_decode_truncation():
     for text in ["11", "1101", "", "0010"]:
         with pytest.raises(DecodeError) as exc:
-            read_field(text)
+            read_field(BitString(text))
         assert exc.value.kind is DecodeErrorKind.TRUNCATED_INPUT
 
 
@@ -124,14 +126,14 @@ def test_encode_exponent_rejects_negative(exponent, invert):
 def test_round_trip_exhaustive_to_one_million():
     for exponent in range(10**6 + 1):
         for invert in (False, True):
-            text = field_text(exponent, invert)
-            assert read_field(text) == (exponent, invert, len(text))
+            bits = field_bits(exponent, invert)
+            assert read_field(bits) == (exponent, invert, len(bits))
 
 
 @given(st.integers(10**6, 10**30), st.booleans())
 def test_round_trip_large_sampled(exponent, invert):
-    text = field_text(exponent, invert)
-    assert read_field(text) == (exponent, invert, len(text))
+    bits = field_bits(exponent, invert)
+    assert read_field(bits) == (exponent, invert, len(bits))
 
 
 @given(st.integers(0, 10**9), st.integers(0, 10**9))
@@ -172,11 +174,10 @@ def test_concatenations_split_unambiguously():
         stream = BitString("")
         for e in exponents:
             stream = stream + field_bits(e, invert)
-        text = stream.to_text()
         decoded = []
         position = 0
-        while position < len(text):
-            exponent, _, position = read_field(text, position)
+        while position < len(stream):
+            exponent, _, position = read_field(stream, position)
             decoded.append(exponent)
         assert decoded == exponents
 

@@ -20,7 +20,7 @@ from .codec import (
     exponent_field_length,
     fixed_width_key,
 )
-from .decimal_values import Kind, parse_decimal, render_decimal
+from .decimal_values import _FINITE, parse_decimal, render_decimal
 from .errors import DecodeError, ExponentLimitError, ParseError
 from .selftest import run_selftest
 
@@ -99,7 +99,7 @@ def _input_values(args_values: list[str]) -> list[str]:
 def _group_bits(value, bits: BitString) -> str:
     """Space the fields of an untrimmed canonical encoding for readability."""
     text = bits.to_text()
-    if value.kind is not Kind.FINITE:
+    if value.kind is not _FINITE:
         return text
     width = 2 + exponent_field_length(value.form.exponent)  # sign header and exponent field
     cuts = [0, 2, width, *range(width + TETRADE_BITS, len(text) + 1, DECLET_BITS)]
@@ -167,22 +167,21 @@ def _cmd_cmp(args) -> int:
 
 
 def _cmd_sort(args) -> int:
-    lines = [line.rstrip("\n") for line in sys.stdin]
     entries = []
-    for number, line in enumerate(lines, start=1):
-        if not line.strip():
+    for number, line in enumerate(sys.stdin.readlines(), start=1):
+        text = line.strip()
+        if not text:
             continue
         try:
-            value = parse_decimal(line.strip())
+            value = parse_decimal(text)
         except (ParseError, ExponentLimitError) as exc:
             print(f"line {number}: {exc}", file=sys.stderr)
             return EXIT_USAGE
         # Sorting key is the encoding alone; '0'/'1' text comparison is
         # exactly the full lexicographic bit order.
-        entries.append((encode(value).to_text(), line))
+        entries.append((encode(value).to_text(), line.rstrip("\n")))
     entries.sort(key=lambda pair: pair[0])
-    for _, line in entries:
-        print(line)
+    sys.stdout.write("".join([line + "\n" for _, line in entries]))
     return EXIT_OK
 
 
@@ -192,7 +191,7 @@ def _cmd_bench_size(args) -> int:
     if args.samples > BENCH_MAX_SAMPLES:
         raise _UsageError(f"--samples must be at most {BENCH_MAX_SAMPLES}")
     maximum = parse_decimal(args.max, max_exponent=10**6)
-    if maximum.kind is not Kind.FINITE or maximum.form.sign < 0:
+    if maximum.kind is not _FINITE or maximum.form.sign < 0:
         raise _UsageError("--max must be a positive integer")
     # Sampling cost grows fast with the digit count, and int() refuses text
     # past 4,300 digits, so the bound is checked before any conversion.

@@ -29,15 +29,14 @@ zero-pads the canonical encoding to a fixed number of bits so that plain
 bytewise comparison of the keys reproduces numeric order on stores that only
 compare equal-length binaries.
 
-Encoding works on integers: one layout step lists a value's fields, and one
-packer shifts them into a single int, wrapped once as a :class:`BitString`.
-The layout cuts the significand's digit text into three-character slices
-and looks each one up in ``_DECLET_VALUE``, so no step converts the whole
-text at once; the decoder turns declets back into text with its inverse,
-``_DECLET_TEXT``. One table pair serves both directions. A fixed-width
-key is the canonical encoding's integer shifted to the key width. The
-complement to ten is one step on those declet integers, used by the encoder
-and the decoder alike.
+Encoding writes the significand as ``0``/``1`` text, the tetrade and each
+three-digit group looked up in a table, and reads that text with one
+``int(text, 2)``, which is linear in the text's length and not subject to
+``int()``'s 4,300-digit limit on decimal text. The head (sign header and
+exponent field) is shifted in front, and the integer is wrapped once as a
+:class:`BitString`. A fixed-width key is the canonical encoding's integer
+shifted to the key width. A negative value's complement to ten is the nines'
+complement of its digit text plus one in the last place.
 
 The prefix-free form is the canonical form with a continuation bit in front
 of each declet and a 0 at the end. So one packer and one significand reader
@@ -48,11 +47,12 @@ Decoding reads the input's integer and its width in bits, never its
 ``0``/``1`` text. The header is a shift; the exponent field's run ends where
 ``bit_length()`` of the rest of the input (or of its complement) says; the
 payload and the significand are a shift and a mask each, and the declets are
-cut by shifts. Under prefix-free framing the chain of groups ends at the
-highest set bit of the group-leading bits that are 0, found in one step.
-Long significands are joined and cut by halves, so they encode and decode in
-n log n time. A stream is read through byte windows of its packed form, so
-splitting it stays linear.
+cut by shifts, turned back into text through ``_DECLET_TEXT`` and, for a
+negative value, complemented to ten as integers. Under prefix-free framing
+the chain of groups ends at the highest set bit of the group-leading bits
+that are 0, found in one step. Long significands encode in linear time and
+are cut by halves, so they decode in n log n time. A stream is read through
+byte windows of its packed form, so splitting it stays linear.
 """
 
 from __future__ import annotations
@@ -67,11 +67,14 @@ from .decimal_values import (
     NEGATIVE_ZERO,
     POSITIVE_INFINITY,
     POSITIVE_ZERO,
+    _EXPONENT_NEGATIVE,
+    _EXPONENT_NON_NEGATIVE,
+    _FINITE,
+    _NEGATIVE,
+    _POSITIVE,
     DecimalValue,
-    ExponentSign,
     Kind,
     ScientificForm,
-    Sign,
 )
 from .errors import DecodeError, DecodeErrorKind, ExponentLimitError, KeyWidthError
 
@@ -195,7 +198,7 @@ def encode_significand(digits: str, negative: bool) -> BitString:
     if not digits or (negative and digits[-1] not in "123456789"):
         raise ValueError("need digits; a negative significand's last one must be in 1..9")
     try:
-        return _pack(0, 0, *_significand_layout(digits, negative))
+        return _pack(0, 0, digits, negative)
     except KeyError:
         raise ValueError("significand digits must be ASCII 0-9") from None
 
@@ -205,7 +208,7 @@ def encode(value: DecimalValue, *, trim: bool = False) -> BitString:
     encodings are removed (the decoder re-pads them)."""
     if not isinstance(value, DecimalValue):
         raise TypeError(f"encode takes a DecimalValue, not {type(value).__name__}")
-    if value.kind is not Kind.FINITE:
+    if value.kind is not _FINITE:
         return SPECIAL_ENCODINGS[value.kind]
     bits = _pack(*_layout(value.form))
     # Safe: the significand always contains a one bit, so the header and
@@ -222,7 +225,7 @@ def encode_prefix_free(value: DecimalValue) -> BitString:
     """
     if not isinstance(value, DecimalValue):
         raise TypeError(f"encode_prefix_free takes a DecimalValue, not {type(value).__name__}")
-    if value.kind is not Kind.FINITE:
+    if value.kind is not _FINITE:
         return SPECIAL_ENCODINGS[value.kind]
     return _pack(*_layout(value.form), continued=True)
 
@@ -248,7 +251,7 @@ def fixed_width_key(value: DecimalValue, width_bits: int) -> FixedWidthKey:
     """
     if width_bits < 8 or width_bits % 8:
         raise ValueError("width_bits must be a positive multiple of 8")
-    if isinstance(value, DecimalValue) and value.kind is Kind.FINITE:
+    if isinstance(value, DecimalValue) and value.kind is _FINITE:
         layout = _layout(value.form)
         fixed_fields = layout[1] + TETRADE_BITS
         if fixed_fields > width_bits:
@@ -265,24 +268,13 @@ def fixed_width_key(value: DecimalValue, width_bits: int) -> FixedWidthKey:
     return FixedWidthKey(data=data, width_bits=width_bits)
 
 
-def _layout(form: ScientificForm) -> tuple[int, int, int, list[int]]:
+def _layout(form: ScientificForm) -> tuple[int, int, str, bool]:
     """A finite value's fields: the sign header and exponent field as one
-    integer and its width, the stored tetrade digit and the stored declets
-    (three digits each, the last zero-padded)."""
-    negative = form.sign is Sign.NEGATIVE
+    integer and its width, the significand's digit text and its sign."""
+    negative = form.sign is _NEGATIVE
     field, width = exponent_field(form.exponent, form.sign != form.exponent_sign)
     head = (_HEADER_NEGATIVE if negative else _HEADER_POSITIVE) << width | field
-    return (head, width + 2, *_significand_layout(form.digits, negative))
-
-
-def _significand_layout(digits: str, negative: bool) -> tuple[int, list[int]]:
-    padded = digits + "00"  # zero-pads the last group to three digits
-    declets = [
-        _DECLET_VALUE[padded[i : i + DECLET_DIGITS]] for i in range(1, len(digits), DECLET_DIGITS)
-    ]
-    if negative:
-        return _complement(int(digits[0]), declets)
-    return int(digits[0]), declets
+    return head, width + 2, form.digits, negative
 
 
 def _complement(first: int, declets: list[int]) -> tuple[int, list[int]]:
@@ -301,41 +293,37 @@ def _digit_text(first: int, declets: list[int]) -> str:
     return str(first) + "".join([_DECLET_TEXT[declet] for declet in declets])
 
 
-# Lookups beat formatting and int(): a declet's three digits, and back.
+# Lookups beat formatting and int(): a declet's three digits, and the
+# 0/1 text of a digit's tetrade and of a three-digit group's declet.
 _DECLET_TEXT = tuple(f"{declet:03d}" for declet in range(1000))
-_DECLET_VALUE = {text: declet for declet, text in enumerate(_DECLET_TEXT)}
+_TETRADE_CODE = {str(digit): f"{digit:04b}" for digit in range(10)}
+_DECLET_CODE = {text: f"{declet:010b}" for declet, text in enumerate(_DECLET_TEXT)}
+_NINES = str.maketrans("0123456789", "9876543210")
 
 
-def _pack(head: int, width: int, tetrade: int, declets: list[int], continued=False) -> BitString:
-    """Shift the fields into one integer, wrapped once as a bit string.
+def _pack(head: int, width: int, digits: str, negative: bool, continued=False) -> BitString:
+    """The ``width``-bit ``head`` followed by the significand ``digits``,
+    packed into one integer and wrapped once as a bit string.
+
+    The tetrade and the zero-padded groups are joined as 0/1 text and read
+    by one ``int(text, 2)``. A negative value stores ``10 - m``: the nines'
+    complement of the zero-padded digits, then one more. The one never
+    carries out of the last stored group: m's last group is not zero, so its
+    complement is at most 998, and a lone tetrade's is at most 8.
 
     ``continued`` puts a 1 in front of each declet, making 11-bit groups, and
     a 0 after the last group: a continuation bit after the tetrade and after
     each declet, 1 while another declet follows.
     """
-    if continued:
-        declets = [1 << DECLET_BITS | declet for declet in declets]
-    stride = DECLET_BITS + continued
-    bits = _append_groups(head << TETRADE_BITS | tetrade, declets, stride)
-    length = width + TETRADE_BITS + stride * len(declets) + continued
-    return BitString._raw(bits << continued, length)
-
-
-def _append_groups(bits: int, groups: list[int], stride: int) -> int:
-    """``bits`` followed by each group on ``stride`` bits.
-
-    A long run is halved first, as :func:`_cut_declets` cuts one, so that the
-    shifts act on short integers: a long significand costs n log n, not n
-    squared.
-    """
-    count = len(groups)
-    if count > 64:
-        low = count // 2
-        high = _append_groups(bits, groups[: count - low], stride)
-        return high << stride * low | _append_groups(0, groups[count - low :], stride)
-    for group in groups:
-        bits = bits << stride | group
-    return bits
+    padded = digits + "00"  # zero-pads the last group to three digits
+    if negative:
+        padded = padded.translate(_NINES)
+    groups = [
+        _DECLET_CODE[padded[i : i + DECLET_DIGITS]] for i in range(1, len(digits), DECLET_DIGITS)
+    ]
+    text = ("1" if continued else "").join([_TETRADE_CODE[padded[0]], *groups])
+    bits = (head << len(text) | int(text, 2)) + negative
+    return BitString._raw(bits << continued, width + len(text) + continued)
 
 
 def decode(
@@ -418,14 +406,13 @@ def decode_prefix_free_stream(
 
 
 # Framings: where a value ends, its significand's last group, and its special
-# values. They are plain ints, and the signs below are read from tuples,
-# because reading an enum member off its class calls a descriptor on
-# Python 3.11.
+# values. They are plain ints; the signs are read from tuples of the enum
+# members that decimal_values keeps as module constants.
 _TO_END = 0  # at the end of input; a short all-zero tail is padding
 _REPADDED = 1  # at the end of input; a short last group is zero-extended
 _CONTINUATION = 2  # a bit after each group: 1 while more groups follow
-_SIGNS = (Sign.POSITIVE, Sign.NEGATIVE)  # indexed by "negative"
-_EXPONENT_SIGNS = (ExponentSign.NON_NEGATIVE, ExponentSign.NEGATIVE)  # by "signs differ"
+_SIGNS = (_POSITIVE, _NEGATIVE)  # indexed by "negative"
+_EXPONENT_SIGNS = (_EXPONENT_NON_NEGATIVE, _EXPONENT_NEGATIVE)  # by "signs differ"
 
 
 def _read_value(
@@ -582,7 +569,7 @@ def canonical_bit_length(value: DecimalValue) -> int:
     """
     if not isinstance(value, DecimalValue):
         raise TypeError(f"canonical_bit_length takes a DecimalValue, not {type(value).__name__}")
-    if value.kind is not Kind.FINITE:
+    if value.kind is not _FINITE:
         return len(SPECIAL_ENCODINGS[value.kind])
     form = value.form
     declets = (len(form.digits) - 1 + DECLET_DIGITS - 1) // DECLET_DIGITS

@@ -52,6 +52,24 @@ class ExponentSign(enum.IntEnum):
     NON_NEGATIVE = 1
 
 
+class Kind(enum.Enum):
+    FINITE = "finite"
+    POSITIVE_ZERO = "positive zero"
+    NEGATIVE_ZERO = "negative zero"
+    POSITIVE_INFINITY = "positive infinity"
+    NEGATIVE_INFINITY = "negative infinity"
+    NAN = "nan"
+
+
+# Python 3.11 serves an enum member read off its class, such as
+# ``Kind.FINITE``, through a descriptor, at about ten times the cost of
+# reading a module global; the per-value paths read these constants instead.
+_NEGATIVE = Sign.NEGATIVE
+_POSITIVE = Sign.POSITIVE
+_EXPONENT_NEGATIVE = ExponentSign.NEGATIVE
+_EXPONENT_NON_NEGATIVE = ExponentSign.NON_NEGATIVE
+_FINITE = Kind.FINITE
+
 # Not \d, which also matches non-ASCII digits such as "٣".
 _CANONICAL_DIGITS = re.compile(r"[1-9](?:[0-9]*[1-9])?")
 
@@ -79,7 +97,7 @@ class ScientificForm:
             )
         if self.exponent < 0:
             raise ValueError("exponent must be non-negative")
-        if self.exponent == 0 and self.exponent_sign is ExponentSign.NEGATIVE:
+        if self.exponent == 0 and self.exponent_sign is _EXPONENT_NEGATIVE:
             raise ValueError("zero exponent must carry the non-negative sign")
 
     @classmethod
@@ -99,15 +117,6 @@ class ScientificForm:
         return int(self.exponent_sign) * self.exponent
 
 
-class Kind(enum.Enum):
-    FINITE = "finite"
-    POSITIVE_ZERO = "positive zero"
-    NEGATIVE_ZERO = "negative zero"
-    POSITIVE_INFINITY = "positive infinity"
-    NEGATIVE_INFINITY = "negative infinity"
-    NAN = "nan"
-
-
 @dataclass(frozen=True, slots=True)
 class DecimalValue:
     """A finite decimal in canonical form, or one of the special values."""
@@ -116,23 +125,23 @@ class DecimalValue:
     form: ScientificForm | None = None
 
     def __post_init__(self):
-        if (self.kind is Kind.FINITE) != (self.form is not None):
+        if (self.kind is _FINITE) != (self.form is not None):
             raise ValueError("exactly the finite variant carries a form")
 
     @classmethod
     def finite(cls, form: ScientificForm) -> "DecimalValue":
-        return cls(Kind.FINITE, form)
+        return cls(_FINITE, form)
 
     @classmethod
     def _finite(cls, form: ScientificForm) -> "DecimalValue":
         """Build the finite variant without the check, for producers of canonical forms."""
         value = object.__new__(cls)
-        _set_kind(value, Kind.FINITE)
+        _set_kind(value, _FINITE)
         _set_form(value, form)
         return value
 
     def is_finite(self) -> bool:
-        return self.kind is Kind.FINITE
+        return self.kind is _FINITE
 
 
 # The unchecked builders write the fields of frozen instances through the
@@ -151,6 +160,19 @@ POSITIVE_INFINITY = DecimalValue(Kind.POSITIVE_INFINITY)
 NEGATIVE_INFINITY = DecimalValue(Kind.NEGATIVE_INFINITY)
 NAN = DecimalValue(Kind.NAN)
 
+_SPECIAL_TEXT = {
+    Kind.POSITIVE_ZERO: "0",
+    Kind.NEGATIVE_ZERO: "-0",
+    Kind.POSITIVE_INFINITY: "INF",
+    Kind.NEGATIVE_INFINITY: "-INF",
+    Kind.NAN: "NaN",
+}
+# A finite value ranks -1 or 1 by its sign; NaN has no rank.
+_SPECIAL_RANK = {
+    Kind.NEGATIVE_INFINITY: -2, Kind.POSITIVE_INFINITY: 2, Kind.NAN: None,
+    Kind.POSITIVE_ZERO: 0, Kind.NEGATIVE_ZERO: 0,
+}
+
 
 def parse_decimal(text: str, *, max_exponent: int = DEFAULT_MAX_EXPONENT) -> DecimalValue:
     """Parse a decimal numeral into its unique canonical value.
@@ -165,22 +187,22 @@ def parse_decimal(text: str, *, max_exponent: int = DEFAULT_MAX_EXPONENT) -> Dec
     ``max_exponent``, and :class:`TypeError` when ``text`` is not a ``str``.
     """
     try:
-        upper = text.upper()
         match = _NUMERAL.match(text)
-    except (AttributeError, TypeError):
+    except TypeError:
         raise TypeError(f"parse_decimal takes a str, not {type(text).__name__}") from None
-    if upper in ("INF", "+INF"):
-        return POSITIVE_INFINITY
-    if upper == "-INF":
-        return NEGATIVE_INFINITY
-    if upper == "NAN":
-        return NAN
-
-    if not text:
-        raise ParseError("empty input", 0)
     # An absent part's group is None; an empty one is a missing digit run.
     sign, int_part, frac_part, exp_sign, exp_digits = match.groups()
     if not int_part:
+        # Only text without integer digits can be a special token.
+        upper = text.upper()
+        if upper in ("INF", "+INF"):
+            return POSITIVE_INFINITY
+        if upper == "-INF":
+            return NEGATIVE_INFINITY
+        if upper == "NAN":
+            return NAN
+        if not text:
+            raise ParseError("empty input", 0)
         raise ParseError("expected digit", match.end(2))
     if frac_part == "":
         raise ParseError("expected digit after decimal point", match.end(3))
@@ -205,13 +227,13 @@ def parse_decimal(text: str, *, max_exponent: int = DEFAULT_MAX_EXPONENT) -> Dec
     if magnitude and (len(magnitude) > bound.bit_length() or 10 ** (len(magnitude) - 1) > bound):
         raise ExponentLimitError._of_digits(len(magnitude), max_exponent)
     leading = len(digit_text) - len(digit_text.lstrip("0"))
-    signed_exponent = int((exp_sign or "") + (magnitude or "0")) + len(int_part) - 1 - leading
+    signed_exponent = _int_of((exp_sign or "") + (magnitude or "0")) + len(int_part) - 1 - leading
     if abs(signed_exponent) > max_exponent:
         raise ExponentLimitError(signed_exponent, max_exponent)
 
     form = ScientificForm._raw(
-        Sign.NEGATIVE if negative else Sign.POSITIVE,
-        ExponentSign.NEGATIVE if signed_exponent < 0 else ExponentSign.NON_NEGATIVE,
+        _NEGATIVE if negative else _POSITIVE,
+        _EXPONENT_NEGATIVE if signed_exponent < 0 else _EXPONENT_NON_NEGATIVE,
         abs(signed_exponent),
         significant,
     )
@@ -232,27 +254,18 @@ def render_decimal(value: DecimalValue) -> str:
     except AttributeError:
         name = type(value).__name__
         raise TypeError(f"render_decimal takes a DecimalValue, not {name}") from None
-    match kind:
-        case Kind.POSITIVE_ZERO:
-            return "0"
-        case Kind.NEGATIVE_ZERO:
-            return "-0"
-        case Kind.POSITIVE_INFINITY:
-            return "INF"
-        case Kind.NEGATIVE_INFINITY:
-            return "-INF"
-        case Kind.NAN:
-            return "NaN"
+    if kind is not _FINITE:
+        return _SPECIAL_TEXT[kind]
 
     form = value.form
-    prefix = "-" if form.sign is Sign.NEGATIVE else ""
+    prefix = "-" if form.sign is _NEGATIVE else ""
     digits = form.digits
-    exponent = form.signed_exponent
+    exponent = form.exponent_sign * form.exponent
 
     if abs(exponent) > _SCIENTIFIC_THRESHOLD:
         if len(digits) == 1:
-            return f"{prefix}{digits}E{exponent}"
-        return f"{prefix}{digits[0]}.{digits[1:]}E{exponent}"
+            return f"{prefix}{digits}E{_text_of(exponent)}"
+        return f"{prefix}{digits[0]}.{digits[1:]}E{_text_of(exponent)}"
 
     if exponent >= len(digits) - 1:
         return prefix + digits + "0" * (exponent - (len(digits) - 1))
@@ -273,9 +286,9 @@ def compare_numeric(a: DecimalValue, b: DecimalValue) -> int | None:
     except AttributeError:
         names = f"{type(a).__name__} and {type(b).__name__}"
         raise TypeError(f"compare_numeric takes two DecimalValues, not {names}") from None
-    if a_kind is Kind.NAN or b_kind is Kind.NAN:
+    ra, rb = _rank(a_kind, a.form), _rank(b_kind, b.form)
+    if ra is None or rb is None:
         return None
-    ra, rb = _rank(a), _rank(b)
     if ra != rb:
         return -1 if ra < rb else 1
     if ra == 0 or a.form is None:
@@ -284,24 +297,41 @@ def compare_numeric(a: DecimalValue, b: DecimalValue) -> int | None:
     return magnitude if ra > 0 else -magnitude
 
 
-def _rank(value: DecimalValue) -> int:
-    # -2: -INF, -1: negative finite, 0: zeros, 1: positive finite, 2: +INF
-    match value.kind:
-        case Kind.NEGATIVE_INFINITY:
-            return -2
-        case Kind.POSITIVE_INFINITY:
-            return 2
-        case Kind.POSITIVE_ZERO | Kind.NEGATIVE_ZERO:
-            return 0
-    return -1 if value.form.sign is Sign.NEGATIVE else 1
+def _rank(kind: Kind, form: ScientificForm | None) -> int | None:
+    if kind is not _FINITE:
+        return _SPECIAL_RANK[kind]
+    return -1 if form.sign is _NEGATIVE else 1
 
 
 def _compare_magnitude(a: ScientificForm, b: ScientificForm) -> int:
-    if a.signed_exponent != b.signed_exponent:
-        return -1 if a.signed_exponent < b.signed_exponent else 1
+    a_exponent = a.exponent_sign * a.exponent
+    b_exponent = b.exponent_sign * b.exponent
+    if a_exponent != b_exponent:
+        return -1 if a_exponent < b_exponent else 1
     # Canonical texts have no trailing zeros, so text order is numeric order:
     # a proper prefix is the smaller significand, since the longer text has a
     # non-zero digit where the prefix has only implied zeros.
     if a.digits != b.digits:
         return -1 if a.digits < b.digits else 1
     return 0
+
+
+def _int_of(text: str) -> int:
+    """``int(text)``, also past the 4,300 digits that ``int()`` reads as decimal
+    text; the :mod:`decimal` conversion has no such limit."""
+    try:
+        return int(text)
+    except ValueError:
+        from decimal import Decimal
+
+        return int(Decimal(text))
+
+
+def _text_of(number: int) -> str:
+    """``str(number)``, also past the 4,300 digits that ``str()`` writes."""
+    try:
+        return str(number)
+    except ValueError:
+        from decimal import Decimal
+
+        return str(Decimal(number))

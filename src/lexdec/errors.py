@@ -29,7 +29,7 @@ class ExponentLimitError(ValueError):
     def __init__(self, exponent: int, limit: int):
         # A decoded exponent can have more digits than Python will render.
         shown = exponent if exponent.bit_length() <= 64 else f"of {exponent.bit_length()} bits"
-        super().__init__(f"exponent magnitude {shown} exceeds limit {limit}")
+        super().__init__(f"exponent magnitude {shown} exceeds limit {_limit_text(limit)}")
         self.exponent = exponent
         self.limit = limit
 
@@ -37,10 +37,19 @@ class ExponentLimitError(ValueError):
     def _of_digits(cls, count: int, limit: int) -> "ExponentLimitError":
         """The error for an exponent of ``count`` digits, never converted."""
         error = cls.__new__(cls)
-        ValueError.__init__(error, f"exponent magnitude of {count} digits exceeds limit {limit}")
+        message = f"exponent magnitude of {count} digits exceeds limit {_limit_text(limit)}"
+        ValueError.__init__(error, message)
         error.exponent = None
         error.limit = limit
         return error
+
+
+def _limit_text(limit: int) -> str:
+    """The limit's digits, or its bit count past the 4,300 digits ``str()`` writes."""
+    try:
+        return str(limit)
+    except ValueError:
+        return f"of {limit.bit_length()} bits"
 
 
 class KeyWidthError(ValueError):

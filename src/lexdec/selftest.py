@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .bits import BitString, lex_compare
-from .codec import _complement, _significand_layout, decode, encode
+from .codec import DECLET_BITS, TETRADE_BITS, _complement, _cut_declets
+from .codec import decode, encode, encode_significand
 from .decimal_values import (
     NAN,
     NEGATIVE_INFINITY,
@@ -123,7 +124,10 @@ def run_selftest(
         if lex_compare(enc_x, encoded(y)) != compare_numeric(x, y):
             return _failure(cases, "order agreement", x, y)
 
-        layout = _significand_layout(x.form.digits, False)
+        # The stored groups, as the decoder cuts them from the packed significand.
+        bits = encode_significand(x.form.digits, False)
+        count = (len(bits) - TETRADE_BITS) // DECLET_BITS
+        layout = bits._value >> DECLET_BITS * count, _cut_declets(bits._value, count, DECLET_BITS)
         if _complement(*_complement(*layout)) != layout:
             return _failure(cases, "complement involution", x)
 

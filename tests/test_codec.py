@@ -4,12 +4,14 @@ import functools
 import importlib
 import re
 import timeit
+import types
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
+import lexdec.cli
 from lexdec import (
     NAN,
     NEGATIVE_INFINITY,
@@ -18,6 +20,7 @@ from lexdec import (
     POSITIVE_ZERO,
     BitString,
     DEFAULT_MAX_EXPONENT,
+    DecimalValue,
     DecodeError,
     DecodeErrorKind,
     ExponentLimitError,
@@ -38,8 +41,9 @@ from lexdec import (
 from lexdec.bits import BitCursor
 from lexdec.codec import (
     _complement,
+    _cut_declets,
     _digit_text,
-    _significand_layout,
+    _pack,
     decode_significand,
     encode_significand,
 )
@@ -406,7 +410,7 @@ class TestSignificand:
         bits = encode_significand(digits, negative)
         assert decode_significand(BitCursor(bits), negative=negative) == digits
 
-    @pytest.mark.parametrize("digits", ["1\u0663", "12 3", "1_23", "1a"])
+    @pytest.mark.parametrize("digits", ["1\u0663", "12 3", "1_23", "1a", "\u0663"])
     def test_encode_rejects_what_is_not_ascii_digits(self, digits):
         with pytest.raises(ValueError, match="^significand digits must be ASCII 0-9$"):
             encode_significand(digits, False)
@@ -474,42 +478,64 @@ def test_stream_split_time_grows_near_linearly_in_values():
     assert best_of_3(16_000) / best_of_3(2_000) < 20
 
 
+def stored_groups(digits, negative):
+    """The tetrade digit and declets that the decoder cuts from the packed significand."""
+    bits = encode_significand(digits, negative)
+    count = (len(bits) - 4) // 10
+    return bits._value >> 10 * count, _cut_declets(bits._value, count, 10)
+
+
 class TestComplement:
-    """The complement to ten on the layout's tetrade digit and declets."""
+    """The complement to ten on the stored tetrade digit and declets."""
 
     def test_examples(self):
         for digits, stored in [("1032", "8968"), ("405", "595"), ("9", "1"), ("15", "85")]:
-            layout = _complement(*_significand_layout(digits, False))
+            layout = _complement(*stored_groups(digits, False))
             assert _digit_text(*layout)[: len(digits)] == stored
-            assert layout == _significand_layout(digits, True)
+            assert layout == stored_groups(digits, True)
 
     @given(canonical_digits())
     def test_involution(self, digits):
-        layout = _significand_layout(digits, False)
+        layout = stored_groups(digits, False)
         assert _complement(*_complement(*layout)) == layout
 
 
-def int_slice_layout(digits, negative):
-    """The layout as ``int()`` on each three-digit slice builds it."""
+def shifted_significand(digits, negative, continued):
+    """The significand packed by shifts from ``int()`` of each three-digit slice."""
     padded = digits + "00"
     declets = [int(padded[i : i + 3]) for i in range(1, len(digits), 3)]
-    return _complement(int(digits[0]), declets) if negative else (int(digits[0]), declets)
+    bits, declets = _complement(int(digits[0]), declets) if negative else (int(digits[0]), declets)
+    for declet in declets:
+        bits = bits << 10 + continued | continued << 10 | declet
+    return BitString._raw(bits << continued, 4 + (10 + continued) * len(declets) + continued)
+
+
+def assert_packs_as_shifted(digits, negative):
+    assert encode_significand(digits, negative) == shifted_significand(digits, negative, False)
+    prefix_free = _pack(0, 0, digits, negative, continued=True)
+    assert prefix_free == shifted_significand(digits, negative, True)
 
 
 class TestDecletTable:
-    """The layout's table lookups agree with converting each slice by ``int()``."""
+    """The packer's 0/1 text tables agree with shifting in each slice's ``int()``,
+    in canonical and prefix-free framing."""
 
     @pytest.mark.parametrize("negative", [False, True])
     def test_every_three_digit_text(self, negative):
         for declet in range(1000):
             text = f"{declet:03d}"
-            # Whole, and cut short so that the padding fills the group.
+            # Whole, and cut short so that the padding fills the group. A
+            # negative significand must end in 1-9; followed by a 1, every
+            # group's complement is still looked up.
             for digits in ("7" + text, "7" + text[:2], "7" + text[:1], "7" + text + "1"):
-                assert _significand_layout(digits, negative) == int_slice_layout(digits, negative)
+                if not (negative and digits.endswith("0")):
+                    assert_packs_as_shifted(digits, negative)
 
     @given(canonical_digits(max_digits=60), st.booleans())
+    @example("9" + "0123456789" * 440 + "1", False)  # past int()'s 4,300 digits
+    @example("9" + "0123456789" * 440 + "1", True)
     def test_digit_texts(self, digits, negative):
-        assert _significand_layout(digits, negative) == int_slice_layout(digits, negative)
+        assert_packs_as_shifted(digits, negative)
 
 
 class TestRoundTrip:
@@ -577,6 +603,41 @@ def test_readme_lists_exactly_the_public_names():
     listed = re.findall(r"`(\w+)`", library.split("(`lexdec.__all__`):", 1)[1])
     assert sorted(listed) == sorted(lexdec.__all__)
     assert len(lexdec.__all__) == len(set(lexdec.__all__)) == 28
+
+
+def code_objects(code):
+    """``code`` and every code object nested in it, comprehensions included."""
+    yield code
+    for constant in code.co_consts:
+        if isinstance(constant, types.CodeType):
+            yield from code_objects(constant)
+
+
+@pytest.mark.parametrize(
+    "function",
+    [
+        parse_decimal,
+        render_decimal,
+        compare_numeric,
+        DecimalValue._finite,
+        lexdec.decimal_values._rank,
+        lexdec.decimal_values._compare_magnitude,
+        encode,
+        encode_prefix_free,
+        fixed_width_key,
+        canonical_bit_length,
+        lexdec.codec._layout,
+        lexdec.codec._pack,
+        lexdec.codec._read_value,
+        lexdec.cli._group_bits,
+    ],
+    ids=lambda function: function.__qualname__,
+)
+def test_per_value_paths_read_no_enum_member_off_its_class(function):
+    # Python 3.11 serves ``Kind.FINITE`` through a descriptor; the per-value
+    # paths read module constants instead.
+    names = {name for code in code_objects(function.__code__) for name in code.co_names}
+    assert names.isdisjoint({"Kind", "Sign", "ExponentSign"})
 
 
 def test_field_internals_are_not_public():

@@ -170,6 +170,16 @@ class TestParse:
 
         assert best_of_3(10**6) / best_of_3(62_500) < 40
 
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_exponent_past_the_int_conversion_limit_under_a_higher_limit(self, sign):
+        # With a limit that admits it, a 5,000-digit exponent is converted,
+        # not refused by int()'s 4,300-digit limit on decimal text.
+        value = parse_decimal("1e" + sign + "9" * 5000, max_exponent=10**6000)
+        assert value.form.signed_exponent == int(Decimal(sign + "9" * 5000))
+        with pytest.raises(ExponentLimitError) as exc:
+            parse_decimal("1e" + "9" * 7000, max_exponent=10**6000)
+        assert str(exc.value) == "exponent magnitude of 7000 digits exceeds limit of 19932 bits"
+
     def test_leading_exponent_zeros_do_not_count(self):
         assert parse_decimal("1e" + "0" * 5000 + "5") == parse_decimal("1e5")
         assert parse_decimal("-2.5e-" + "0" * 5000 + "7") == parse_decimal("-2.5e-7")
@@ -283,6 +293,20 @@ class TestRender:
         text = render_decimal(value)
         assert "E" in text
         assert parse_decimal(text) == value
+
+    @pytest.mark.parametrize(
+        "exponent_sign",
+        [ExponentSign.NEGATIVE, ExponentSign.NON_NEGATIVE],
+        ids=["negative-exponent", "positive-exponent"],
+    )
+    def test_round_trip_with_an_exponent_past_the_int_conversion_limit(self, exponent_sign):
+        # str() and int() refuse decimal text of more than 4,300 digits.
+        exponent_text = "1234567890" * 500
+        exponent = int(Decimal(exponent_text))
+        value = DecimalValue.finite(ScientificForm(Sign.NEGATIVE, exponent_sign, exponent, "25"))
+        text = render_decimal(decode(encode(value), max_exponent=10**6000))
+        assert text == "-2.5E" + ("-" if exponent_sign < 0 else "") + exponent_text
+        assert parse_decimal(text, max_exponent=10**6000) == value
 
 
 class TestCompare:

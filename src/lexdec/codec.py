@@ -46,12 +46,16 @@ a group: 10 bits canonical and trimmed, 11 bits prefix-free.
 Decoding reads the input's integer and its width in bits, never its
 ``0``/``1`` text. The header is a shift; the exponent field's run ends where
 ``bit_length()`` of the rest of the input (or of its complement) says; the
-payload and the significand are a shift and a mask each, and the declets are
-cut by shifts, turned back into text through ``_DECLET_TEXT`` and, for a
-negative value, complemented to ten as integers. Under prefix-free framing
-the chain of groups ends at the highest set bit of the group-leading bits
-that are 0, found in one step. Long significands encode in linear time and
-are cut by halves, so they decode in n log n time. A stream is read through
+payload and the significand are a shift and a mask each. The declets are
+never cut apart: they stay slots of one integer, 10 or 11 bits apart, and a
+few whole-integer operations check them all against 999, take a negative
+value's complement to ten, and merge adjacent slots in pairs until each
+block of up to 64 declets is one base-1000 integer, written with one
+``str()`` (SIMD within a register, after Lamport's "Multiple byte processing
+with full-word instructions", CACM 1975). Under prefix-free framing the
+chain of groups ends at the highest set bit of the group-leading bits that
+are 0, found in one step. Long significands encode in linear time and are
+halved into blocks, so they decode in n log n time. A stream is read through
 byte windows of its packed form, so splitting it stays linear.
 """
 
@@ -277,27 +281,10 @@ def _layout(form: ScientificForm) -> tuple[int, int, str, bool]:
     return head, width + 2, form.digits, negative
 
 
-def _complement(first: int, declets: list[int]) -> tuple[int, list[int]]:
-    """10 - m on the zero-padded digit groups of m, which must end in a
-    non-zero group: the nines' complement of every group, plus one in the
-    last place. The carry never leaves the last group."""
-    if not declets:
-        return 10 - first, declets
-    declets = [999 - declet for declet in declets]
-    declets[-1] += 1
-    return 9 - first, declets
-
-
-def _digit_text(first: int, declets: list[int]) -> str:
-    """The tetrade digit and every declet's three digits, padding included."""
-    return str(first) + "".join([_DECLET_TEXT[declet] for declet in declets])
-
-
-# Lookups beat formatting and int(): a declet's three digits, and the
-# 0/1 text of a digit's tetrade and of a three-digit group's declet.
-_DECLET_TEXT = tuple(f"{declet:03d}" for declet in range(1000))
+# Lookups beat formatting and int(): the 0/1 text of a digit's tetrade and
+# of a three-digit group's declet.
 _TETRADE_CODE = {str(digit): f"{digit:04b}" for digit in range(10)}
-_DECLET_CODE = {text: f"{declet:010b}" for declet, text in enumerate(_DECLET_TEXT)}
+_DECLET_CODE = {f"{declet:03d}": f"{declet:010b}" for declet in range(1000)}
 _NINES = str.maketrans("0123456789", "9876543210")
 
 
@@ -481,8 +468,10 @@ def _read_significand(
 
     The groups span the rest of the input or, under continuation framing, the
     chain of groups that start with a 1: a declet every 11 bits, not every
-    10. Faults are reported in the order a reader taking one group at a time
-    would meet them: the tetrade, each declet, then the cut in the input.
+    10. Every declet is checked, complemented and turned into digits at once,
+    as slots of one integer (see :func:`_declet_digits`). Faults are reported
+    in the order a reader taking one group at a time would meet them: the
+    tetrade, the leftmost declet above 999, then the cut in the input.
     """
     size = length - start
     continued = framing == _CONTINUATION
@@ -493,14 +482,11 @@ def _read_significand(
     cut = None  # where the input stops inside a group
     if continued:
         count, spare = divmod(size - TETRADE_BITS, stride)  # whole groups, and the rest
-        whole = (1 << stride * count) - 1
-        groups = value >> spare & whole
-        # ``leading`` has a 1 at the top of each group. The first group whose
-        # top bit is 0 ends the chain; it holds the highest set bit of ``ended``.
-        leading = whole // ((1 << stride) - 1) << DECLET_BITS
-        ended = ~groups & leading
+        # The first group whose top bit is 0 ends the chain; it holds the
+        # highest set bit of ``ended``.
+        ended = ~value >> spare & _slot_ones(count, stride) << DECLET_BITS
         if ended:
-            count -= ended.bit_length() // stride
+            count -= ended.bit_length() // stride  # that group and those after it
         elif not spare:
             cut = length  # the input ends where another group could start
         elif value >> (spare - 1) & 1:
@@ -523,42 +509,119 @@ def _read_significand(
             cut = start + size - short
         bits >>= short
         group_bits -= short
+    count = group_bits // stride
     first = bits >> group_bits
     if first > 9:
         raise DecodeError(DecodeErrorKind.DIGIT_OUT_OF_RANGE, start)
-    declets = _cut_declets(bits, group_bits // stride, stride)
-    if max(declets, default=0) > 999:
-        index = next(i for i, declet in enumerate(declets) if declet > 999)
-        position = start + TETRADE_BITS + stride * (index + 1) - DECLET_BITS
+    ones, low_10, low_7, threes, bit_7 = (
+        _MASKS[stride][count] if count <= _BLOCK else _masks(_spread_ones(count, stride))
+    )
+    slots = bits & low_10  # each group's declet, without tetrade or continuation bit
+    # A declet above 999 is one whose top 7 bits are at least 125; adding 3
+    # to them sets the slot's bit 7. The highest such bit is the leftmost.
+    above = ((slots >> 3 & low_7) + threes) & bit_7
+    if above:
+        after = (above.bit_length() - 8) // stride  # the declets to its right
+        position = start + TETRADE_BITS + stride * (count - after) - DECLET_BITS
         raise DecodeError(DecodeErrorKind.DIGIT_OUT_OF_RANGE, position)
     if cut is not None:
         raise DecodeError(DecodeErrorKind.TRUNCATED_INPUT, cut)
-    while declets and not declets[-1]:
-        declets.pop()
     if negative:
+        # Drop the zero declets at the end; the lowest set bit is in the last
+        # one that stays.
+        drop = ((slots & -slots).bit_length() - 1) // stride if slots else count
+        slots >>= stride * drop
+        ones >>= stride * drop
+        count -= drop
         # Stored value must be in (0, 9] so that 10 - stored is in [1, 10).
-        if (first == 0 and not declets) or (first == 9 and declets):
+        if (first == 0 and not count) or (first == 9 and count):
             raise DecodeError(DecodeErrorKind.SIGNIFICAND_OUT_OF_RANGE, start)
-        first, declets = _complement(first, declets)
+        first, slots, _ = _ten_minus(first, slots, ones)
     elif first == 0:
         raise DecodeError(DecodeErrorKind.SIGNIFICAND_OUT_OF_RANGE, start)
+    digits = str(first) + _declet_digits(slots, count, stride)
     # Under continuation framing the significand ends after the 0 closing the chain.
-    return _digit_text(first, declets).rstrip("0"), start + size + continued
+    return digits.rstrip("0"), start + size + continued
 
 
-def _cut_declets(bits: int, count: int, stride: int) -> list[int]:
-    """The declets of the last ``count`` groups of ``bits``, leftmost first.
+def _ten_minus(first: int, slots: int, ones: int) -> tuple[int, int, int]:
+    """10 - m for the tetrade digit ``first`` and the declets in ``slots`` of
+    m, which must end in a non-zero declet; ``ones`` has a 1 at the bottom of
+    each declet's slot.
 
-    Each group is ``stride`` bits wide and its declet is its low 10 bits.
-
-    A long run is halved first, so that the shifts that cut single declets
-    act on short integers: a long significand costs n log n, not n squared.
+    That is the nines' complement of every declet, plus one in the last. The
+    slots of 999 minus the slots borrow nothing, as no declet is above 999,
+    and the one never carries, as the last declet's complement is at most 998.
     """
-    if count > 64:
+    if not ones:
+        return 10 - first, slots, ones
+    return 9 - first, 999 * ones - slots + 1, ones
+
+
+# Declets are turned into digits in blocks of at most this many slots, so
+# each block's str() stays short and far below int()'s 4,300-digit limit.
+_BLOCK = 64
+
+
+def _slot_ones(count: int, stride: int) -> int:
+    """A 1 at the bottom of each of ``count`` ``stride``-bit slots."""
+    return _MASKS[stride][count][0] if count <= _BLOCK else _spread_ones(count, stride)
+
+
+def _spread_ones(count: int, stride: int) -> int:
+    return int("0" + "1".rjust(stride, "0") * count, 2)
+
+
+def _masks(ones: int) -> tuple[int, int, int, int, int]:
+    """The reader's masks over the slots that ``ones`` has a 1 at the bottom
+    of: that 1, the low 10 bits, the low 7 bits, a 3, and bit 7 of each."""
+    return ones, 1023 * ones, 127 * ones, 3 * ones, ones << 7
+
+
+def _declet_digits(slots: int, count: int, stride: int) -> str:
+    """The three digits of each of ``count`` declets, leftmost first.
+
+    Each declet, at most 999, fills the low bits of a ``stride``-bit slot of
+    ``slots``; the slots' other bits are 0. Adjacent slots are merged in
+    pairs, the left one times 1000, then pairs of pairs times 1000**2, and so
+    on, until one block's integer holds every declet as base-1000 digits and
+    one zero-padded str() writes them. The merged values always fit their
+    doubled slots, as 1000 < 2**10. A run longer than a block is halved
+    first, so a long significand costs n log n.
+    """
+    if count > _BLOCK:
         low = count // 2
-        high_part = _cut_declets(bits >> stride * low, count - low, stride)
-        return high_part + _cut_declets(bits & ((1 << stride * low) - 1), low, stride)
-    return [bits >> shift & 1023 for shift in range(stride * (count - 1), -1, -stride)]
+        high_part = _declet_digits(slots >> stride * low, count - low, stride)
+        return high_part + _declet_digits(slots & ((1 << stride * low) - 1), low, stride)
+    if not count:
+        return ""
+    for shift, mask, excess in _MERGES[stride][count]:
+        # The left slot of each pair, worth 2**shift, is made worth 1000**k.
+        slots -= (slots >> shift & mask) * excess
+    return str(slots).zfill(DECLET_DIGITS * count)
+
+
+def _merge_levels(stride: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """For each count of ``stride``-bit slots up to a block, the
+    ceil(log2(count)) merges it needs. A merge is the slot width, the mask
+    of each pair's left slot once shifted right by it, and the excess of
+    2**width over that slot's new worth 1000**k."""
+    levels = []
+    width = stride
+    while width < stride * _BLOCK:
+        pairs = _spread_ones(stride * _BLOCK // (2 * width), 2 * width)
+        excess = (1 << width) - 1000 ** (width // stride)
+        levels.append((width, pairs * ((1 << width) - 1), excess))
+        width *= 2
+    return tuple(tuple(levels[: (count - 1).bit_length()]) for count in range(_BLOCK + 1))
+
+
+_STRIDES = (DECLET_BITS, DECLET_BITS + 1)  # canonical and trimmed, prefix-free
+_MASKS = {
+    stride: tuple(_masks(_spread_ones(count, stride)) for count in range(_BLOCK + 1))
+    for stride in _STRIDES
+}
+_MERGES = {stride: _merge_levels(stride) for stride in _STRIDES}
 
 
 def canonical_bit_length(value: DecimalValue) -> int:

@@ -125,6 +125,11 @@ class DecimalValue:
     form: ScientificForm | None = None
 
     def __post_init__(self):
+        if not isinstance(self.kind, Kind):
+            raise TypeError(f"kind must be a Kind, not {type(self.kind).__name__}")
+        if not isinstance(self.form, (ScientificForm, type(None))):
+            name = type(self.form).__name__
+            raise TypeError(f"form must be a ScientificForm or None, not {name}")
         if (self.kind is _FINITE) != (self.form is not None):
             raise ValueError("exactly the finite variant carries a form")
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .bits import BitString, lex_compare
-from .codec import DECLET_BITS, TETRADE_BITS, _complement, _cut_declets
+from .codec import DECLET_BITS, TETRADE_BITS, _slot_ones, _ten_minus
 from .codec import decode, encode, encode_significand
 from .decimal_values import (
     NAN,
@@ -124,11 +124,13 @@ def run_selftest(
         if lex_compare(enc_x, encoded(y)) != compare_numeric(x, y):
             return _failure(cases, "order agreement", x, y)
 
-        # The stored groups, as the decoder cuts them from the packed significand.
+        # The stored tetrade digit and declet slots, as the decoder reads them.
         bits = encode_significand(x.form.digits, False)
         count = (len(bits) - TETRADE_BITS) // DECLET_BITS
-        layout = bits._value >> DECLET_BITS * count, _cut_declets(bits._value, count, DECLET_BITS)
-        if _complement(*_complement(*layout)) != layout:
+        width = DECLET_BITS * count
+        slots = bits._value & ((1 << width) - 1)
+        layout = bits._value >> width, slots, _slot_ones(count, DECLET_BITS)
+        if _ten_minus(*_ten_minus(*layout)) != layout:
             return _failure(cases, "complement involution", x)
 
     return SelfTestResult(passed=True, cases=cases)

@@ -40,10 +40,10 @@ from lexdec import (
 )
 from lexdec.bits import BitCursor
 from lexdec.codec import (
-    _complement,
-    _cut_declets,
-    _digit_text,
+    _declet_digits,
     _pack,
+    _slot_ones,
+    _ten_minus,
     decode_significand,
     encode_significand,
 )
@@ -416,6 +416,10 @@ class TestSignificand:
             encode_significand(digits, False)
 
 
+def as_is(value):
+    return value
+
+
 class TestLongSignificands:
     """Significands past the 4,300 digits that ``int()`` converts from text."""
 
@@ -442,20 +446,23 @@ class TestLongSignificands:
         assert lex_compare(encode(value), encode(smaller_magnitude)) == expected
 
     @pytest.mark.parametrize(
-        "operation",
+        "prepare,operation",
         [
-            encode,
-            encode_prefix_free,
-            lambda value: decode_prefix_free_stream(encode_prefix_free(value)),
+            (as_is, encode),
+            (as_is, encode_prefix_free),
+            (as_is, lambda value: decode_prefix_free_stream(encode_prefix_free(value))),
+            (encode, decode),
+            (functools.partial(encode, trim=True), functools.partial(decode, trim=True)),
         ],
-        ids=["encode", "encode_prefix_free", "stream_round_trip"],
+        ids=["encode", "encode_prefix_free", "stream_round_trip", "decode", "decode_trim"],
     )
-    def test_time_grows_near_linearly(self, operation):
+    def test_time_grows_near_linearly(self, prepare, operation):
         # A ratio of two timings on one machine, not a wall-clock bound:
         # n log n work grows about 9-fold from 50,000 to 400,000 digits,
         # quadratic work 64-fold.
         def best_of_3(value):
-            return min(timeit.repeat(lambda: operation(value), number=1, repeat=3))
+            given = prepare(value)
+            return min(timeit.repeat(lambda: operation(given), number=1, repeat=3))
 
         short, long = (parse_decimal("1." + "0123456789" * n) for n in (5_000, 40_000))
         ratio = best_of_3(long) / best_of_3(short)
@@ -479,32 +486,110 @@ def test_stream_split_time_grows_near_linearly_in_values():
 
 
 def stored_groups(digits, negative):
-    """The tetrade digit and declets that the decoder cuts from the packed significand."""
+    """The tetrade digit, the declet slots and their ones, as the decoder
+    reads them from the packed significand."""
     bits = encode_significand(digits, negative)
     count = (len(bits) - 4) // 10
-    return bits._value >> 10 * count, _cut_declets(bits._value, count, 10)
+    return bits._value >> 10 * count, bits._value & ((1 << 10 * count) - 1), _slot_ones(count, 10)
 
 
 class TestComplement:
-    """The complement to ten on the stored tetrade digit and declets."""
+    """The complement to ten on the stored tetrade digit and declet slots."""
 
     def test_examples(self):
         for digits, stored in [("1032", "8968"), ("405", "595"), ("9", "1"), ("15", "85")]:
-            layout = _complement(*stored_groups(digits, False))
-            assert _digit_text(*layout)[: len(digits)] == stored
+            first, slots, _ = layout = _ten_minus(*stored_groups(digits, False))
+            text = str(first) + _declet_digits(slots, (len(digits) + 1) // 3, 10)
+            assert text[: len(digits)] == stored
             assert layout == stored_groups(digits, True)
 
     @given(canonical_digits())
     def test_involution(self, digits):
         layout = stored_groups(digits, False)
-        assert _complement(*_complement(*layout)) == layout
+        assert _ten_minus(*_ten_minus(*layout)) == layout
+
+
+@given(
+    st.integers(0, 300).flatmap(lambda n: st.lists(st.integers(0, 999), min_size=n, max_size=n)),
+    st.sampled_from([10, 11]),
+)
+@example([], 10)
+@example(list(range(999, 935, -1)), 10)  # one full block
+@example(list(range(65)), 11)  # one past it
+@example([999] * 129, 10)
+@example([0] * 299 + [1], 11)
+def test_declet_digits_writes_three_digits_per_declet(declets, stride):
+    slots = 0
+    for declet in declets:
+        slots = slots << stride | declet
+    assert _declet_digits(slots, len(declets), stride) == "".join(f"{d:03d}" for d in declets)
+
+
+FRAMINGS = {
+    "canonical": (encode, decode, 10),
+    "trimmed": (
+        functools.partial(encode, trim=True),
+        functools.partial(decode, trim=True),
+        10,
+    ),
+    "prefix_free": (encode_prefix_free, decode_prefix_free_stream, 11),
+}
+
+
+class TestDecletOutOfRange:
+    """A declet above 999 is reported at its first bit, the leftmost one
+    first, wherever it stands in a long significand and in every framing."""
+
+    # 200 declets; the last is 999, so trimming leaves the encoding whole.
+    DIGITS = "1." + "".join(f"{37 * i % 1000:03d}" for i in range(1, 200)) + "999"
+
+    def with_declet(self, sign, framing, index, declet):
+        """The value's encoding with its ``index``-th declet replaced, and
+        where that declet starts."""
+        write, _, stride = FRAMINGS[framing]
+        text = write(parse_decimal(f"{sign}{self.DIGITS}E-7")).to_text()
+        continued = stride - 10
+        start = len(text) - continued - 200 * stride  # the first declet's group
+        at = start + stride * index + continued
+        return BitString(text[:at] + f"{declet:010b}" + text[at + 10 :]), at
+
+    @pytest.mark.parametrize("framing", list(FRAMINGS))
+    @pytest.mark.parametrize("sign", ["", "-"], ids=["positive", "negative"])
+    @pytest.mark.parametrize("index", [0, 64, 65, 199])
+    @pytest.mark.parametrize("declet", [1000, 1023])
+    def test_position_is_the_declet_start(self, framing, sign, index, declet):
+        bits, at = self.with_declet(sign, framing, index, declet)
+        with pytest.raises(DecodeError) as exc:
+            FRAMINGS[framing][1](bits)
+        assert (exc.value.kind, exc.value.position) == (DecodeErrorKind.DIGIT_OUT_OF_RANGE, at)
+
+    @pytest.mark.parametrize("framing", list(FRAMINGS))
+    @pytest.mark.parametrize("sign", ["", "-"], ids=["positive", "negative"])
+    @pytest.mark.parametrize("index", [0, 64, 65, 199])
+    def test_999_decodes(self, framing, sign, index):
+        write, read, _ = FRAMINGS[framing]
+        bits, _ = self.with_declet(sign, framing, index, 999)
+        value = read(bits)
+        if framing == "prefix_free":
+            [value] = value
+        assert write(value) == bits
 
 
 def shifted_significand(digits, negative, continued):
-    """The significand packed by shifts from ``int()`` of each three-digit slice."""
+    """The significand packed by shifts from ``int()`` of each three-digit slice.
+
+    A negative value's groups are complemented one at a time: 9 minus the
+    tetrade digit and 999 minus each declet, then one more in the last group.
+    """
     padded = digits + "00"
+    bits = int(digits[0])
     declets = [int(padded[i : i + 3]) for i in range(1, len(digits), 3)]
-    bits, declets = _complement(int(digits[0]), declets) if negative else (int(digits[0]), declets)
+    if negative:
+        bits, declets = 9 - bits, [999 - declet for declet in declets]
+        if declets:
+            declets[-1] += 1
+        else:
+            bits += 1
     for declet in declets:
         bits = bits << 10 + continued | continued << 10 | declet
     return BitString._raw(bits << continued, 4 + (10 + continued) * len(declets) + continued)
@@ -629,6 +714,9 @@ def code_objects(code):
         lexdec.codec._layout,
         lexdec.codec._pack,
         lexdec.codec._read_value,
+        lexdec.codec._read_significand,
+        lexdec.codec._ten_minus,
+        lexdec.codec._declet_digits,
         lexdec.cli._group_bits,
     ],
     ids=lambda function: function.__qualname__,

@@ -411,3 +411,20 @@ class TestInvariants:
                 Kind.POSITIVE_ZERO,
                 ScientificForm(Sign.POSITIVE, ExponentSign.NON_NEGATIVE, 0, "1"),
             )
+
+    @pytest.mark.parametrize("kind", ["nonsense", "finite", None, 0])
+    @pytest.mark.parametrize(
+        "use",
+        [encode, render_decimal, lambda value: compare_numeric(value, POSITIVE_ZERO)],
+        ids=["encode", "render_decimal", "compare_numeric"],
+    )
+    def test_kind_that_is_not_a_kind_is_refused_at_construction(self, use, kind):
+        # Before the check, these values were built, and each function then
+        # failed on them with a bare KeyError.
+        with pytest.raises(TypeError, match=f"^kind must be a Kind, not {type(kind).__name__}$"):
+            use(DecimalValue(kind))
+
+    @pytest.mark.parametrize("form", ["1", ("1",), 1.5])
+    def test_form_that_is_not_a_form_is_refused_at_construction(self, form):
+        with pytest.raises(TypeError, match="^form must be a ScientificForm or None, not "):
+            DecimalValue(Kind.FINITE, form)

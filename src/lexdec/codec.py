@@ -29,14 +29,19 @@ zero-pads the canonical encoding to a fixed number of bits so that plain
 bytewise comparison of the keys reproduces numeric order on stores that only
 compare equal-length binaries.
 
-Encoding writes the significand as ``0``/``1`` text, the tetrade and each
-three-digit group looked up in a table, and reads that text with one
-``int(text, 2)``, which is linear in the text's length and not subject to
-``int()``'s 4,300-digit limit on decimal text. The head (sign header and
-exponent field) is shifted in front, and the integer is wrapped once as a
-:class:`BitString`. A fixed-width key is the canonical encoding's integer
-shifted to the key width. A negative value's complement to ten is the nines'
-complement of its digit text plus one in the last place.
+Encoding mirrors decoding (below) and never writes ``0``/``1`` text. The
+digit text, zero-padded to whole groups, is read with one
+``int.from_bytes``, which has none of ``int()``'s 4,300-digit limit on
+decimal text; the low nibble of each ASCII byte is its digit. One step of
+three masked terms turns every three-byte lane into its declet, and
+log-depth steps compress the 24-bit lanes into the slots the decoder reads,
+10 or 11 bits apart, the leading digit's lane in the slot above them. A
+negative value's complement to ten is taken on those slots by the function
+that takes it back when decoding, so the paper's complement involution is
+one function applied twice. The head (sign header and exponent field) is
+shifted in front, and the integer is wrapped once as a :class:`BitString`.
+A fixed-width key is the canonical encoding's integer shifted to the key
+width.
 
 The prefix-free form is the canonical form with a continuation bit in front
 of each declet and a 0 at the end. So one packer and one significand reader
@@ -54,9 +59,10 @@ block of up to 64 declets is one base-1000 integer, written with one
 ``str()`` (SIMD within a register, after Lamport's "Multiple byte processing
 with full-word instructions", CACM 1975). Under prefix-free framing the
 chain of groups ends at the highest set bit of the group-leading bits that
-are 0, found in one step. Long significands encode in linear time and are
-halved into blocks, so they decode in n log n time. A stream is read through
-byte windows of its packed form, so splitting it stays linear.
+are 0, found in one step. Both directions halve a long significand into
+blocks of up to 64 groups, so it encodes and decodes in n log n time. A
+stream is read through byte windows of its packed form, so splitting it
+stays linear.
 """
 
 from __future__ import annotations
@@ -201,10 +207,9 @@ def encode_significand(digits: str, negative: bool) -> BitString:
         raise TypeError(f"encode_significand takes a str, not {type(digits).__name__}")
     if not digits or (negative and digits[-1] not in "123456789"):
         raise ValueError("need digits; a negative significand's last one must be in 1..9")
-    try:
-        return _pack(0, 0, digits, negative)
-    except KeyError:
-        raise ValueError("significand digits must be ASCII 0-9") from None
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError("significand digits must be ASCII 0-9")
+    return _pack(0, 0, digits, negative)
 
 
 def encode(value: DecimalValue, *, trim: bool = False) -> BitString:
@@ -281,36 +286,60 @@ def _layout(form: ScientificForm) -> tuple[int, int, str, bool]:
     return head, width + 2, form.digits, negative
 
 
-# Lookups beat formatting and int(): the 0/1 text of a digit's tetrade and
-# of a three-digit group's declet.
-_TETRADE_CODE = {str(digit): f"{digit:04b}" for digit in range(10)}
-_DECLET_CODE = {f"{declet:03d}": f"{declet:010b}" for declet in range(1000)}
-_NINES = str.maketrans("0123456789", "9876543210")
-
-
 def _pack(head: int, width: int, digits: str, negative: bool, continued=False) -> BitString:
     """The ``width``-bit ``head`` followed by the significand ``digits``,
     packed into one integer and wrapped once as a bit string.
 
-    The tetrade and the zero-padded groups are joined as 0/1 text and read
-    by one ``int(text, 2)``. A negative value stores ``10 - m``: the nines'
-    complement of the zero-padded digits, then one more. The one never
-    carries out of the last stored group: m's last group is not zero, so its
-    complement is at most 998, and a lone tetrade's is at most 8.
+    The packer mirrors the reader: the digit text, zero-padded to whole
+    groups, is read by one ``int.from_bytes``, and each three-byte lane
+    becomes one slot of ``stride`` bits (see :func:`_lane_slots`), the
+    leading digit's lane in the slot above the declets. A negative value
+    stores ``10 - m``, which :func:`_ten_minus` takes on the slots, as the
+    reader takes it back.
 
-    ``continued`` puts a 1 in front of each declet, making 11-bit groups, and
-    a 0 after the last group: a continuation bit after the tetrade and after
-    each declet, 1 while another declet follows.
+    ``continued`` makes the slots 11 bits wide and sets the top bit of each
+    declet's slot, the bit in front of it; one shift adds the 0 after the
+    last group. That is a continuation bit after the tetrade and after each
+    declet, 1 while another declet follows.
     """
-    padded = digits + "00"  # zero-pads the last group to three digits
-    if negative:
-        padded = padded.translate(_NINES)
-    groups = [
-        _DECLET_CODE[padded[i : i + DECLET_DIGITS]] for i in range(1, len(digits), DECLET_DIGITS)
-    ]
-    text = ("1" if continued else "").join([_TETRADE_CODE[padded[0]], *groups])
-    bits = (head << len(text) | int(text, 2)) + negative
-    return BitString._raw(bits << continued, width + len(text) + continued)
+    stride = DECLET_BITS + continued
+    count = (len(digits) + 1) // DECLET_DIGITS  # declets after the leading digit
+    pad = DECLET_DIGITS * count + 1 - len(digits)  # zero digits ending the last group
+    groups = _lane_slots(int.from_bytes(digits.encode(), "big") << 8 * pad, count + 1, stride)
+    size = stride * count
+    if negative or continued:
+        ones = _slot_ones(count, stride)
+        if negative:
+            first = groups >> size
+            first, slots, _ = _ten_minus(first, groups ^ first << size, ones)
+            groups = first << size | slots
+        if continued:
+            groups |= ones << DECLET_BITS
+    bits = head << TETRADE_BITS + size | groups
+    return BitString._raw(bits << continued, width + TETRADE_BITS + size + continued)
+
+
+def _lane_slots(lanes: int, count: int, stride: int) -> int:
+    """The values of ``count`` three-digit lanes, each in a ``stride``-bit slot.
+
+    ``lanes`` holds ASCII digit text, three bytes to a 24-bit lane; the low
+    nibble of each byte is its digit. One step of three masked terms turns
+    every lane into ``100a + 10b + c``, then log-depth steps compress pairs
+    of lanes, then pairs of pairs, until the values sit ``stride`` bits
+    apart (SIMD within a register, after Lamport, CACM 1975). A run longer
+    than a block is halved first, so a long significand costs n log n.
+    """
+    if count > _BLOCK:
+        low = count // 2
+        high_part = _lane_slots(lanes >> _LANE_BITS * low, count - low, stride)
+        low_part = _lane_slots(lanes & ((1 << _LANE_BITS * low) - 1), low, stride)
+        return high_part << stride * low | low_part
+    slots = (lanes >> 16 & _NIBBLES) * 100 + (lanes >> 8 & _NIBBLES) * 10 + (lanes & _NIBBLES)
+    for shift, mask in _COMPRESSIONS[stride][count]:
+        # The left unit of each pair moves down next to the right one, into
+        # its 0 bits; the mask drops what moved past it.
+        slots = (slots | slots >> shift) & mask
+    return slots
 
 
 def decode(
@@ -569,7 +598,8 @@ def _slot_ones(count: int, stride: int) -> int:
 
 
 def _spread_ones(count: int, stride: int) -> int:
-    return int("0" + "1".rjust(stride, "0") * count, 2)
+    # The repunit in base 2**stride: one division by a one-digit divisor.
+    return ((1 << stride * count) - 1) // ((1 << stride) - 1)
 
 
 def _masks(ones: int) -> tuple[int, int, int, int, int]:
@@ -622,6 +652,28 @@ _MASKS = {
     for stride in _STRIDES
 }
 _MERGES = {stride: _merge_levels(stride) for stride in _STRIDES}
+
+
+_LANE_BITS = 8 * DECLET_DIGITS  # a lane is a group's three digit bytes
+_NIBBLES = 15 * _spread_ones(_BLOCK, _LANE_BITS)  # the low nibble of each lane
+
+
+def _compress_levels(stride: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """For each count of lanes up to a block, the ceil(log2(count)) steps
+    that move ``stride``-bit values from 24-bit lanes into adjacent slots.
+    A step is the shift that brings each unit's left partner down to it,
+    and the mask of the merged units' bits."""
+    levels = []
+    unit = 1  # lanes per unit
+    while unit < _BLOCK:
+        merged = _spread_ones(_BLOCK // (2 * unit), 2 * unit * _LANE_BITS)
+        shift = unit * (_LANE_BITS - stride)
+        levels.append((shift, merged * ((1 << 2 * unit * stride) - 1)))
+        unit *= 2
+    return tuple(tuple(levels[: (count - 1).bit_length()]) for count in range(_BLOCK + 1))
+
+
+_COMPRESSIONS = {stride: _compress_levels(stride) for stride in _STRIDES}
 
 
 def canonical_bit_length(value: DecimalValue) -> int:

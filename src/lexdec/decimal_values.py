@@ -81,6 +81,8 @@ class ScientificForm:
     ``digits`` is the significand's canonical digit text, such as ``"15"`` for
     1.5: ASCII ``0-9``, the first digit in 1..9 and sitting before the
     decimal point, no trailing ``0``. The significand is always in [1, 10).
+    Building a form checks every field: a field of the wrong type raises a
+    ``TypeError`` that names it, a value out of range a ``ValueError``.
     """
 
     sign: Sign
@@ -89,6 +91,13 @@ class ScientificForm:
     digits: str
 
     def __post_init__(self):
+        if not isinstance(self.sign, Sign):
+            raise TypeError(f"sign must be a Sign, not {type(self.sign).__name__}")
+        if not isinstance(self.exponent_sign, ExponentSign):
+            name = type(self.exponent_sign).__name__
+            raise TypeError(f"exponent_sign must be an ExponentSign, not {name}")
+        if not isinstance(self.exponent, int) or isinstance(self.exponent, bool):
+            raise TypeError(f"exponent must be an int, not {type(self.exponent).__name__}")
         if not isinstance(self.digits, str):
             raise TypeError(f"significand digits must be a str, not {type(self.digits).__name__}")
         if not _CANONICAL_DIGITS.fullmatch(self.digits):

@@ -13,10 +13,14 @@ the library's helpers, so the corpus stays put when the library moves.
 Usage::
 
     PYTHONPATH=src python tests/conformance.py --dump <category> <chunk>  # print its lines
+    PYTHONPATH=src python tests/conformance.py --dump <category> all  # every line
     PYTHONPATH=src python tests/conformance.py --write  # rewrite conformance.json
 
 To see what changed, dump the first chunk that differs here and at the
-parent commit, and diff the two.
+parent commit, and diff the two. ``--cases N --seed S`` make ``--dump`` build
+a corpus of N cases from the category's generator under seed S, to compare a
+larger corpus than the committed one across two trees; without them it
+builds the committed corpus. The CLI runs are a fixed list.
 """
 
 from __future__ import annotations
@@ -70,6 +74,11 @@ def _outcome(call, *args, **kwargs) -> str:
         return f"!{type(exc).__name__}:{kind}:{getattr(exc, 'position', '')}:{exc}"
 
 
+def _rng(category: str, seed: str | None) -> random.Random:
+    """The category's generator; no ``seed`` gives the committed corpus."""
+    return random.Random(f"conformance:{category}" + ("" if seed is None else f":{seed}"))
+
+
 def _digits(rng: random.Random, count: int) -> str:
     """Canonical digit text: first and last digits non-zero."""
     if count == 1:
@@ -95,12 +104,12 @@ def _key(value: DecimalValue, width: int) -> str:
     return fixed_width_key(value, width).data.hex()
 
 
-def encodings() -> list[str]:
+def encodings(cases: int = 6000, seed: str | None = None) -> list[str]:
     """Every encoder on each value, and both orders against the previous value."""
-    rng = random.Random("conformance:encodings")
+    rng = _rng("encodings", seed)
     lines = []
     previous = POSITIVE_ZERO
-    for _ in range(6000):
+    for _ in range(cases):
         value = _value(rng)
         canonical = encode(value)
         lines.append(
@@ -164,11 +173,11 @@ def _stream(bits: BitString) -> str:
     return ",".join(render_decimal(value) for value in decode_prefix_free_stream(bits))
 
 
-def decodings() -> list[str]:
+def decodings(cases: int = 10_000, seed: str | None = None) -> list[str]:
     """Each bit string read in all three framings."""
-    rng = random.Random("conformance:decodings")
+    rng = _rng("decodings", seed)
     lines = []
-    for _ in range(10_000):
+    for _ in range(cases):
         bits = BitString(_bit_text(rng))
         lines.append(
             repr(
@@ -189,11 +198,11 @@ def _from_bytes(data: bytes, bit_length: int) -> str:
     return f"{bits.to_text()} {_outcome(lambda: render_decimal(decode(bits)))}"
 
 
-def from_bytes() -> list[str]:
+def from_bytes(cases: int = 3000, seed: str | None = None) -> list[str]:
     """Bit strings packed with zero padding, and random bytes and bit lengths."""
-    rng = random.Random("conformance:from_bytes")
+    rng = _rng("from_bytes", seed)
     lines = []
-    for _ in range(3000):
+    for _ in range(cases):
         if rng.random() < 0.5:
             text = _bit_text(rng)
             bit_length = len(text)
@@ -231,11 +240,11 @@ def _numeral(rng: random.Random) -> str:
     return text
 
 
-def parses() -> list[str]:
+def parses(cases: int = 10_000, seed: str | None = None) -> list[str]:
     """Fuzzed numeral text through ``parse_decimal`` and back through rendering."""
-    rng = random.Random("conformance:parses")
+    rng = _rng("parses", seed)
     lines = []
-    for _ in range(10_000):
+    for _ in range(cases):
         text = _numeral(rng)
         limit = 100 if rng.random() < 0.1 else None
         options = {} if limit is None else {"max_exponent": limit}
@@ -331,16 +340,27 @@ def main(argv: list[str] | None = None) -> int:
     action = parser.add_mutually_exclusive_group(required=True)
     action.add_argument("--dump", nargs=2, metavar=("CATEGORY", "CHUNK"))
     action.add_argument("--write", action="store_true")
+    parser.add_argument("--cases", type=int, help="cases to dump (default: as committed)")
+    parser.add_argument("--seed", help="generator seed to dump (default: as committed)")
     args = parser.parse_args(argv)
+    corpus = {name: getattr(args, name) for name in ("cases", "seed")}
+    corpus = {name: value for name, value in corpus.items() if value is not None}
     if args.write:
+        if corpus:
+            parser.error("--cases and --seed apply to --dump only")
         table = {name: digests(build()) for name, build in CATEGORIES.items()}
         DIGEST_FILE.write_text(json.dumps(table, indent=1) + "\n")
         return 0
     category, chunk = args.dump
     if category not in CATEGORIES:
         parser.error(f"unknown category {category!r} ({' | '.join(CATEGORIES)})")
-    start = int(chunk) * CHUNK
-    for line in CATEGORIES[category]()[start : start + CHUNK]:
+    if corpus and category == "cli":
+        parser.error("the cli category is a fixed list of runs")
+    lines = CATEGORIES[category](**corpus)
+    if chunk != "all":
+        start = int(chunk) * CHUNK
+        lines = lines[start : start + CHUNK]
+    for line in lines:
         print(line)
     return 0
 

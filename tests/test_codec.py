@@ -1,9 +1,12 @@
 """Encoder/decoder golden values, error taxonomy, and properties."""
 
+import dataclasses
 import functools
 import importlib
+import random
 import re
 import timeit
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -410,7 +413,9 @@ class TestSignificand:
         bits = encode_significand(digits, negative)
         assert decode_significand(BitCursor(bits), negative=negative) == digits
 
-    @pytest.mark.parametrize("digits", ["1\u0663", "12 3", "1_23", "1a", "\u0663"])
+    @pytest.mark.parametrize(
+        "digits", ["1\u0663", "12 3", "1_23", "1a", "\u0663", "\u0661\u0662", "\u00b2", "a1"]
+    )
     def test_encode_rejects_what_is_not_ascii_digits(self, digits):
         with pytest.raises(ValueError, match="^significand digits must be ASCII 0-9$"):
             encode_significand(digits, False)
@@ -418,6 +423,10 @@ class TestSignificand:
 
 def as_is(value):
     return value
+
+
+def negated(value):
+    return DecimalValue.finite(dataclasses.replace(value.form, sign=Sign.NEGATIVE))
 
 
 class TestLongSignificands:
@@ -453,8 +462,18 @@ class TestLongSignificands:
             (as_is, lambda value: decode_prefix_free_stream(encode_prefix_free(value))),
             (encode, decode),
             (functools.partial(encode, trim=True), functools.partial(decode, trim=True)),
+            (negated, encode),
+            (negated, encode_prefix_free),
         ],
-        ids=["encode", "encode_prefix_free", "stream_round_trip", "decode", "decode_trim"],
+        ids=[
+            "encode",
+            "encode_prefix_free",
+            "stream_round_trip",
+            "decode",
+            "decode_trim",
+            "encode_negative",
+            "encode_prefix_free_negative",
+        ],
     )
     def test_time_grows_near_linearly(self, prepare, operation):
         # A ratio of two timings on one machine, not a wall-clock bound:
@@ -467,6 +486,23 @@ class TestLongSignificands:
         short, long = (parse_decimal("1." + "0123456789" * n) for n in (5_000, 40_000))
         ratio = best_of_3(long) / best_of_3(short)
         assert ratio < 20
+
+    @pytest.mark.parametrize("encoder", [encode, encode_prefix_free])
+    @pytest.mark.parametrize("prepare", [as_is, negated], ids=["positive", "negative"])
+    def test_encoding_memory_grows_near_linearly(self, prepare, encoder):
+        # The peak of traced allocations while encoding, at 50,000 and at
+        # 400,000 digits: about 8 times as much for 8 times the digits.
+        def peak(value):
+            given = prepare(value)
+            tracemalloc.start()
+            try:
+                encoder(given)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short, long = (parse_decimal("1." + "0123456789" * n) for n in (5_000, 40_000))
+        assert peak(long) / peak(short) < 12
 
 
 def test_stream_split_time_grows_near_linearly_in_values():
@@ -602,8 +638,8 @@ def assert_packs_as_shifted(digits, negative):
 
 
 class TestDecletTable:
-    """The packer's 0/1 text tables agree with shifting in each slice's ``int()``,
-    in canonical and prefix-free framing."""
+    """The packer agrees with shifting in each slice's ``int()`` for every
+    declet, in canonical and prefix-free framing."""
 
     @pytest.mark.parametrize("negative", [False, True])
     def test_every_three_digit_text(self, negative):
@@ -611,7 +647,7 @@ class TestDecletTable:
             text = f"{declet:03d}"
             # Whole, and cut short so that the padding fills the group. A
             # negative significand must end in 1-9; followed by a 1, every
-            # group's complement is still looked up.
+            # group is still complemented.
             for digits in ("7" + text, "7" + text[:2], "7" + text[:1], "7" + text + "1"):
                 if not (negative and digits.endswith("0")):
                     assert_packs_as_shifted(digits, negative)
@@ -621,6 +657,32 @@ class TestDecletTable:
     @example("9" + "0123456789" * 440 + "1", True)
     def test_digit_texts(self, digits, negative):
         assert_packs_as_shifted(digits, negative)
+
+
+class TestPacker:
+    """The lane/slot packer against the packer that shifts in one group at a
+    time, in both signs and both strides, with a head in front."""
+
+    @pytest.mark.parametrize("continued", [False, True], ids=["stride10", "stride11"])
+    @pytest.mark.parametrize("negative", [False, True], ids=["positive", "negative"])
+    def test_every_declet_count_to_130(self, negative, continued):
+        # Past the block edges of 64 and 128 lanes; a lane is a declet or
+        # the leading digit. Each count is met whole and one or two digits short.
+        rng = random.Random(130)
+        for count in range(131):
+            for length in sorted({max(1, 3 * count - 1), max(1, 3 * count), 3 * count + 1}):
+                digits = "".join(rng.choices("0123456789", k=length - 1)) + rng.choice("123456789")
+                expected = BitString("101") + shifted_significand(digits, negative, continued)
+                assert _pack(0b101, 3, digits, negative, continued) == expected, (count, length)
+
+    @given(st.integers(1, 1200), st.integers(0, 2**32), st.booleans(), st.booleans())
+    def test_digit_texts_up_to_1200_digits(self, length, seed, negative, continued):
+        rng = random.Random(seed)
+        digits = rng.choice("123456789") + "".join(rng.choices("0123456789", k=length - 1))
+        if negative:
+            digits = digits[:-1] + rng.choice("123456789")
+        expected = shifted_significand(digits, negative, continued)
+        assert _pack(0, 0, digits, negative, continued) == expected
 
 
 class TestRoundTrip:
@@ -713,6 +775,7 @@ def code_objects(code):
         canonical_bit_length,
         lexdec.codec._layout,
         lexdec.codec._pack,
+        lexdec.codec._lane_slots,
         lexdec.codec._read_value,
         lexdec.codec._read_significand,
         lexdec.codec._ten_minus,

@@ -364,6 +364,9 @@ class TestCompare:
                         assert compare_numeric(a, c) == -1
 
 
+NON_NEGATIVE = ExponentSign.NON_NEGATIVE
+
+
 class TestInvariants:
     def test_form_validation(self):
         def build(digits, exponent=0, exponent_sign=ExponentSign.NON_NEGATIVE):
@@ -384,6 +387,32 @@ class TestInvariants:
         # single zero-free digit and lone trailing digit rules
         build("1")
         build("15", 7, ExponentSign.NEGATIVE)
+
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            (("nonsense", NON_NEGATIVE, 0, "1"), "sign must be a Sign, not str"),
+            ((1, NON_NEGATIVE, 0, "1"), "sign must be a Sign, not int"),
+            ((Sign.POSITIVE, "x", 0, "1"), "exponent_sign must be an ExponentSign, not str"),
+            ((Sign.POSITIVE, Sign.POSITIVE, 0, "1"), "exponent_sign must be an ExponentSign, not Sign"),
+            ((Sign.POSITIVE, NON_NEGATIVE, 2.5, "1"), "exponent must be an int, not float"),
+            ((Sign.POSITIVE, NON_NEGATIVE, True, "1"), "exponent must be an int, not bool"),
+        ],
+        ids=[
+            "sign-str",
+            "sign-int",
+            "exponent_sign-str",
+            "exponent_sign-Sign",
+            "exponent-float",
+            "exponent-bool",
+        ],
+    )
+    def test_field_of_the_wrong_type_is_refused_at_construction(self, fields, message):
+        # Before the check, a "nonsense" sign encoded as 100110001, an
+        # exponent sign "x" made render_decimal raise a bare TypeError, an
+        # exponent of 2.5 made encode raise AttributeError, and True read as 1.
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            ScientificForm(*fields)
 
     def test_unchecked_constructor_is_not_exported(self):
         exported = [getattr(lexdec, name) for name in lexdec.__all__]

@@ -9,15 +9,16 @@ Byte packing is most-significant-bit first with trailing zero padding, so a
 plain bytewise comparison of equal-length packed strings agrees with
 :func:`lex_compare`.
 
-Concatenation with ``+`` records its operands and joins their bits once, on
-the first read of the sum, so a left fold ``s = s + part`` of n parts costs
-O(1) per ``+`` and one join by halves, not n shifts of the growing sum. Sums
-stay immutable and safe to share between threads.
+Concatenation with ``+`` only records its two operands, so any shape of sums
+costs O(1) per ``+``. The first read of a sum joins its n parts by halves, in
+n log n, reads whole a shared sum it meets again, and keeps only the integer.
 """
 
 from __future__ import annotations
 
 import re
+
+from .errors import _require_int
 
 __all__ = [
     "BitString",
@@ -31,10 +32,7 @@ class BitString:
     """An immutable sequence of bits; index 0 is the leftmost bit.
 
     Instances are hashable, comparable for equality, and safe to share
-    between threads. Concatenation with ``+`` returns a new value in O(1)
-    amortized time; a left fold of ``+`` joins its bits once, on first read.
-    A second extension of one prefix copies the prefix's list of parts, and
-    a right operand that is itself an unread sum is joined when it is added.
+    between threads, sums included; ``+`` returns a new value in O(1) time.
     """
 
     __slots__ = ("_value", "_length")
@@ -71,6 +69,8 @@ class BitString:
         ``8 * len(data)`` and every padding bit beyond it must be zero;
         otherwise the packed form is malformed.
         """
+        if type(bit_length) is not int:
+            _require_int("bit_length", bit_length)
         if bit_length < 0:
             raise ValueError("bit_length must be non-negative")
         if type(data) is not bytes:
@@ -137,41 +137,40 @@ class BitString:
 
 
 class _Joined(BitString):
-    """A sum whose bits are joined from its parts on the first read of ``_value``.
+    """A sum of two bit strings, joined on the first read of ``_value``.
 
-    Sums taken from one prefix share one append-only list of parts and each
-    reads only its first ``_count``; a sum that finds its slot taken by
-    another extension of the same prefix copies the prefix instead. Every
-    part already has its ``_value``, so joining never recurses. The
-    ``__getattr__`` lives here, not on :class:`BitString`, so that plain bit
-    strings keep CPython's fast slot reads.
+    The read walks the left spine, stacking right operands; a sum met again
+    off the root's spine is read whole, so none is expanded without bound.
+    ``__getattr__`` is here so that plain bit strings keep fast slot reads.
     """
 
-    __slots__ = ("_parts", "_count")
+    __slots__ = ("_left", "_right")
 
     def __init__(self, left: BitString, right: BitString):
-        right._value  # join an unread right operand now, not at our first read
-        parts = left._parts if type(left) is _Joined else None
-        if parts is None:
-            parts, count = [left], 1
-        else:
-            count = left._count
-        parts.append(right)
-        if parts[count] is not right:
-            parts = parts[:count] + [right]
-        self._parts = parts
-        self._count = count + 1
+        self._left = left
+        self._right = right
         self._length = left._length + right._length
 
     def __getattr__(self, name: str):
         # Called only when normal lookup fails: for ``_value``, until the join.
         if name != "_value":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        parts = self._parts
-        if parts is None:  # another thread joined between our lookup and here
-            return self._value
-        value = self._value = _join(parts, 0, self._count)[0]
-        self._parts = None
+        parts, rights, seen = [], [self], set()
+        while rights:
+            node = rights.pop()
+            while type(node) is _Joined:
+                left, right = node._left, node._right
+                if left is None or right is None or parts and id(node) in seen:
+                    break  # read already, or met before: _join reads it whole
+                if parts:  # past the root's left spine, which meets each sum once
+                    seen.add(id(node))
+                rights.append(right)
+                node = left
+            parts.append(node)
+        value = _join(parts, 0, len(parts))[0]
+        # Store _value before releasing the operands: a walker finding them released reads it.
+        self._value = value
+        self._left = self._right = None
         return value
 
 

@@ -160,6 +160,8 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_cmp(args) -> int:
+    if not isinstance(args.right, str):  # argparse's [] for `cmp X -- --`
+        raise _UsageError("the following arguments are required: right")
     left = encode(parse_decimal(args.left))
     right = encode(parse_decimal(args.right))
     print({-1: "<", 0: "=", 1: ">"}[lex_compare(left, right)])

@@ -86,7 +86,13 @@ from .decimal_values import (
     Kind,
     ScientificForm,
 )
-from .errors import DecodeError, DecodeErrorKind, ExponentLimitError, KeyWidthError
+from .errors import (
+    DecodeError,
+    DecodeErrorKind,
+    ExponentLimitError,
+    KeyWidthError,
+    _require_int,
+)
 
 __all__ = [
     "FixedWidthKey",
@@ -258,6 +264,8 @@ def fixed_width_key(value: DecimalValue, width_bits: int) -> FixedWidthKey:
     Padding is with trailing zeros. Leading padding would shift the sign
     header and destroy the bytewise order.
     """
+    if type(width_bits) is not int:
+        _require_int("width_bits", width_bits)
     if width_bits < 8 or width_bits % 8:
         raise ValueError("width_bits must be a positive multiple of 8")
     if isinstance(value, DecimalValue) and value.kind is _FINITE:
@@ -356,6 +364,8 @@ def decode(
     """
     if not isinstance(bits, BitString):
         raise TypeError(f"decode takes a BitString, not {type(bits).__name__}")
+    if type(max_exponent) is not int:
+        _require_int("max_exponent", max_exponent)
     framing = _REPADDED if trim else _TO_END
     return _read_value(bits._value, bits._length, framing, max_exponent)[0]
 
@@ -391,6 +401,7 @@ def decode_prefix_free_stream(
     """
     if not isinstance(bits, BitString):
         raise TypeError(f"decode_prefix_free_stream takes a BitString, not {type(bits).__name__}")
+    _require_int("max_exponent", max_exponent)
     data, length = bits.to_bytes()
     values = []
     position = 0

@@ -18,7 +18,7 @@ import enum
 import re
 from dataclasses import dataclass
 
-from .errors import ExponentLimitError, ParseError
+from .errors import ExponentLimitError, ParseError, _require_int
 
 __all__ = [
     "Sign",
@@ -96,8 +96,7 @@ class ScientificForm:
         if not isinstance(self.exponent_sign, ExponentSign):
             name = type(self.exponent_sign).__name__
             raise TypeError(f"exponent_sign must be an ExponentSign, not {name}")
-        if not isinstance(self.exponent, int) or isinstance(self.exponent, bool):
-            raise TypeError(f"exponent must be an int, not {type(self.exponent).__name__}")
+        _require_int("exponent", self.exponent)
         if not isinstance(self.digits, str):
             raise TypeError(f"significand digits must be a str, not {type(self.digits).__name__}")
         if not _CANONICAL_DIGITS.fullmatch(self.digits):
@@ -198,12 +197,15 @@ def parse_decimal(text: str, *, max_exponent: int = DEFAULT_MAX_EXPONENT) -> Dec
 
     Raises :class:`ParseError` naming the offending position, or
     :class:`ExponentLimitError` when the exponent magnitude exceeds
-    ``max_exponent``, and :class:`TypeError` when ``text`` is not a ``str``.
+    ``max_exponent``, and :class:`TypeError` when ``text`` is not a ``str``
+    or ``max_exponent`` is not an ``int``.
     """
     try:
         match = _NUMERAL.match(text)
     except TypeError:
         raise TypeError(f"parse_decimal takes a str, not {type(text).__name__}") from None
+    if type(max_exponent) is not int:
+        _require_int("max_exponent", max_exponent)
     # An absent part's group is None; an empty one is a missing digit run.
     sign, int_part, frac_part, exp_sign, exp_digits = match.groups()
     if not int_part:

@@ -52,6 +52,19 @@ def _limit_text(limit: int) -> str:
         return f"of {limit.bit_length()} bits"
 
 
+def _require_int(name: str, value: object) -> None:
+    """Raise a ``TypeError`` that names ``name`` unless ``value`` is an int, not a bool.
+
+    The per-value entry points (``from_bytes``, ``fixed_width_key``,
+    ``parse_decimal``, ``decode``) call it only when ``type(value) is not
+    int``: the call alone costs about 3% of a short parse or a decode. The
+    rest, such as ``decode_prefix_free_stream`` and ``ScientificForm``, call
+    it directly.
+    """
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, not {type(value).__name__}")
+
+
 class KeyWidthError(ValueError):
     """Raised when a value's sign and exponent fields cannot fit a fixed-width key."""
 

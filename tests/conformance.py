@@ -20,7 +20,8 @@ To see what changed, dump the first chunk that differs here and at the
 parent commit, and diff the two. ``--cases N --seed S`` make ``--dump`` build
 a corpus of N cases from the category's generator under seed S, to compare a
 larger corpus than the committed one across two trees; without them it
-builds the committed corpus. The CLI runs are a fixed list.
+builds the committed corpus. The CLI runs and the wrong-type calls are fixed
+lists.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import contextlib
 import hashlib
 import io
 import json
+import operator
 import random
 import sys
 from pathlib import Path
@@ -42,7 +44,14 @@ from lexdec import (
     POSITIVE_ZERO,
     BitString,
     DecimalValue,
+    DecodeError,
+    DecodeErrorKind,
+    ExponentLimitError,
     ExponentSign,
+    FixedWidthKey,
+    KeyWidthError,
+    Kind,
+    ParseError,
     ScientificForm,
     Sign,
     canonical_bit_length,
@@ -316,12 +325,71 @@ def cli_runs() -> list[str]:
     return [repr((argv, stdin, _run_cli(argv, stdin))) for argv, stdin in CLI_RUNS]
 
 
+_FORM = ScientificForm(Sign.NEGATIVE, ExponentSign.NON_NEGATIVE, 3, "15")
+_VALUE = DecimalValue.finite(_FORM)
+_BITS = encode(_VALUE)
+
+# Each public function and constructor with arguments that work. The
+# ``type_errors`` category calls each once so, then once with each argument,
+# positional or keyword, replaced by each of the wrong values below.
+_SIGNATURES = (
+    ("BitString", BitString, ("101",), {}),
+    ("BitString.from_bytes", BitString.from_bytes, (b"\x80", 1), {}),
+    ("BitString.__add__", operator.add, (_BITS, _BITS), {}),
+    ("lex_compare", lex_compare, (_BITS, _BITS), {}),
+    ("Sign", Sign, (-1,), {}),
+    ("ExponentSign", ExponentSign, (1,), {}),
+    ("Kind", Kind, ("nan",), {}),
+    ("ScientificForm", ScientificForm, (Sign.NEGATIVE, ExponentSign.NON_NEGATIVE, 3, "15"), {}),
+    ("DecimalValue", DecimalValue, (Kind.FINITE, _FORM), {}),
+    ("DecimalValue.finite", DecimalValue.finite, (_FORM,), {}),
+    ("parse_decimal", parse_decimal, ("-1.5e3",), {"max_exponent": 10**6}),
+    ("render_decimal", render_decimal, (_VALUE,), {}),
+    ("compare_numeric", compare_numeric, (_VALUE, _VALUE), {}),
+    ("canonical_bit_length", canonical_bit_length, (_VALUE,), {}),
+    ("encode", encode, (_VALUE,), {"trim": False}),
+    ("encode_prefix_free", encode_prefix_free, (_VALUE,), {}),
+    ("fixed_width_key", fixed_width_key, (_VALUE, 64), {}),
+    ("FixedWidthKey", FixedWidthKey, (b"\x80", 8), {}),
+    ("decode", decode, (_BITS,), {"trim": False, "max_exponent": 10**6}),
+    (
+        "decode_prefix_free_stream",
+        decode_prefix_free_stream,
+        (encode_prefix_free(_VALUE),),
+        {"max_exponent": 10**6},
+    ),
+    ("DecodeErrorKind", DecodeErrorKind, ("truncated input",), {}),
+    ("DecodeError", DecodeError, (DecodeErrorKind.TRUNCATED_INPUT, 3), {}),
+    ("ParseError", ParseError, ("expected digit", 3), {}),
+    ("ExponentLimitError", ExponentLimitError, (5, 4), {}),
+    ("KeyWidthError", KeyWidthError, ("too narrow",), {}),
+)
+_WRONG = (None, True, 2.5, float("inf"), "16", b"\x80", [16], 16)
+
+
+def type_errors() -> list[str]:
+    """Each call in ``_SIGNATURES``, as given and with each argument of a wrong type."""
+    lines = []
+    for name, call, args, kwargs in _SIGNATURES:
+        lines.append(repr((name, None, None, _outcome(call, *args, **kwargs))))
+        for i in range(len(args)):
+            for wrong in _WRONG:
+                changed = args[:i] + (wrong,) + args[i + 1 :]
+                lines.append(repr((name, i, repr(wrong), _outcome(call, *changed, **kwargs))))
+        for key in kwargs:
+            for wrong in _WRONG:
+                changed = {**kwargs, key: wrong}
+                lines.append(repr((name, key, repr(wrong), _outcome(call, *args, **changed))))
+    return lines
+
+
 CATEGORIES = {
     "encodings": encodings,
     "decodings": decodings,
     "from_bytes": from_bytes,
     "parses": parses,
     "cli": cli_runs,
+    "type_errors": type_errors,
 }
 
 
@@ -354,8 +422,8 @@ def main(argv: list[str] | None = None) -> int:
     category, chunk = args.dump
     if category not in CATEGORIES:
         parser.error(f"unknown category {category!r} ({' | '.join(CATEGORIES)})")
-    if corpus and category == "cli":
-        parser.error("the cli category is a fixed list of runs")
+    if corpus and category in ("cli", "type_errors"):
+        parser.error(f"the {category} category is a fixed list of calls")
     lines = CATEGORIES[category](**corpus)
     if chunk != "all":
         start = int(chunk) * CHUNK

@@ -1,5 +1,9 @@
 """Bit container, orders, and byte packing."""
 
+import gc
+import os
+import subprocess
+import sys
 import threading
 import timeit
 
@@ -8,6 +12,7 @@ from hypothesis import given
 
 import hypothesis.strategies as st
 
+import lexdec
 from lexdec import BitString, encode, lex_compare
 from lexdec.bits import BitCursor
 
@@ -332,3 +337,138 @@ class TestConcatenation:
             return min(timeit.repeat(run, number=1, repeat=3))
 
         assert best_of_3(32_000) / best_of_3(4_000) < 20
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            pytest.param(lambda s, p, q: (s + p, s + q)[0], id="two_way_extension"),
+            pytest.param(lambda s, p, q: q + (p + s), id="right_fold"),
+            pytest.param(lambda s, p, q: p + (s + q), id="nested"),
+        ],
+    )
+    def test_time_grows_near_linearly_for_every_shape(self, shape):
+        # As for the left fold: a ratio of two timings, about 8 when linear.
+        parts = [BitString(format(i * 0x9E3779B97F4A7C15 % 1024, "010b")) for i in range(32_000)]
+
+        def best_of_3(count):
+            def run():
+                bs = BitString()
+                for i in range(0, count, 2):
+                    bs = shape(bs, parts[i], parts[i + 1])
+                return bs.to_bytes()
+
+            return min(timeit.repeat(run, number=1, repeat=3))
+
+        assert best_of_3(32_000) / best_of_3(4_000) < 20
+
+    @pytest.mark.parametrize("left_chain", [True, False], ids=["left_chain", "right_chain"])
+    def test_long_unread_chain_needs_no_recursion(self, left_chain):
+        parts = [BitString("1"), BitString("0")]
+        bs = BitString()
+        for i in range(200_000):
+            bs = bs + parts[i % 2] if left_chain else parts[i % 2] + bs
+        # Reading a sum over the chain walks all of it, and leaves it unread.
+        over = bs + BitString()
+        assert over.to_text() == ("10" if left_chain else "01") * 100_000
+        del bs  # the unread chain is freed without recursing
+
+    def test_a_shared_sum_is_expanded_once(self):
+        # `x = x + x` doubles the parts but adds one sum. A read that expanded
+        # every use of a shared sum would take about 0.6 s for `y` and walk
+        # 2**40 parts for `x`, so this runs in a child with a memory cap.
+        code = (
+            "import resource, time\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))\n"
+            "from lexdec import BitString\n"
+            "x, y = BitString(), BitString('1')\n"
+            "for _ in range(20): y = y + y\n"
+            "start = time.perf_counter()\n"
+            "assert y.to_text() == '1' * (1 << 20)\n"
+            "assert time.perf_counter() - start < 0.25\n"
+            "for _ in range(40): x = x + x\n"
+            "assert x.to_bytes() == (b'', 0)\n"
+        )
+        src = os.path.dirname(os.path.dirname(lexdec.__file__))
+        child = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert child.returncode == 0, child.stderr
+
+    def test_a_read_sum_keeps_no_operand(self):
+        total = fold(["1", "01", "001"])
+        extended = total + BitString("1")
+        assert extended.to_text() == "1010011"
+        assert not [o for o in gc.get_referents(extended) if isinstance(o, BitString)]
+        # The unread prefix still holds its operands, and reads on its own.
+        assert [o for o in gc.get_referents(total) if isinstance(o, BitString)]
+        assert_same_bits(total, "101001")
+        assert not [o for o in gc.get_referents(total) if isinstance(o, BitString)]
+
+    def test_threads_reading_extensions_and_their_prefix(self):
+        texts = [format(i * 37 % 64, "06b") for i in range(3_000)]
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                prefix = fold(texts)
+                sums = [prefix] + [prefix + BitString(format(n, "03b")) for n in range(7)]
+                expected = ["".join(texts)] + ["".join(texts) + format(n, "03b") for n in range(7)]
+                barrier = threading.Barrier(len(sums))
+                results = [None] * len(sums)
+
+                def read(n):
+                    barrier.wait()
+                    results[n] = sums[n].to_text()
+
+                threads = [threading.Thread(target=read, args=(n,)) for n in range(len(sums))]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+                assert results == expected
+                for bs, text in zip(sums, expected):
+                    assert_same_bits(bs, text)
+        finally:
+            sys.setswitchinterval(saved)
+
+
+@st.composite
+def sum_trees(draw):
+    """Leaf bit strings, then sums of any two earlier values, so that one value
+    is often an operand of several sums; some sums are read as soon as they
+    are made, and every value once all are made."""
+    leaves = draw(st.lists(st.text("01", max_size=12), min_size=1, max_size=6))
+    steps = []
+    lengths = [len(text) for text in leaves]
+    for _ in range(draw(st.integers(0, 16))):
+        left = draw(st.integers(0, len(lengths) - 1))
+        right = draw(st.integers(0, len(lengths) - 1))
+        if lengths[left] + lengths[right] > 4_000:
+            continue
+        steps.append((left, right, draw(st.booleans())))
+        lengths.append(lengths[left] + lengths[right])
+    order = draw(st.permutations(range(len(lengths))))
+    return leaves, steps, order
+
+
+@given(sum_trees())
+def test_any_tree_of_sums_reads_as_its_text(tree):
+    leaves, steps, order = tree
+    values = [BitString(text) for text in leaves]
+    texts = list(leaves)
+    for left, right, read_now in steps:
+        values.append(values[left] + values[right])
+        texts.append(texts[left] + texts[right])
+        if read_now:  # read before later sums extend it
+            assert_same_bits(values[-1], texts[-1])
+    for i in order:  # read after, in any order
+        assert_same_bits(values[i], texts[i])
+    for i, j in zip(order, order[1:]):
+        expected = (texts[i] > texts[j]) - (texts[i] < texts[j])
+        assert lex_compare(values[i], values[j]) == expected
+        assert (values[i] == values[j]) == (texts[i] == texts[j])

@@ -4,7 +4,11 @@ import io
 import random
 
 import pytest
+from hypothesis import given, settings
 
+import hypothesis.strategies as st
+
+from conformance import _run_cli
 from lexdec.cli import BENCH_MAX_SAMPLES, main
 from lexdec.selftest import random_finite
 from lexdec import compare_numeric, parse_decimal, render_decimal
@@ -136,6 +140,16 @@ class TestCmp:
         code, out, _ = run(capsys, "cmp", "--", left, right)
         assert code == 0
         assert out.strip() == expected
+
+    @pytest.mark.parametrize(
+        "argv", [["--", "1", "--"], ["1", "--", "--"]], ids=["dashes-around", "dashes-after"]
+    )
+    def test_second_double_dash_is_a_usage_error(self, capsys, argv):
+        # argparse hands such a right operand over as [], which once reached
+        # parse_decimal and escaped as a TypeError.
+        code, out, err = run(capsys, "cmp", *argv)
+        assert (code, out) == (1, "")
+        assert err == "error: the following arguments are required: right\n"
 
 
 class TestSort:
@@ -310,3 +324,43 @@ class TestRoundTrip:
             code, out, _ = run(capsys, "decode", out.strip())
             assert code == 0
             assert parse_decimal(out.strip()) == value
+
+
+# Numeral, bit and hex characters. There is no "h", so no word is taken for
+# --help, whose SystemExit is argparse's and not a run's outcome.
+_WORD_CHARS = "0123456789abcdefABCDEF.eE+-/ _xINFNn:"
+_OPTIONS = {
+    "encode": [
+        "--variant", "canonical", "prefix", "fixed:64", "fixed:8", "fixed:12", "fixed:x",
+        "--trim", "--format", "bits", "hex", "--",
+    ],
+    "decode": [
+        "--variant", "canonical", "prefix", "fixed:64", "--trim", "--format", "bits", "hex",
+        "--", "A1 00/9", "10 100 0001", "1010000010",
+    ],
+    "cmp": ["--", "1e3", "-0", "NaN"],
+    "sort": [],
+}
+
+
+@st.composite
+def cli_argv(draw):
+    """A subcommand with its real options mixed with random words; selftest and
+    bench-size only with small counts, which random words could not bound."""
+    command = draw(st.sampled_from([*_OPTIONS, "selftest", "bench-size"]))
+    if command == "selftest":
+        options = ["--cases", str(draw(st.integers(-2, 20))), "--seed", str(draw(st.integers()))]
+    elif command == "bench-size":
+        maximum = draw(st.sampled_from(["1e40", "9" * 1001, "1e1001", "-5", "1.5", "x"]))
+        options = ["--max", maximum, "--samples", str(draw(st.integers(-3, 8)))]
+    else:
+        word = st.one_of(st.sampled_from(_OPTIONS[command] or [""]), st.text(_WORD_CHARS, max_size=16))
+        return [command, *draw(st.lists(word, max_size=6))]
+    return [command, *options]
+
+
+@settings(max_examples=200, deadline=None)
+@given(cli_argv(), st.one_of(st.text(max_size=60), st.text(_WORD_CHARS + "\n", max_size=60)))
+def test_fuzzed_runs_exit_with_a_documented_code(argv, stdin):
+    code, _, err = _run_cli(argv, stdin)  # an exception that escapes main fails the test
+    assert code in (0, 1, 2), (argv, stdin, code, err)

@@ -305,6 +305,31 @@ class TestDecode:
         with pytest.raises(TypeError, match="DecimalValue|BitString"):
             call(source)
 
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda n: BitString.from_bytes(b"\x80", n), "bit_length"),
+            (lambda n: fixed_width_key(parse_decimal("1"), n), "width_bits"),
+            (lambda n: parse_decimal("1e5", max_exponent=n), "max_exponent"),
+            (lambda n: parse_decimal("INF", max_exponent=n), "max_exponent"),
+            (lambda n: decode(BitString("10100001"), max_exponent=n), "max_exponent"),
+            (
+                lambda n: decode_prefix_free_stream(BitString("1010000010"), max_exponent=n),
+                "max_exponent",
+            ),
+        ],
+        ids=["from-bytes", "fixed-width", "parse", "parse-special", "decode", "stream"],
+    )
+    @pytest.mark.parametrize(
+        "number", [True, 16.0, float("inf"), "16", None], ids=["bool", "float", "inf", "str", "none"]
+    )
+    def test_numeric_arguments_must_be_ints(self, call, name, number):
+        # Each once leaked a bare TypeError, a ValueError from format() or an
+        # AttributeError, or was taken as a number.
+        with pytest.raises(TypeError) as exc:
+            call(number)
+        assert str(exc.value) == f"{name} must be an int, not {type(number).__name__}"
+
 
 class TestExponentLimit:
     # Header 10, then a 33-bit run: exponent + 2 >= 2**33, above the 2**32 default.

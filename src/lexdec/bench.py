@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from decimal import Context, Decimal
 from fractions import Fraction
 
-from .codec import canonical_bit_length, encode, exponent_field_length
+from .codec import _field_ends, canonical_bit_length, encode
 from .decimal_values import DecimalValue, parse_decimal
 
 __all__ = [
@@ -101,12 +101,13 @@ def approx_bits(exponent: int, digit_count: int) -> Fraction:
 def measure(value: DecimalValue) -> BenchRow:
     bits = len(encode(value))
     form = value.form
+    header_end, exponent_end, _ = _field_ends(form)
     return BenchRow(
         value=decimal_to_int(value),
         measured_bits=bits,
         law_bits=canonical_bit_length(value),
         approx_bits=float(approx_bits(form.exponent, len(form.digits))),
-        exponent_bits=exponent_field_length(form.exponent),
+        exponent_bits=exponent_end - header_end,
     )
 
 

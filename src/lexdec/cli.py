@@ -11,13 +11,11 @@ import sys
 
 from .bits import BitString, lex_compare
 from .codec import (
-    DECLET_BITS,
-    TETRADE_BITS,
+    _field_ends,
     decode,
     decode_prefix_free_stream,
     encode,
     encode_prefix_free,
-    exponent_field_length,
     fixed_width_key,
 )
 from .decimal_values import _FINITE, parse_decimal, render_decimal
@@ -101,9 +99,9 @@ def _group_bits(value, bits: BitString) -> str:
     text = bits.to_text()
     if value.kind is not _FINITE:
         return text
-    width = 2 + exponent_field_length(value.form.exponent)  # sign header and exponent field
-    cuts = [0, 2, width, *range(width + TETRADE_BITS, len(text) + 1, DECLET_BITS)]
-    return " ".join(text[a:b] for a, b in zip(cuts, cuts[1:]))
+    header_end, exponent_end, group_ends = _field_ends(value.form)
+    cuts = [0, header_end, exponent_end, *group_ends]
+    return " ".join([text[a:b] for a, b in zip(cuts, cuts[1:])])
 
 
 def _hex_text(data: bytes, bit_length: int) -> str:
@@ -190,6 +188,8 @@ def _cmd_sort(args) -> int:
 def _cmd_bench_size(args) -> int:
     from .bench import decimal_to_int, size_rows
 
+    if args.samples < 0:
+        raise _UsageError(f"--samples must be non-negative, not {args.samples}")
     if args.samples > BENCH_MAX_SAMPLES:
         raise _UsageError(f"--samples must be at most {BENCH_MAX_SAMPLES}")
     maximum = parse_decimal(args.max, max_exponent=10**6)

@@ -17,6 +17,14 @@ Layout of a finite value, left to right:
   ``10 - m`` instead of ``m``, which reverses the significand order exactly
   where it must.
 
+The codec describes this layout once. The packer and the reader work on
+the field widths above, and ``_field_ends`` gives a value's field
+boundaries, with the exponent field's width from its writer: where the
+sign header, the exponent field, the tetrade and each declet end.
+``canonical_bit_length`` (its last boundary), the CLI's grouped ``encode``
+output, ``bench-size``'s ``exponent_bits`` column and ``fixed_width_key``'s
+fit check all read them, so none of them works out a width of its own.
+
 Special values: ``00`` negative infinity, ``01`` negative zero, ``10``
 positive zero, ``11`` positive infinity, ``111`` NaN. Sorting the encodings
 with :func:`lexdec.bits.lex_compare` therefore matches numeric order, with
@@ -130,11 +138,6 @@ class ExponentField:
     bits: BitString
     exponent: int
     inverted: bool
-
-
-def exponent_field_length(exponent: int) -> int:
-    """Bit length of the encoded exponent field, 2*floor(log2(e+2)) + 1."""
-    return 2 * (exponent + EXPONENT_OFFSET).bit_length() - 1
 
 
 def exponent_field(exponent: int, invert: bool) -> tuple[int, int]:
@@ -252,6 +255,11 @@ class FixedWidthKey:
     data: bytes
     width_bits: int
 
+    def __post_init__(self):
+        if not isinstance(self.data, bytes):
+            raise TypeError(f"data must be bytes, not {type(self.data).__name__}")
+        _require_int("width_bits", self.width_bits)
+
 
 def fixed_width_key(value: DecimalValue, width_bits: int) -> FixedWidthKey:
     """Truncate or zero-pad the canonical encoding to exactly ``width_bits``.
@@ -268,17 +276,16 @@ def fixed_width_key(value: DecimalValue, width_bits: int) -> FixedWidthKey:
         _require_int("width_bits", width_bits)
     if width_bits < 8 or width_bits % 8:
         raise ValueError("width_bits must be a positive multiple of 8")
-    if isinstance(value, DecimalValue) and value.kind is _FINITE:
-        layout = _layout(value.form)
-        fixed_fields = layout[1] + TETRADE_BITS
+    if not isinstance(value, DecimalValue):
+        raise TypeError(f"fixed_width_key takes a DecimalValue, not {type(value).__name__}")
+    if value.kind is _FINITE:
+        fixed_fields = _field_ends(value.form)[2][0]  # where the tetrade ends
         if fixed_fields > width_bits:
             raise KeyWidthError(
                 f"sign, exponent and leading digit need {fixed_fields} bits, "
                 f"key width is {width_bits}"
             )
-        bits = _pack(*layout)
-    else:
-        bits = encode(value)  # a special value, or a TypeError
+    bits = encode(value)
     shift = width_bits - len(bits)
     key = bits._value << shift if shift >= 0 else bits._value >> -shift
     data = key.to_bytes(width_bits // 8, "big")
@@ -697,6 +704,14 @@ def canonical_bit_length(value: DecimalValue) -> int:
         raise TypeError(f"canonical_bit_length takes a DecimalValue, not {type(value).__name__}")
     if value.kind is not _FINITE:
         return len(SPECIAL_ENCODINGS[value.kind])
-    form = value.form
-    declets = (len(form.digits) - 1 + DECLET_DIGITS - 1) // DECLET_DIGITS
-    return 2 + exponent_field_length(form.exponent) + TETRADE_BITS + DECLET_BITS * declets
+    return _field_ends(value.form)[2][-1]
+
+
+def _field_ends(form: ScientificForm) -> tuple[int, int, range]:
+    """Where each field of a finite value's canonical encoding ends: the sign
+    header, the exponent field, then, as a ``range``, the tetrade and each
+    declet, the last of which ends the encoding."""
+    exponent_end = 2 + exponent_field(form.exponent, False)[1]  # the sign header, then the field
+    tetrade_end = exponent_end + TETRADE_BITS
+    declets = (len(form.digits) + 1) // DECLET_DIGITS  # after the leading digit
+    return 2, exponent_end, range(tetrade_end, tetrade_end + DECLET_BITS * declets + 1, DECLET_BITS)

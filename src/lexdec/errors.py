@@ -27,6 +27,7 @@ class ExponentLimitError(ValueError):
     """
 
     def __init__(self, exponent: int, limit: int):
+        _require_int("exponent", exponent)
         # A decoded exponent can have more digits than Python will render.
         shown = exponent if exponent.bit_length() <= 64 else f"of {exponent.bit_length()} bits"
         super().__init__(f"exponent magnitude {shown} exceeds limit {_limit_text(limit)}")
@@ -88,6 +89,8 @@ class DecodeError(Exception):
     """
 
     def __init__(self, kind: DecodeErrorKind, position: int):
+        if not isinstance(kind, DecodeErrorKind):
+            raise TypeError(f"kind must be a DecodeErrorKind, not {type(kind).__name__}")
         super().__init__(f"{kind.value} at bit {position}")
         self.kind = kind
         self.position = position

@@ -233,6 +233,15 @@ class TestBench:
         code, out, err = run(capsys, "bench-size", "--max", "1e1000", "--samples", samples)
         assert (code, out, err) == (1, "", "error: --samples must be at most 200\n")
 
+    def test_negative_samples_is_usage_error(self, capsys):
+        # It once printed the header and exited 0.
+        code, out, err = run(capsys, "bench-size", "--max", "1e6", "--samples", "-3")
+        assert (code, out, err) == (1, "", "error: --samples must be non-negative, not -3\n")
+
+    def test_zero_samples_prints_only_the_header(self, capsys):
+        code, out, _ = run(capsys, "bench-size", "--max", "1e6", "--samples", "0")
+        assert (code, out) == (0, "integer\tmeasured_bits\tlaw_bits\tapprox_bits\texponent_bits\n")
+
 
 class TestSelfTest:
     def test_pass(self, capsys):
@@ -362,5 +371,47 @@ def cli_argv(draw):
 @settings(max_examples=200, deadline=None)
 @given(cli_argv(), st.one_of(st.text(max_size=60), st.text(_WORD_CHARS + "\n", max_size=60)))
 def test_fuzzed_runs_exit_with_a_documented_code(argv, stdin):
+    code, _, err = _run_cli(argv, stdin)  # an exception that escapes main fails the test
+    assert code in (0, 1, 2), (argv, stdin, code, err)
+
+
+_VARIANTS = (
+    [],
+    ["--trim"],
+    ["--variant", "prefix"],
+    ["--variant", "prefix", "--trim"],
+    ["--variant", "fixed:64"],
+)
+
+
+@st.composite
+def hex_decode_runs(draw):
+    """``decode --format hex`` on arbitrary bytes, as an argument or a stdin
+    line, with a bit length that fits them, is negative, runs past them or
+    has more digits than int() converts."""
+    data = draw(st.binary(max_size=48))
+    value = int.from_bytes(data, "big")
+    zeros = (value & -value).bit_length() - 1 if value else 8 * len(data)  # trailing
+    length = draw(
+        st.one_of(
+            st.integers(8 * len(data) - min(zeros, 7), 8 * len(data)),  # only 0s cut off
+            st.integers(0, 8 * len(data)),
+            st.integers(-100, -1),
+            st.integers(8 * len(data) + 1, 8 * len(data) + 100),
+            st.just("9" * 5000),
+        )
+    )
+    body = data.hex(" ") if draw(st.booleans()) else data.hex().upper()
+    line = f"{body}/{length}"
+    argv = ["decode", "--format", "hex", *draw(st.sampled_from(_VARIANTS))]
+    if draw(st.booleans()):
+        return [*argv, "--", line], ""
+    return argv, line + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(hex_decode_runs())
+def test_fuzzed_hex_bytes_exit_with_a_documented_code(run_args):
+    argv, stdin = run_args
     code, _, err = _run_cli(argv, stdin)  # an exception that escapes main fails the test
     assert code in (0, 1, 2), (argv, stdin, code, err)

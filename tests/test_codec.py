@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given
 import hypothesis.strategies as st
 
+import lexdec.bench
 import lexdec.cli
 from lexdec import (
     NAN,
@@ -28,6 +29,7 @@ from lexdec import (
     DecodeErrorKind,
     ExponentLimitError,
     ExponentSign,
+    FixedWidthKey,
     Kind,
     Sign,
     canonical_bit_length,
@@ -44,7 +46,10 @@ from lexdec import (
 from lexdec.bits import BitCursor
 from lexdec.codec import (
     _declet_digits,
+    _field_ends,
     _pack,
+    _read_payload,
+    _read_run,
     _slot_ones,
     _ten_minus,
     decode_significand,
@@ -279,8 +284,19 @@ class TestDecode:
                 lambda: encode_significand(None, False),
                 "encode_significand takes a str, not NoneType",
             ),
+            (
+                lambda: fixed_width_key("1", 64),
+                "fixed_width_key takes a DecimalValue, not str",
+            ),
         ],
-        ids=["decode-int", "stream-str", "significand-int", "significand-zero", "significand-none"],
+        ids=[
+            "decode-int",
+            "stream-str",
+            "significand-int",
+            "significand-zero",
+            "significand-none",
+            "fixed-width-str",
+        ],
     )
     def test_wrong_argument_types_name_the_function(self, call, message):
         with pytest.raises(TypeError) as exc:
@@ -329,6 +345,37 @@ class TestDecode:
         with pytest.raises(TypeError) as exc:
             call(number)
         assert str(exc.value) == f"{name} must be an int, not {type(number).__name__}"
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: DecodeError(None, 3), "kind must be a DecodeErrorKind, not NoneType"),
+            (lambda: DecodeError("truncated input", 3), "kind must be a DecodeErrorKind, not str"),
+            (lambda: ExponentLimitError("16", 4), "exponent must be an int, not str"),
+            (lambda: ExponentLimitError(True, 4), "exponent must be an int, not bool"),
+            (lambda: ExponentLimitError(None, 4), "exponent must be an int, not NoneType"),
+            (lambda: FixedWidthKey(None, 8), "data must be bytes, not NoneType"),
+            (lambda: FixedWidthKey("\x80", 8), "data must be bytes, not str"),
+            (lambda: FixedWidthKey(b"\x80", "8"), "width_bits must be an int, not str"),
+            (lambda: FixedWidthKey(b"\x80", True), "width_bits must be an int, not bool"),
+        ],
+        ids=[
+            "decode-error-none",
+            "decode-error-str",
+            "limit-str",
+            "limit-bool",
+            "limit-none",
+            "key-data-none",
+            "key-data-str",
+            "key-width-str",
+            "key-width-bool",
+        ],
+    )
+    def test_exception_and_key_constructors_check_their_arguments(self, call, message):
+        # Each once raised AttributeError from its message, or built anyway.
+        with pytest.raises(TypeError) as exc:
+            call()
+        assert str(exc.value) == message
 
 
 class TestExponentLimit:
@@ -760,6 +807,41 @@ class TestLengthLaw:
         assert canonical_bit_length(NAN) == 3
 
 
+SIGN_PAIRS = [parse_decimal(text) for text in ("1.5e3", "-1.5e3", "1.5e-3", "-1.5e-3")]
+
+
+class TestFieldEnds:
+    """``_field_ends`` cuts ``encode``'s output into exactly its fields."""
+
+    @given(finite_values(max_digits=200, max_exponent=10**12))
+    @example(SIGN_PAIRS[0])
+    @example(SIGN_PAIRS[1])
+    @example(SIGN_PAIRS[2])
+    @example(SIGN_PAIRS[3])
+    def test_ends_tile_the_encoding(self, value):
+        bits = encode(value)
+        header_end, exponent_end, group_ends = _field_ends(value.form)
+        assert header_end == 2
+        # The exponent field ends where the decoder's field reader stops.
+        inverted, run, position = _read_run(bits._value, len(bits), header_end)
+        assert _read_payload(bits._value, len(bits), position, inverted, run)[1] == exponent_end
+        text = bits.to_text()
+        assert int(text[exponent_end : group_ends[0]], 2) <= 9
+        assert all(int(text[a:b], 2) <= 999 for a, b in zip(group_ends, group_ends[1:]))
+        assert group_ends[-1] == len(bits) == canonical_bit_length(value)
+
+    @given(decimal_values(max_digits=200, max_exponent=10**12))
+    @example(SIGN_PAIRS[1])
+    @example(SIGN_PAIRS[2])
+    def test_grouped_output_is_the_encoding(self, value):
+        bits = encode(value)
+        grouped = lexdec.cli._group_bits(value, bits)
+        assert grouped.replace(" ", "") == bits.to_text()
+        if value.kind is Kind.FINITE:
+            # Header, exponent field, tetrade and declets, none of them empty.
+            assert len(grouped.split(" ")) == 2 + len(_field_ends(value.form)[2])
+
+
 def test_public_names_resolve():
     lexdec = importlib.import_module("lexdec")
     assert [name for name in lexdec.__all__ if not hasattr(lexdec, name)] == []
@@ -798,6 +880,7 @@ def code_objects(code):
         encode_prefix_free,
         fixed_width_key,
         canonical_bit_length,
+        lexdec.codec._field_ends,
         lexdec.codec._layout,
         lexdec.codec._pack,
         lexdec.codec._lane_slots,
@@ -831,4 +914,24 @@ def test_field_internals_are_not_public():
     assert not hasattr(BitCursor, "at_end")
     for module in (lexdec.bits, lexdec.codec):
         assert internals.isdisjoint(module.__all__)
-    assert {"exponent_field_length", "SPECIAL_ENCODINGS"}.isdisjoint(lexdec.codec.__all__)
+    assert {"_field_ends", "SPECIAL_ENCODINGS"}.isdisjoint(lexdec.codec.__all__)
+    assert not hasattr(lexdec.codec, "exponent_field_length")
+
+
+_LAYOUT_NAMES = {
+    "TETRADE_BITS",
+    "DECLET_BITS",
+    "DECLET_DIGITS",
+    "EXPONENT_OFFSET",
+    "exponent_field",
+    "exponent_field_length",
+}
+
+
+@pytest.mark.parametrize("module", [lexdec.cli, lexdec.bench], ids=lambda module: module.__name__)
+def test_only_codec_describes_the_layout(module):
+    # The CLI's grouped output and bench-size's columns read the field ends
+    # from codec._field_ends; neither works out a width of its own.
+    code = compile(Path(module.__file__).read_text(), module.__file__, "exec")
+    names = {name for nested in code_objects(code) for name in nested.co_names}
+    assert names.isdisjoint(_LAYOUT_NAMES)

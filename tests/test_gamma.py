@@ -7,15 +7,23 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from lexdec import BitString, DecodeError, DecodeErrorKind, lex_compare
+from lexdec import (
+    BitString,
+    DecodeError,
+    DecodeErrorKind,
+    ExponentSign,
+    ScientificForm,
+    Sign,
+    lex_compare,
+)
 from lexdec.bits import BitCursor
 from lexdec.codec import (
+    _field_ends,
     _read_payload,
     _read_run,
     decode_exponent,
     encode_exponent,
     exponent_field,
-    exponent_field_length,
 )
 
 from golden import EXPONENT_FIELD_TABLE as GOLDEN_EXPONENT_FIELDS
@@ -187,4 +195,7 @@ def test_length_law(exponent, invert):
     width = exponent_field(exponent, invert)[1]
     n = (exponent + 2).bit_length()
     assert width == 2 * n - 1
-    assert width == exponent_field_length(exponent)
+    header_end, exponent_end, _ = _field_ends(
+        ScientificForm(Sign.POSITIVE, ExponentSign.NON_NEGATIVE, exponent, "1")
+    )
+    assert width == exponent_end - header_end

@@ -94,7 +94,9 @@ def log_spaced_integers(max_value: int, samples: int) -> list[int]:
 
 
 def approx_bits(exponent: int, digit_count: int) -> Fraction:
-    """The smooth size estimate 5 + 2*floor(log2(e+2)) + (10/3)*(n-1)."""
+    """The paper's smooth size estimate 5 + 2*floor(log2(e+2)) + (10/3)*(n-1).
+    It leaves out the 2-bit sign header and spreads the declets over the
+    digits, so it sits 2 to 2 + 20/3 bits under ``law_bits``."""
     return 5 + 2 * ((exponent + 2).bit_length() - 1) + Fraction(10, 3) * (digit_count - 1)
 
 

@@ -88,7 +88,10 @@ class BitString:
             )
         if value & ((1 << pad) - 1):
             raise ValueError("nonzero padding bits")
-        return cls._raw(value >> pad, bit_length)
+        bits = object.__new__(cls)
+        bits._value = value >> pad
+        bits._length = bit_length
+        return bits
 
     def to_bytes(self) -> tuple[bytes, int]:
         """Pack MSB-first into bytes, zero-padding the final partial byte.
@@ -221,9 +224,9 @@ class BitCursor:
     """A read position over a :class:`BitString`, used only by the field
     adapters ``codec.decode_exponent`` and ``codec.decode_significand``. It
     holds the source's integer and width in bits, which the adapters hand to
-    the decoder's own readers, and an adapter moves ``position`` past what it
-    read. Cursors are independent per reader and mutate only their own
-    position.
+    the decoder's one exponent-field reader and one value reader, and an
+    adapter moves ``position`` past what it read. Cursors are independent
+    per reader and mutate only their own position.
     """
 
     __slots__ = ("position", "_value", "_length")

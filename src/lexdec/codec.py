@@ -57,20 +57,23 @@ serve every framing, and the only difference between them is the stride of
 a group: 10 bits canonical and trimmed, 11 bits prefix-free.
 
 Decoding reads the input's integer and its width in bits, never its
-``0``/``1`` text. The header is a shift; the exponent field's run ends where
+``0``/``1`` text, one value in one frame (``_read_value``). The header is a
+shift; the one exponent-field reader, ``_read_exponent``, which the
+``decode_exponent`` adapter shares, ends the field's run where
 ``bit_length()`` of the rest of the input (or of its complement) says; the
-payload and the significand are a shift and a mask each. The declets are
-never cut apart: they stay slots of one integer, 10 or 11 bits apart, and a
-few whole-integer operations check them all against 999, take a negative
-value's complement to ten, and merge adjacent slots in pairs until each
-block of up to 64 declets is one base-1000 integer, written with one
-``str()`` (SIMD within a register, after Lamport's "Multiple byte processing
-with full-word instructions", CACM 1975). Under prefix-free framing the
-chain of groups ends at the highest set bit of the group-leading bits that
-are 0, found in one step. Both directions halve a long significand into
-blocks of up to 64 groups, so it encodes and decodes in n log n time. A
-stream is read through byte windows of its packed form, so splitting it
-stays linear.
+payload and the significand are a shift and a mask each, and the
+``decode_significand`` adapter reads through ``_read_value`` behind a fixed
+head of exponent 0. The declets are never cut apart: they stay slots of one
+integer, 10 or 11 bits apart, and a few whole-integer operations check them
+all against 999, take a negative value's complement to ten, and merge
+adjacent slots in pairs until each block of up to 64 declets is one
+base-1000 integer, written with one ``str()`` (SIMD within a register, after
+Lamport's "Multiple byte processing with full-word instructions", CACM
+1975). Under prefix-free framing the chain of groups ends at the highest set
+bit of the group-leading bits that are 0, found in one step. Both directions
+halve a long significand into blocks of up to 64 groups, so it encodes and
+decodes in n log n time. A stream is read through byte windows of its packed
+form, so splitting it stays linear.
 """
 
 from __future__ import annotations
@@ -91,8 +94,10 @@ from .decimal_values import (
     _NEGATIVE,
     _POSITIVE,
     DecimalValue,
+    ExponentSign,
     Kind,
     ScientificForm,
+    _finite_value,
 )
 from .errors import (
     DecodeError,
@@ -163,19 +168,23 @@ def encode_exponent(exponent: int, invert: bool) -> ExponentField:
 
 def decode_exponent(cursor: BitCursor) -> ExponentField:
     """Read an exponent field at the cursor, un-flipping it when its leading bit is 0."""
-    value, length = cursor._value, cursor._length
-    inverted, run, position = _read_run(value, length, cursor.position)
-    exponent, cursor.position = _read_payload(value, length, position, inverted, run)
-    return encode_exponent(exponent, inverted)
+    # As a positive value's field, flipped exactly when its exponent sign is
+    # negative; no field of the input reaches the limit 2**length.
+    length = cursor._length
+    field = _read_exponent(cursor._value, length, cursor.position, False, 1 << length)
+    sign, exponent, cursor.position = field
+    return encode_exponent(exponent, sign is _EXPONENT_NEGATIVE)
 
 
-def _read_run(value: int, length: int, position: int) -> tuple[bool, int, int]:
-    """Read the leading run of an exponent field at ``position`` in the
-    ``length``-bit integer ``value``, and the opposite bit ending it.
+def _read_exponent(
+    value: int, length: int, position: int, negative: bool, max_exponent: int
+) -> tuple[ExponentSign, int, int]:
+    """The exponent sign, exponent and end of the field at ``position`` in the
+    ``length``-bit integer ``value``, in a value of sign ``negative``.
 
-    Returns ``(inverted, R, position after the ending bit)``: the field spans
-    2R+1 bits, and its exponent is at least ``2**R - EXPONENT_OFFSET`` before
-    the payload is even read.
+    A leading run of R bits makes a field of 2R+1 bits and an exponent of at
+    least ``2**R - EXPONENT_OFFSET``; past ``max_exponent``, that least one
+    is rejected before the payload is read.
     """
     rest = length - position
     mask = (1 << rest) - 1
@@ -188,22 +197,20 @@ def _read_run(value: int, length: int, position: int) -> tuple[bool, int, int]:
     if not body:
         raise DecodeError(DecodeErrorKind.TRUNCATED_INPUT, length)
     run = rest - body.bit_length()
-    return inverted, run, position + run + 1
-
-
-def _read_payload(
-    value: int, length: int, position: int, inverted: bool, run: int
-) -> tuple[int, int]:
-    """The exponent of a field whose run of ``run`` bits ends before
-    ``position``, and the position after its ``run``-bit payload."""
+    # The field is flipped exactly when the two signs differ.
+    exponent_sign = _EXPONENT_SIGNS[negative != inverted]
+    least = (1 << run) - EXPONENT_OFFSET
+    if least > max_exponent:
+        raise ExponentLimitError(exponent_sign * least, max_exponent)
+    position += run + 1  # past the run and the bit ending it
     end = position + run
     if end > length:
         raise DecodeError(DecodeErrorKind.TRUNCATED_INPUT, position)
-    mask = (1 << run) - 1
-    payload = value >> (length - end) & mask
-    if inverted:
-        payload ^= mask
-    return ((1 << run) | payload) - EXPONENT_OFFSET, end
+    # ``body`` holds the field with its run made zeros: the payload complemented.
+    exponent = least + (body >> (length - end) & ((1 << run) - 1) ^ ((1 << run) - 1))
+    if exponent > max_exponent:
+        raise ExponentLimitError(exponent_sign * exponent, max_exponent)
+    return exponent_sign, exponent, end
 
 
 def encode_significand(digits: str, negative: bool) -> BitString:
@@ -456,10 +463,8 @@ def _read_value(
     return it and where it ends.
 
     Error positions are offsets from the start. Under continuation framing,
-    ``11`` is NaN when a 1 follows and positive infinity otherwise. An
-    exponent field whose length alone puts it above ``max_exponent`` is
-    rejected before its payload is read; the error then carries the smallest
-    exponent of that length.
+    ``11`` is NaN when a 1 follows and positive infinity otherwise. The
+    exponent limit is checked as :func:`_read_exponent` says.
     """
     if length < 2:
         raise DecodeError(DecodeErrorKind.TRUNCATED_INPUT, 0)
@@ -477,49 +482,16 @@ def _read_value(
         return (POSITIVE_ZERO if header == _HEADER_POSITIVE else NEGATIVE_INFINITY), 2
 
     negative = header == _HEADER_NEGATIVE
-    inverted, run, position = _read_run(value, length, 2)
-    # The field is flipped exactly when the two signs differ.
-    exponent_sign = _EXPONENT_SIGNS[negative != inverted]
-    least = (1 << run) - EXPONENT_OFFSET
-    if least > max_exponent:
-        raise ExponentLimitError(exponent_sign * least, max_exponent)
-    exponent, position = _read_payload(value, length, position, inverted, run)
-    if exponent > max_exponent:
-        raise ExponentLimitError(exponent_sign * exponent, max_exponent)
-    if exponent == 0 and negative != inverted:
+    exponent_sign, exponent, start = _read_exponent(value, length, 2, negative, max_exponent)
+    if exponent == 0 and exponent_sign is _EXPONENT_NEGATIVE:
         raise DecodeError(DecodeErrorKind.NEGATIVE_ZERO_EXPONENT, 2)
 
-    digits, position = _read_significand(value, length, position, negative, framing)
-    form = ScientificForm._raw(_SIGNS[negative], exponent_sign, exponent, digits)
-    return DecimalValue._finite(form), position
-
-
-def decode_significand(cursor: BitCursor, negative: bool) -> str:
-    """Read the significand through the end of the input and re-normalize it.
-
-    Declet zero-padding is stripped; for negative values the complement to
-    ten is taken back. Validates every tetrade/declet range and that the
-    decoded significand lies in [1, 10).
-    """
-    digits, cursor.position = _read_significand(
-        cursor._value, cursor._length, cursor.position, negative, _TO_END
-    )
-    return digits
-
-
-def _read_significand(
-    value: int, length: int, start: int, negative: bool, framing: int
-) -> tuple[str, int]:
-    """Read the stored groups from ``start`` with one shift and mask, check
-    them and re-normalize; return the digit text and where the significand ends.
-
-    The groups span the rest of the input or, under continuation framing, the
-    chain of groups that start with a 1: a declet every 11 bits, not every
-    10. Every declet is checked, complemented and turned into digits at once,
-    as slots of one integer (see :func:`_declet_digits`). Faults are reported
-    in the order a reader taking one group at a time would meet them: the
-    tetrade, the leftmost declet above 999, then the cut in the input.
-    """
+    # The significand's groups span the rest of the input or, under
+    # continuation framing, the chain of groups that start with a 1, a
+    # declet every 11 bits. One shift and mask cut them out; they are checked,
+    # complemented and turned into digits as slots of one integer. Faults
+    # come in the order a reader of one group at a time meets them: the
+    # tetrade, the leftmost declet above 999, then the cut in the input.
     size = length - start
     continued = framing == _CONTINUATION
     repadded = framing == _REPADDED
@@ -552,10 +524,11 @@ def _read_significand(
         # A short all-zero tail is byte-alignment padding; anything else
         # means the input was cut mid-declet.
         short = group_bits % DECLET_BITS
-        if bits & ((1 << short) - 1):
-            cut = start + size - short
-        bits >>= short
-        group_bits -= short
+        if short:
+            if bits & ((1 << short) - 1):
+                cut = start + size - short
+            bits >>= short
+            group_bits -= short
     count = group_bits // stride
     first = bits >> group_bits
     if first > 9:
@@ -577,18 +550,36 @@ def _read_significand(
         # Drop the zero declets at the end; the lowest set bit is in the last
         # one that stays.
         drop = ((slots & -slots).bit_length() - 1) // stride if slots else count
-        slots >>= stride * drop
-        ones >>= stride * drop
-        count -= drop
+        if drop:
+            slots >>= stride * drop
+            ones >>= stride * drop
+            count -= drop
         # Stored value must be in (0, 9] so that 10 - stored is in [1, 10).
         if (first == 0 and not count) or (first == 9 and count):
             raise DecodeError(DecodeErrorKind.SIGNIFICAND_OUT_OF_RANGE, start)
         first, slots, _ = _ten_minus(first, slots, ones)
     elif first == 0:
         raise DecodeError(DecodeErrorKind.SIGNIFICAND_OUT_OF_RANGE, start)
-    digits = str(first) + _declet_digits(slots, count, stride)
+    digits = (str(first) + _declet_digits(slots, count, stride)).rstrip("0")
     # Under continuation framing the significand ends after the 0 closing the chain.
-    return digits.rstrip("0"), start + size + continued
+    end = start + size + continued
+    return _finite_value(_SIGNS[negative], exponent_sign, exponent, digits), end
+
+
+def decode_significand(cursor: BitCursor, negative: bool) -> str:
+    """Read the significand through the end of the input and re-normalize it,
+    as the significand of a value whose 5-bit head for exponent 0 (sign
+    header, exponent field) stands in for the bits before the cursor.
+    """
+    rest = cursor._length - cursor.position
+    shift = 5 - cursor.position
+    bits = (0b00_011 if negative else 0b10_100) << rest | cursor._value & ((1 << rest) - 1)
+    try:
+        value, end = _read_value(bits, 5 + rest, _TO_END, 0)
+    except DecodeError as error:
+        raise DecodeError(error.kind, error.position - shift) from None
+    cursor.position = end - shift
+    return value.form.digits
 
 
 def _ten_minus(first: int, slots: int, ones: int) -> tuple[int, int, int]:

@@ -108,18 +108,6 @@ class ScientificForm:
         if self.exponent == 0 and self.exponent_sign is _EXPONENT_NEGATIVE:
             raise ValueError("zero exponent must carry the non-negative sign")
 
-    @classmethod
-    def _raw(
-        cls, sign: Sign, exponent_sign: ExponentSign, exponent: int, digits: str
-    ) -> "ScientificForm":
-        """Build without the checks, for producers that emit canonical forms."""
-        form = object.__new__(cls)
-        _set_sign(form, sign)
-        _set_exponent_sign(form, exponent_sign)
-        _set_exponent(form, exponent)
-        _set_digits(form, digits)
-        return form
-
     @property
     def signed_exponent(self) -> int:
         return int(self.exponent_sign) * self.exponent
@@ -145,27 +133,36 @@ class DecimalValue:
     def finite(cls, form: ScientificForm) -> "DecimalValue":
         return cls(_FINITE, form)
 
-    @classmethod
-    def _finite(cls, form: ScientificForm) -> "DecimalValue":
-        """Build the finite variant without the check, for producers of canonical forms."""
-        value = object.__new__(cls)
-        _set_kind(value, _FINITE)
-        _set_form(value, form)
-        return value
-
     def is_finite(self) -> bool:
         return self.kind is _FINITE
 
 
-# The unchecked builders write the fields of frozen instances through the
+# The unchecked builder writes the fields of frozen instances through the
 # slot descriptors, which skips the frozen __setattr__ and the name lookup
 # that object.__setattr__ makes.
+_new = object.__new__
 _set_sign = ScientificForm.sign.__set__
 _set_exponent_sign = ScientificForm.exponent_sign.__set__
 _set_exponent = ScientificForm.exponent.__set__
 _set_digits = ScientificForm.digits.__set__
 _set_kind = DecimalValue.kind.__set__
 _set_form = DecimalValue.form.__set__
+
+
+def _finite_value(
+    sign: Sign, exponent_sign: ExponentSign, exponent: int, digits: str
+) -> DecimalValue:
+    """A finite value built without the checks, for producers of canonical forms."""
+    form = _new(ScientificForm)
+    _set_sign(form, sign)
+    _set_exponent_sign(form, exponent_sign)
+    _set_exponent(form, exponent)
+    _set_digits(form, digits)
+    value = _new(DecimalValue)
+    _set_kind(value, _FINITE)
+    _set_form(value, form)
+    return value
+
 
 POSITIVE_ZERO = DecimalValue(Kind.POSITIVE_ZERO)
 NEGATIVE_ZERO = DecimalValue(Kind.NEGATIVE_ZERO)
@@ -247,13 +244,12 @@ def parse_decimal(text: str, *, max_exponent: int = DEFAULT_MAX_EXPONENT) -> Dec
     if abs(signed_exponent) > max_exponent:
         raise ExponentLimitError(signed_exponent, max_exponent)
 
-    form = ScientificForm._raw(
+    return _finite_value(
         _NEGATIVE if negative else _POSITIVE,
         _EXPONENT_NEGATIVE if signed_exponent < 0 else _EXPONENT_NON_NEGATIVE,
         abs(signed_exponent),
         significant,
     )
-    return DecimalValue._finite(form)
 
 
 _NUMERAL = re.compile(r"([+-]?)([0-9]*)(?:\.([0-9]*))?(?:[eE]([+-]?)([0-9]*))?")

@@ -12,6 +12,9 @@ class ParseError(ValueError):
     """
 
     def __init__(self, message: str, position: int):
+        if not isinstance(message, str):
+            raise TypeError(f"message must be a str, not {type(message).__name__}")
+        _require_int("position", position)
         super().__init__(f"{message} (at position {position})")
         self.position = position
 
@@ -28,6 +31,7 @@ class ExponentLimitError(ValueError):
 
     def __init__(self, exponent: int, limit: int):
         _require_int("exponent", exponent)
+        _require_int("limit", limit)
         # A decoded exponent can have more digits than Python will render.
         shown = exponent if exponent.bit_length() <= 64 else f"of {exponent.bit_length()} bits"
         super().__init__(f"exponent magnitude {shown} exceeds limit {_limit_text(limit)}")
@@ -59,8 +63,8 @@ def _require_int(name: str, value: object) -> None:
     The per-value entry points (``from_bytes``, ``fixed_width_key``,
     ``parse_decimal``, ``decode``) call it only when ``type(value) is not
     int``: the call alone costs about 3% of a short parse or a decode. The
-    rest, such as ``decode_prefix_free_stream`` and ``ScientificForm``, call
-    it directly.
+    rest call it directly: ``decode_prefix_free_stream``, ``ScientificForm``,
+    ``FixedWidthKey`` and the three error constructors here.
     """
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"{name} must be an int, not {type(value).__name__}")
@@ -91,6 +95,7 @@ class DecodeError(Exception):
     def __init__(self, kind: DecodeErrorKind, position: int):
         if not isinstance(kind, DecodeErrorKind):
             raise TypeError(f"kind must be a DecodeErrorKind, not {type(kind).__name__}")
+        _require_int("position", position)
         super().__init__(f"{kind.value} at bit {position}")
         self.kind = kind
         self.position = position

@@ -27,6 +27,7 @@ from .decimal_values import (
     Kind,
     ScientificForm,
     Sign,
+    _finite_value,
     compare_numeric,
     render_decimal,
 )
@@ -75,8 +76,7 @@ def random_finite(
         else rng.choice((ExponentSign.NEGATIVE, ExponentSign.NON_NEGATIVE))
     )
     sign = rng.choice((Sign.NEGATIVE, Sign.POSITIVE))
-    form = ScientificForm._raw(sign, exponent_sign, exponent, random_digits(rng, max_digits))
-    return DecimalValue._finite(form)
+    return _finite_value(sign, exponent_sign, exponent, random_digits(rng, max_digits))
 
 
 def run_selftest(

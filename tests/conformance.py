@@ -1,7 +1,8 @@
 """Conformance digest: what the library does, fixed as SHA-256 digests.
 
 Each category runs a corpus from this file's own seeded generators through
-the public API and records one line per case: what came out, or the error's
+the public API, or through the field adapters that ``perfbench`` times, and
+records one line per case: what came out, or the error's
 type, kind, position and message. ``conformance.json`` keeps one digest per
 category and one per chunk of 1,000 cases, and ``test_conformance.py``
 recomputes them. A change that means to alter behaviour rewrites the file
@@ -66,6 +67,8 @@ from lexdec import (
     render_decimal,
 )
 from lexdec import cli
+from lexdec.bits import BitCursor
+from lexdec.codec import decode_exponent, decode_significand
 
 DIGEST_FILE = Path(__file__).with_name("conformance.json")
 CHUNK = 1000
@@ -220,6 +223,79 @@ def from_bytes(cases: int = 3000, seed: str | None = None) -> list[str]:
             data = bytes(rng.choices(range(256), k=rng.randint(0, 12)))
             bit_length = rng.randint(-2, 8 * len(data) + 3)
         lines.append(repr((data.hex(), bit_length, _outcome(_from_bytes, data, bit_length))))
+    return lines
+
+
+_FLIP = str.maketrans("01", "10")
+
+
+def _exponent_text(exponent: int) -> str:
+    """The exponent field by the layout's rule: for k = e+2 of N bits, N-1
+    ones, a zero, then k without its leading one."""
+    k = format(exponent + 2, "b")
+    return "1" * (len(k) - 1) + "0" + k[1:]
+
+
+def _adapter_bits(rng: random.Random) -> tuple[str, int]:
+    """Bits laid out like a finite encoding, often cut, flipped or extended,
+    or random bits; and where the exponent field ends (a random position in
+    random bits)."""
+    if rng.random() < 0.15:
+        text = "".join(rng.choices("01", k=rng.randint(0, 40)))
+        return text, rng.randint(0, len(text))
+    field = _exponent_text(rng.randrange(10 ** rng.randint(0, 6)))
+    if rng.random() < 0.5:
+        field = field.translate(_FLIP)
+    parts = [rng.choice(("00", "10")), field]
+    parts.append(format(rng.randrange(10) if rng.random() < 0.9 else rng.randrange(16), "04b"))
+    for _ in range(rng.randint(0, 6) if rng.random() < 0.9 else rng.randint(60, 140)):
+        declet = rng.randrange(1000) if rng.random() < 0.95 else rng.randrange(1000, 1024)
+        parts.append(format(declet, "010b"))
+    text = "".join(parts)
+    mutation = rng.random()
+    if mutation < 0.2:
+        text = text[: rng.randrange(len(text))]
+    elif mutation < 0.3:
+        text += "".join(rng.choices("01", k=rng.randint(1, 12)))
+    elif mutation < 0.4:
+        text += "0" * rng.randint(1, 9)
+    elif mutation < 0.55:
+        i = rng.randrange(len(text))
+        text = text[:i] + text[i].translate(_FLIP) + text[i + 1 :]
+    return text, 2 + len(field)
+
+
+def _read_exponent_at(bits: BitString, position: int) -> str:
+    cursor = BitCursor(bits, position)
+    field = decode_exponent(cursor)
+    return f"{field.exponent} {field.inverted} {field.bits.to_text()} @{cursor.position}"
+
+
+def _read_significand_at(bits: BitString, position: int, negative: bool) -> str:
+    cursor = BitCursor(bits, position)
+    return f"{decode_significand(cursor, negative)} @{cursor.position}"
+
+
+def adapters(cases: int = 2000, seed: str | None = None) -> list[str]:
+    """``decode_exponent`` and ``decode_significand`` (both signs) on each bit
+    string at cursor positions 0-8 and just after its exponent field: the
+    result and the cursor's end. A case is a bit string; it gives a line per
+    position."""
+    rng = _rng("adapters", seed)
+    lines = []
+    for _ in range(cases):
+        text, field_end = _adapter_bits(rng)
+        bits = BitString(text)
+        shown = hashlib.sha256(text.encode()).hexdigest()[:16]
+        for position in sorted({*range(9), field_end}):
+            if position > len(bits):
+                break
+            outcomes = (
+                _outcome(_read_exponent_at, bits, position),
+                _outcome(_read_significand_at, bits, position, False),
+                _outcome(_read_significand_at, bits, position, True),
+            )
+            lines.append(repr((len(bits), shown, position, *outcomes)))
     return lines
 
 
@@ -388,6 +464,7 @@ CATEGORIES = {
     "decodings": decodings,
     "from_bytes": from_bytes,
     "parses": parses,
+    "adapters": adapters,
     "cli": cli_runs,
     "type_errors": type_errors,
 }

@@ -5,6 +5,7 @@ import functools
 import importlib
 import random
 import re
+import sys
 import timeit
 import tracemalloc
 import types
@@ -31,6 +32,7 @@ from lexdec import (
     ExponentSign,
     FixedWidthKey,
     Kind,
+    ParseError,
     Sign,
     canonical_bit_length,
     compare_numeric,
@@ -48,11 +50,12 @@ from lexdec.codec import (
     _declet_digits,
     _field_ends,
     _pack,
-    _read_payload,
-    _read_run,
+    _read_exponent,
     _slot_ones,
     _ten_minus,
+    decode_exponent,
     decode_significand,
+    encode_exponent,
     encode_significand,
 )
 
@@ -354,6 +357,19 @@ class TestDecode:
             (lambda: ExponentLimitError("16", 4), "exponent must be an int, not str"),
             (lambda: ExponentLimitError(True, 4), "exponent must be an int, not bool"),
             (lambda: ExponentLimitError(None, 4), "exponent must be an int, not NoneType"),
+            (
+                lambda: DecodeError(DecodeErrorKind.TRUNCATED_INPUT, "16"),
+                "position must be an int, not str",
+            ),
+            (
+                lambda: DecodeError(DecodeErrorKind.TRUNCATED_INPUT, True),
+                "position must be an int, not bool",
+            ),
+            (lambda: ExponentLimitError(5, None), "limit must be an int, not NoneType"),
+            (lambda: ExponentLimitError(5, True), "limit must be an int, not bool"),
+            (lambda: ParseError(None, 3), "message must be a str, not NoneType"),
+            (lambda: ParseError("expected digit", 2.5), "position must be an int, not float"),
+            (lambda: ParseError("expected digit", False), "position must be an int, not bool"),
             (lambda: FixedWidthKey(None, 8), "data must be bytes, not NoneType"),
             (lambda: FixedWidthKey("\x80", 8), "data must be bytes, not str"),
             (lambda: FixedWidthKey(b"\x80", "8"), "width_bits must be an int, not str"),
@@ -365,6 +381,13 @@ class TestDecode:
             "limit-str",
             "limit-bool",
             "limit-none",
+            "decode-position-str",
+            "decode-position-bool",
+            "limit-of-none",
+            "limit-of-bool",
+            "parse-message-none",
+            "parse-position-float",
+            "parse-position-bool",
             "key-data-none",
             "key-data-str",
             "key-width-str",
@@ -372,7 +395,9 @@ class TestDecode:
         ],
     )
     def test_exception_and_key_constructors_check_their_arguments(self, call, message):
-        # Each once raised AttributeError from its message, or built anyway.
+        # Each once raised AttributeError from its message, or built anyway,
+        # with a message such as "truncated input at bit 16" that could not
+        # be told from a real one.
         with pytest.raises(TypeError) as exc:
             call()
         assert str(exc.value) == message
@@ -491,6 +516,53 @@ class TestSignificand:
     def test_encode_rejects_what_is_not_ascii_digits(self, digits):
         with pytest.raises(ValueError, match="^significand digits must be ASCII 0-9$"):
             encode_significand(digits, False)
+
+
+def read_at(adapter, bits, position):
+    """What a field adapter reads at ``position`` and where its cursor ends,
+    or its :class:`DecodeError`'s kind and position."""
+    cursor = BitCursor(bits, position)
+    try:
+        result = adapter(cursor)
+    except DecodeError as error:
+        return error.kind, error.position
+    return result, cursor.position
+
+
+# Bits a field adapter might meet: random, or an exponent field or a
+# significand of either sign, with random bits after it.
+adapter_bits = st.one_of(
+    st.text("01", max_size=60),
+    st.builds(
+        lambda exponent, invert, tail: encode_exponent(exponent, invert).bits.to_text() + tail,
+        st.integers(0, 10**6),
+        st.booleans(),
+        st.text("01", max_size=12),
+    ),
+    st.builds(
+        lambda digits, negative, tail: encode_significand(digits, negative).to_text() + tail,
+        canonical_digits(max_digits=80),
+        st.booleans(),
+        st.text("01", max_size=12),
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "adapter",
+    [
+        decode_exponent,
+        functools.partial(decode_significand, negative=False),
+        functools.partial(decode_significand, negative=True),
+    ],
+    ids=["exponent", "significand-positive", "significand-negative"],
+)
+@given(st.text("01", max_size=12), adapter_bits)
+def test_adapters_read_after_a_prefix_as_from_the_start(adapter, prefix, text):
+    # decode_significand reads behind a head of its own in place of the bits
+    # before the cursor; every position it reports is moved back past it.
+    alone, end = read_at(adapter, BitString(text), 0)
+    assert read_at(adapter, BitString(prefix + text), len(prefix)) == (alone, end + len(prefix))
 
 
 def as_is(value):
@@ -823,8 +895,10 @@ class TestFieldEnds:
         header_end, exponent_end, group_ends = _field_ends(value.form)
         assert header_end == 2
         # The exponent field ends where the decoder's field reader stops.
-        inverted, run, position = _read_run(bits._value, len(bits), header_end)
-        assert _read_payload(bits._value, len(bits), position, inverted, run)[1] == exponent_end
+        f = value.form
+        negative = f.sign is Sign.NEGATIVE
+        field = _read_exponent(bits._value, len(bits), header_end, negative, f.exponent)
+        assert field == (f.exponent_sign, f.exponent, exponent_end)
         text = bits.to_text()
         assert int(text[exponent_end : group_ends[0]], 2) <= 9
         assert all(int(text[a:b], 2) <= 999 for a, b in zip(group_ends, group_ends[1:]))
@@ -873,7 +947,7 @@ def code_objects(code):
         parse_decimal,
         render_decimal,
         compare_numeric,
-        DecimalValue._finite,
+        lexdec.decimal_values._finite_value,
         lexdec.decimal_values._rank,
         lexdec.decimal_values._compare_magnitude,
         encode,
@@ -884,8 +958,8 @@ def code_objects(code):
         lexdec.codec._layout,
         lexdec.codec._pack,
         lexdec.codec._lane_slots,
+        lexdec.codec._read_exponent,
         lexdec.codec._read_value,
-        lexdec.codec._read_significand,
         lexdec.codec._ten_minus,
         lexdec.codec._declet_digits,
         lexdec.cli._group_bits,
@@ -897,6 +971,36 @@ def test_per_value_paths_read_no_enum_member_off_its_class(function):
     # paths read module constants instead.
     names = {name for code in code_objects(function.__code__) for name in code.co_names}
     assert names.isdisjoint({"Kind", "Sign", "ExponentSign"})
+
+
+def python_calls(call, *args):
+    """The names of the Python functions that ``call(*args)`` enters, in order."""
+    names = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            names.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        call(*args)
+    finally:
+        sys.setprofile(None)
+    return names
+
+
+@pytest.mark.parametrize("text", ["7", "-1.032e2", "4005012345e-9", "-2.5e-300"])
+def test_reading_a_finite_value_takes_one_frame_and_four_helpers(text):
+    # Reading a key back: from_bytes builds its result without a further
+    # call, and decode's one frame calls only the exponent-field reader,
+    # the declet printer, the complement (negative values) and the builder.
+    data, length = encode(parse_decimal(text)).to_bytes()
+    assert python_calls(BitString.from_bytes, data, length) == ["from_bytes"]
+    calls = python_calls(decode, BitString.from_bytes(data, length))
+    helpers = ["_read_exponent", "_declet_digits", "_finite_value"]
+    if text.startswith("-"):
+        helpers.insert(1, "_ten_minus")
+    assert calls == ["decode", "_read_value", *helpers]
 
 
 def test_field_internals_are_not_public():

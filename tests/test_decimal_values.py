@@ -416,8 +416,9 @@ class TestInvariants:
 
     def test_unchecked_constructor_is_not_exported(self):
         exported = [getattr(lexdec, name) for name in lexdec.__all__]
-        assert ScientificForm._raw not in exported
-        assert DecimalValue._finite not in exported
+        assert lexdec.decimal_values._finite_value not in exported
+        # One unchecked builder: the classmethods it replaced are gone.
+        assert not hasattr(ScientificForm, "_raw") and not hasattr(DecimalValue, "_finite")
         assert not [name for name in lexdec.__all__ if name.startswith("_")]
 
     @given(finite_values())

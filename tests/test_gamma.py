@@ -19,8 +19,7 @@ from lexdec import (
 from lexdec.bits import BitCursor
 from lexdec.codec import (
     _field_ends,
-    _read_payload,
-    _read_run,
+    _read_exponent,
     decode_exponent,
     encode_exponent,
     exponent_field,
@@ -52,11 +51,12 @@ def field_bits(exponent, invert):
 
 def read_field(bits, position=0):
     """``(exponent, inverted, end)`` of the field at ``position`` in a bit
-    string, by the decoder's integer reader."""
+    string, by the decoder's integer reader. Read as a positive value's
+    field, its exponent sign is negative exactly when it is flipped; no
+    field of the input reaches the limit 2**length."""
     value, length = bits._value, bits._length
-    inverted, run, position = _read_run(value, length, position)
-    exponent, end = _read_payload(value, length, position, inverted, run)
-    return exponent, inverted, end
+    exponent_sign, exponent, end = _read_exponent(value, length, position, False, 1 << length)
+    return exponent, exponent_sign is ExponentSign.NEGATIVE, end
 
 
 def test_golden_codewords():

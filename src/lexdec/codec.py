@@ -37,22 +37,21 @@ zero-pads the canonical encoding to a fixed number of bits so that plain
 bytewise comparison of the keys reproduces numeric order on stores that only
 compare equal-length binaries.
 
-Encoding mirrors decoding (below) and never writes ``0``/``1`` text. The
-digit text, zero-padded to whole groups, is read with one
-``int.from_bytes``, which has none of ``int()``'s 4,300-digit limit on
-decimal text; the low nibble of each ASCII byte is its digit. One step of
-three masked terms turns every three-byte lane into its declet, and
-log-depth steps compress the 24-bit lanes into the slots the decoder reads,
-10 or 11 bits apart, the leading digit's lane in the slot above them. A
-negative value's complement to ten is taken on those slots by the function
-that takes it back when decoding, so the paper's complement involution is
-one function applied twice. The head (sign header and exponent field) is
-shifted in front, and the integer is wrapped once as a :class:`BitString`.
-A fixed-width key is the canonical encoding's integer shifted to the key
-width.
+Encoding mirrors decoding (below): one frame, ``_write``, writes a value
+and never writes ``0``/``1`` text. It calls three helpers. The exponent
+field's one writer, ``exponent_field``, gives the head's field.
+``_lane_slots`` takes the digit text, zero-padded to whole groups and read
+with one ``int.from_bytes`` (which has none of ``int()``'s 4,300-digit
+limit), and turns each three-byte lane into its declet with one step of
+three masked terms, then compresses the lanes in log-depth steps into the
+slots the decoder reads, 10 or 11 bits apart, the leading digit's above
+them. A negative value's complement to ten, ``_ten_minus``, is taken on
+those slots by the function that takes it back when decoding, so the
+paper's complement involution is one function applied twice. A fixed-width
+key is the canonical encoding's integer shifted to the key width.
 
 The prefix-free form is the canonical form with a continuation bit in front
-of each declet and a 0 at the end. So one packer and one significand reader
+of each declet and a 0 at the end. So one writer and one significand reader
 serve every framing, and the only difference between them is the stride of
 a group: 10 bits canonical and trimmed, 11 bits prefix-free.
 
@@ -225,7 +224,10 @@ def encode_significand(digits: str, negative: bool) -> BitString:
         raise ValueError("need digits; a negative significand's last one must be in 1..9")
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError("significand digits must be ASCII 0-9")
-    return _pack(0, 0, digits, negative)
+    # A value of exponent 0 less its 5-bit head (sign header, exponent field).
+    sign = _NEGATIVE if negative else _POSITIVE
+    bits = _write(_finite_value(sign, _EXPONENT_NON_NEGATIVE, 0, digits).form, False)
+    return BitString._raw(bits._value & ((1 << len(bits) - 5) - 1), len(bits) - 5)
 
 
 def encode(value: DecimalValue, *, trim: bool = False) -> BitString:
@@ -235,7 +237,7 @@ def encode(value: DecimalValue, *, trim: bool = False) -> BitString:
         raise TypeError(f"encode takes a DecimalValue, not {type(value).__name__}")
     if value.kind is not _FINITE:
         return SPECIAL_ENCODINGS[value.kind]
-    bits = _pack(*_layout(value.form))
+    bits = _write(value.form, False)
     # Safe: the significand always contains a one bit, so the header and
     # exponent field are never touched.
     return bits.strip_trailing_zeros() if trim else bits
@@ -252,7 +254,7 @@ def encode_prefix_free(value: DecimalValue) -> BitString:
         raise TypeError(f"encode_prefix_free takes a DecimalValue, not {type(value).__name__}")
     if value.kind is not _FINITE:
         return SPECIAL_ENCODINGS[value.kind]
-    return _pack(*_layout(value.form), continued=True)
+    return _write(value.form, True)
 
 
 @dataclass(frozen=True, slots=True)
@@ -299,46 +301,44 @@ def fixed_width_key(value: DecimalValue, width_bits: int) -> FixedWidthKey:
     return FixedWidthKey(data=data, width_bits=width_bits)
 
 
-def _layout(form: ScientificForm) -> tuple[int, int, str, bool]:
-    """A finite value's fields: the sign header and exponent field as one
-    integer and its width, the significand's digit text and its sign."""
-    negative = form.sign is _NEGATIVE
-    field, width = exponent_field(form.exponent, form.sign != form.exponent_sign)
-    head = (_HEADER_NEGATIVE if negative else _HEADER_POSITIVE) << width | field
-    return head, width + 2, form.digits, negative
+def _write(form: ScientificForm, continued: bool) -> BitString:
+    """A finite value's encoding, packed into one integer and wrapped once.
 
-
-def _pack(head: int, width: int, digits: str, negative: bool, continued=False) -> BitString:
-    """The ``width``-bit ``head`` followed by the significand ``digits``,
-    packed into one integer and wrapped once as a bit string.
-
-    The packer mirrors the reader: the digit text, zero-padded to whole
-    groups, is read by one ``int.from_bytes``, and each three-byte lane
-    becomes one slot of ``stride`` bits (see :func:`_lane_slots`), the
-    leading digit's lane in the slot above the declets. A negative value
-    stores ``10 - m``, which :func:`_ten_minus` takes on the slots, as the
-    reader takes it back.
+    The sign header and the :func:`exponent_field` make the head. The digit
+    text, zero-padded to whole groups, is read by one ``int.from_bytes``,
+    and :func:`_lane_slots` turns each three-byte lane into a ``stride``-bit
+    slot, the leading digit's above the declets. A negative value stores
+    ``10 - m``, which :func:`_ten_minus` takes on the slots, as the reader
+    takes it back.
 
     ``continued`` makes the slots 11 bits wide and sets the top bit of each
     declet's slot, the bit in front of it; one shift adds the 0 after the
     last group. That is a continuation bit after the tetrade and after each
     declet, 1 while another declet follows.
     """
+    sign = form.sign
+    negative = sign is _NEGATIVE
+    field, width = exponent_field(form.exponent, sign != form.exponent_sign)
+    digits = form.digits
     stride = DECLET_BITS + continued
     count = (len(digits) + 1) // DECLET_DIGITS  # declets after the leading digit
     pad = DECLET_DIGITS * count + 1 - len(digits)  # zero digits ending the last group
     groups = _lane_slots(int.from_bytes(digits.encode(), "big") << 8 * pad, count + 1, stride)
     size = stride * count
     if negative or continued:
-        ones = _slot_ones(count, stride)
+        ones = _MASKS[stride][count][0] if count <= _BLOCK else _spread_ones(count, stride)
         if negative:
             first = groups >> size
             first, slots, _ = _ten_minus(first, groups ^ first << size, ones)
             groups = first << size | slots
         if continued:
-            groups |= ones << DECLET_BITS
-    bits = head << TETRADE_BITS + size | groups
-    return BitString._raw(bits << continued, width + TETRADE_BITS + size + continued)
+            groups = (groups | ones << DECLET_BITS) << 1
+    size += TETRADE_BITS + continued  # the significand's width
+    head = (_HEADER_NEGATIVE if negative else _HEADER_POSITIVE) << width | field
+    bits = object.__new__(BitString)
+    bits._value = head << size | groups
+    bits._length = width + 2 + size
+    return bits
 
 
 def _lane_slots(lanes: int, count: int, stride: int) -> int:
@@ -546,6 +546,9 @@ def _read_value(
         raise DecodeError(DecodeErrorKind.DIGIT_OUT_OF_RANGE, position)
     if cut is not None:
         raise DecodeError(DecodeErrorKind.TRUNCATED_INPUT, cut)
+    if continued and count and not slots & 1023:  # the writer ends no chain on a zero declet
+        position = start + TETRADE_BITS + stride * count - DECLET_BITS
+        raise DecodeError(DecodeErrorKind.SIGNIFICAND_OUT_OF_RANGE, position)
     if negative:
         # Drop the zero declets at the end; the lowest set bit is in the last
         # one that stays.

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .bits import BitString, lex_compare
-from .codec import DECLET_BITS, TETRADE_BITS, _pack, _slot_ones, _ten_minus
+from .codec import DECLET_BITS, TETRADE_BITS, _slot_ones, _ten_minus, encode_significand
 from .codec import decode, encode
 from .decimal_values import (
     NAN,
@@ -125,7 +125,7 @@ def run_selftest(
             return _failure(cases, "order agreement", x, y)
 
         # The stored tetrade digit and declet slots, as the decoder reads them.
-        bits = _pack(0, 0, x.form.digits, False)
+        bits = encode_significand(x.form.digits, False)
         count = (len(bits) - TETRADE_BITS) // DECLET_BITS
         width = DECLET_BITS * count
         slots = bits._value & ((1 << width) - 1)

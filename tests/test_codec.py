@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import gc
 import importlib
 import random
 import re
@@ -49,15 +50,16 @@ from lexdec.bits import BitCursor
 from lexdec.codec import (
     _declet_digits,
     _field_ends,
-    _pack,
     _read_exponent,
     _slot_ones,
     _ten_minus,
+    _write,
     decode_exponent,
     decode_significand,
     encode_exponent,
     encode_significand,
 )
+from lexdec.decimal_values import _finite_value
 
 from golden import DECODE_WORKED_EXAMPLE, SMALL_INTEGER_TABLE, WORKED_EXAMPLES
 from strategies import canonical_digits, decimal_values, finite_values
@@ -265,6 +267,22 @@ class TestDecode:
     def test_whole_zero_declets_are_normalized_away(self):
         lenient = BitString("10 100 0001 0000000000")
         assert decode(lenient) == parse_decimal("1")
+
+    @pytest.mark.parametrize(
+        "stream,position",
+        [
+            ("10 100 0001 1 0000000000 0", 10),
+            ("10 100 0001 1 0011100000 1 0000000000 0", 21),
+            ("00 011 1000 1 1100001000 1 0000000000 0 00 011 1001 0", 21),
+        ],
+        ids=["positive", "positive-two-declets", "negative-then-value"],
+    )
+    def test_a_chain_ending_in_a_zero_declet_is_rejected(self, stream, position):
+        # The prefix-free writer ends the chain at the last non-zero declet,
+        # so a stream that decoded this would not re-encode to itself.
+        with pytest.raises(DecodeError) as exc:
+            decode_prefix_free_stream(BitString(stream))
+        assert (exc.value.kind, exc.value.position) == (DecodeErrorKind.SIGNIFICAND_OUT_OF_RANGE, position)
 
     @pytest.mark.parametrize("decoder", [decode, decode_prefix_free_stream, BitCursor])
     @pytest.mark.parametrize("source", [b"\x80", "101", [1, 0, 1], None])
@@ -775,10 +793,22 @@ def shifted_significand(digits, negative, continued):
     return BitString._raw(bits << continued, 4 + (10 + continued) * len(declets) + continued)
 
 
+# The sign header and the exponent field of a value with exponent -3: k = 5
+# gives the field 110 01, flipped in a positive value, whose signs differ.
+HEADS = {False: BitString("10 00110"), True: BitString("00 11001")}
+
+
+def written(digits, negative, continued):
+    """``_write``'s encoding of the value with significand ``digits`` and
+    exponent -3; its head is ``HEADS[negative]``."""
+    sign = Sign.NEGATIVE if negative else Sign.POSITIVE
+    return _write(_finite_value(sign, ExponentSign.NEGATIVE, 3, digits).form, continued)
+
+
 def assert_packs_as_shifted(digits, negative):
     assert encode_significand(digits, negative) == shifted_significand(digits, negative, False)
-    prefix_free = _pack(0, 0, digits, negative, continued=True)
-    assert prefix_free == shifted_significand(digits, negative, True)
+    prefix_free = written(digits, negative, True)
+    assert prefix_free == HEADS[negative] + shifted_significand(digits, negative, True)
 
 
 class TestDecletTable:
@@ -804,8 +834,8 @@ class TestDecletTable:
 
 
 class TestPacker:
-    """The lane/slot packer against the packer that shifts in one group at a
-    time, in both signs and both strides, with a head in front."""
+    """The writer's lane/slot packing against the packer that shifts in one
+    group at a time, in both signs and both strides, behind a form's head."""
 
     @pytest.mark.parametrize("continued", [False, True], ids=["stride10", "stride11"])
     @pytest.mark.parametrize("negative", [False, True], ids=["positive", "negative"])
@@ -816,8 +846,8 @@ class TestPacker:
         for count in range(131):
             for length in sorted({max(1, 3 * count - 1), max(1, 3 * count), 3 * count + 1}):
                 digits = "".join(rng.choices("0123456789", k=length - 1)) + rng.choice("123456789")
-                expected = BitString("101") + shifted_significand(digits, negative, continued)
-                assert _pack(0b101, 3, digits, negative, continued) == expected, (count, length)
+                expected = HEADS[negative] + shifted_significand(digits, negative, continued)
+                assert written(digits, negative, continued) == expected, (count, length)
 
     @given(st.integers(1, 1200), st.integers(0, 2**32), st.booleans(), st.booleans())
     def test_digit_texts_up_to_1200_digits(self, length, seed, negative, continued):
@@ -825,8 +855,8 @@ class TestPacker:
         digits = rng.choice("123456789") + "".join(rng.choices("0123456789", k=length - 1))
         if negative:
             digits = digits[:-1] + rng.choice("123456789")
-        expected = shifted_significand(digits, negative, continued)
-        assert _pack(0, 0, digits, negative, continued) == expected
+        expected = HEADS[negative] + shifted_significand(digits, negative, continued)
+        assert written(digits, negative, continued) == expected
 
 
 class TestRoundTrip:
@@ -955,8 +985,7 @@ def code_objects(code):
         fixed_width_key,
         canonical_bit_length,
         lexdec.codec._field_ends,
-        lexdec.codec._layout,
-        lexdec.codec._pack,
+        lexdec.codec._write,
         lexdec.codec._lane_slots,
         lexdec.codec._read_exponent,
         lexdec.codec._read_value,
@@ -974,18 +1003,27 @@ def test_per_value_paths_read_no_enum_member_off_its_class(function):
 
 
 def python_calls(call, *args):
-    """The names of the Python functions that ``call(*args)`` enters, in order."""
+    """The names of the Python functions that ``call(*args)`` enters, in order.
+
+    The cyclic collector is off during the call: a collection there would
+    run other objects' finalizers (``__del__``, generator close) inside it.
+    """
     names = []
 
     def profile(frame, event, arg):
         if event == "call":
             names.append(frame.f_code.co_name)
 
+    collecting = gc.isenabled()
+    gc.collect()
+    gc.disable()
     sys.setprofile(profile)
     try:
         call(*args)
     finally:
         sys.setprofile(None)
+        if collecting:
+            gc.enable()
     return names
 
 
@@ -1001,6 +1039,17 @@ def test_reading_a_finite_value_takes_one_frame_and_four_helpers(text):
     if text.startswith("-"):
         helpers.insert(1, "_ten_minus")
     assert calls == ["decode", "_read_value", *helpers]
+
+
+@pytest.mark.parametrize("text", ["7", "-1.032e2", "4005012345e-9", "-2.5e-300"])
+@pytest.mark.parametrize("write", [encode, encode_prefix_free], ids=lambda write: write.__name__)
+def test_writing_a_finite_value_takes_one_frame_and_three_helpers(write, text):
+    # The one writer calls only the exponent-field writer, the lane packer
+    # and, for a negative value, the complement that the reader also takes.
+    helpers = ["exponent_field", "_lane_slots"]
+    if text.startswith("-"):
+        helpers.append("_ten_minus")
+    assert python_calls(write, parse_decimal(text)) == [write.__name__, "_write", *helpers]
 
 
 def test_field_internals_are_not_public():

@@ -4,7 +4,7 @@ from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from lexdec import (
     NAN,
@@ -91,6 +91,9 @@ def test_decode_trimmed(text):
 
 
 @given(bit_texts())
+# -1.224 whose chain goes on into a zero declet, then -9.015: once decoded as
+# the two values, which re-encode 11 bits shorter.
+@example("00011100011100001000100000000000000110000111110110010")
 def test_decode_prefix_free_stream(text):
     check_stream(text)
 

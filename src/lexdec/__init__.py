@@ -9,7 +9,6 @@ between positive and negative zero.
 
 from .bits import BitString, lex_compare
 from .codec import (
-    FixedWidthKey,
     canonical_bit_length,
     decode,
     decode_prefix_free_stream,
@@ -56,7 +55,6 @@ __all__ = [
     "DecodeErrorKind",
     "ExponentLimitError",
     "ExponentSign",
-    "FixedWidthKey",
     "Kind",
     "KeyWidthError",
     "NAN",

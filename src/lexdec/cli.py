@@ -124,8 +124,7 @@ def _cmd_encode(args) -> int:
     for text in _input_values(args.values):
         value = parse_decimal(text)
         if width is not None:
-            key = fixed_width_key(value, width)
-            print(_hex_text(key.data, key.width_bits))
+            print(_hex_text(fixed_width_key(value, width), width))
             continue
         bits = encode_prefix_free(value) if prefix else encode(value, trim=args.trim)
         if args.format == "hex":

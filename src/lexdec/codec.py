@@ -33,9 +33,24 @@ negative zero immediately below positive zero.
 The prefix-free form inserts a continuation bit after the tetrade and after
 each declet (1: more groups follow, 0: done), so concatenated encodings split
 apart again without a length prefix. The fixed-width form truncates or
-zero-pads the canonical encoding to a fixed number of bits so that plain
-bytewise comparison of the keys reproduces numeric order on stores that only
-compare equal-length binaries.
+zero-pads the canonical encoding to a fixed number of bits and returns it
+as plain ``bytes``, so that bytewise comparison of the keys reproduces
+numeric order on stores that only compare equal-length binaries.
+
+What each decoder accepts, exactly; anything else raises
+:class:`DecodeError` or :class:`ExponentLimitError`:
+
+* ``decode`` accepts ``encode(v)``, followed by any number of zero bits
+  when ``v`` is finite;
+* ``decode(trim=True)`` accepts ``encode(v, trim=True)``, likewise followed
+  by zero bits when ``v`` is finite;
+* ``decode_prefix_free_stream`` accepts exactly the concatenations of
+  ``encode_prefix_free`` outputs, under its rule for the specials.
+
+So a finite key zero-padded to whole bytes, or a ``fixed_width_key`` that
+was not cut, decodes to its value. The padded input and the canonical key
+then decode to the same value but compare unequal: :func:`lex_compare`
+sorts the padded one after the key it extends.
 
 Encoding mirrors decoding (below): one frame, ``_write``, writes a value
 and never writes ``0``/``1`` text. It calls three helpers. The exponent
@@ -107,7 +122,6 @@ from .errors import (
 )
 
 __all__ = [
-    "FixedWidthKey",
     "encode",
     "decode",
     "encode_prefix_free",
@@ -257,21 +271,9 @@ def encode_prefix_free(value: DecimalValue) -> BitString:
     return _write(value.form, True)
 
 
-@dataclass(frozen=True, slots=True)
-class FixedWidthKey:
-    """A fixed-width, bytewise-comparable key."""
-
-    data: bytes
-    width_bits: int
-
-    def __post_init__(self):
-        if not isinstance(self.data, bytes):
-            raise TypeError(f"data must be bytes, not {type(self.data).__name__}")
-        _require_int("width_bits", self.width_bits)
-
-
-def fixed_width_key(value: DecimalValue, width_bits: int) -> FixedWidthKey:
-    """Truncate or zero-pad the canonical encoding to exactly ``width_bits``.
+def fixed_width_key(value: DecimalValue, width_bits: int) -> bytes:
+    """The canonical encoding truncated or zero-padded to exactly
+    ``width_bits``, as ``width_bits // 8`` bytes.
 
     Truncation loses significand detail (neighbouring values may collapse)
     but never reorders keys. The sign header, exponent field and tetrade must
@@ -297,8 +299,7 @@ def fixed_width_key(value: DecimalValue, width_bits: int) -> FixedWidthKey:
     bits = encode(value)
     shift = width_bits - len(bits)
     key = bits._value << shift if shift >= 0 else bits._value >> -shift
-    data = key.to_bytes(width_bits // 8, "big")
-    return FixedWidthKey(data=data, width_bits=width_bits)
+    return key.to_bytes(width_bits // 8, "big")
 
 
 def _write(form: ScientificForm, continued: bool) -> BitString:
@@ -370,11 +371,13 @@ def decode(
     """Exact inverse of :func:`encode` over its image; consumes the whole input.
 
     With ``trim`` the last tetrade or declet may arrive shortened and is
-    zero-extended before reading. Without it, only an all-zero partial tail
-    is tolerated (byte-alignment padding); any other mid-field end raises a
-    truncation error. Raises :class:`DecodeError` for anything outside the
-    valid forms and :class:`ExponentLimitError` for an exponent magnitude
-    above ``max_exponent``, as :func:`parse_decimal` does.
+    zero-extended before reading. Either way, zero bits after a finite
+    encoding are padding: whole zero declets as well as a short all-zero
+    tail. Without ``trim``, any other mid-field end raises a truncation
+    error. The module docstring states the accepted inputs exactly. Raises
+    :class:`DecodeError` for anything outside the valid forms and
+    :class:`ExponentLimitError` for an exponent magnitude above
+    ``max_exponent``, as :func:`parse_decimal` does.
     """
     if not isinstance(bits, BitString):
         raise TypeError(f"decode takes a BitString, not {type(bits).__name__}")
@@ -503,7 +506,8 @@ def _read_value(
         count, spare = divmod(size - TETRADE_BITS, stride)  # whole groups, and the rest
         # The first group whose top bit is 0 ends the chain; it holds the
         # highest set bit of ``ended``.
-        ended = ~value >> spare & _slot_ones(count, stride) << DECLET_BITS
+        ones = _MASKS[stride][count][0] if count <= _BLOCK else _spread_ones(count, stride)
+        ended = ~value >> spare & ones << DECLET_BITS
         if ended:
             count -= ended.bit_length() // stride  # that group and those after it
         elif not spare:
@@ -602,11 +606,6 @@ def _ten_minus(first: int, slots: int, ones: int) -> tuple[int, int, int]:
 # Declets are turned into digits in blocks of at most this many slots, so
 # each block's str() stays short and far below int()'s 4,300-digit limit.
 _BLOCK = 64
-
-
-def _slot_ones(count: int, stride: int) -> int:
-    """A 1 at the bottom of each of ``count`` ``stride``-bit slots."""
-    return _MASKS[stride][count][0] if count <= _BLOCK else _spread_ones(count, stride)
 
 
 def _spread_ones(count: int, stride: int) -> int:

@@ -63,8 +63,8 @@ def _require_int(name: str, value: object) -> None:
     The per-value entry points (``from_bytes``, ``fixed_width_key``,
     ``parse_decimal``, ``decode``) call it only when ``type(value) is not
     int``: the call alone costs about 3% of a short parse or a decode. The
-    rest call it directly: ``decode_prefix_free_stream``, ``ScientificForm``,
-    ``FixedWidthKey`` and the three error constructors here.
+    rest call it directly: ``decode_prefix_free_stream``, ``ScientificForm``
+    and the three error constructors here.
     """
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"{name} must be an int, not {type(value).__name__}")

@@ -49,7 +49,6 @@ from lexdec import (
     DecodeErrorKind,
     ExponentLimitError,
     ExponentSign,
-    FixedWidthKey,
     KeyWidthError,
     Kind,
     ParseError,
@@ -113,7 +112,7 @@ def _value(rng: random.Random) -> DecimalValue:
 
 
 def _key(value: DecimalValue, width: int) -> str:
-    return fixed_width_key(value, width).data.hex()
+    return fixed_width_key(value, width).hex()
 
 
 def encodings(cases: int = 6000, seed: str | None = None) -> list[str]:
@@ -426,7 +425,6 @@ _SIGNATURES = (
     ("encode", encode, (_VALUE,), {"trim": False}),
     ("encode_prefix_free", encode_prefix_free, (_VALUE,), {}),
     ("fixed_width_key", fixed_width_key, (_VALUE, 64), {}),
-    ("FixedWidthKey", FixedWidthKey, (b"\x80", 8), {}),
     ("decode", decode, (_BITS,), {"trim": False, "max_exponent": 10**6}),
     (
         "decode_prefix_free_stream",

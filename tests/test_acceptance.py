@@ -337,7 +337,7 @@ def test_criterion_11_fixed_width(grid):
     values, encodings = grid
     width = 64
     assert all(len(encodings[v]) <= width for v in values), "grid should not truncate"
-    keys = {value: fixed_width_key(value, width).data for value in values}
+    keys = {value: fixed_width_key(value, width) for value in values}
     ordered = sorted(values, key=functools.cmp_to_key(refined_numeric_cmp))
     ok = True
     for earlier, later in zip(ordered, ordered[1:]):

@@ -18,6 +18,7 @@ import hypothesis.strategies as st
 
 import lexdec.bench
 import lexdec.cli
+import lexdec.selftest
 from lexdec import (
     NAN,
     NEGATIVE_INFINITY,
@@ -31,7 +32,6 @@ from lexdec import (
     DecodeErrorKind,
     ExponentLimitError,
     ExponentSign,
-    FixedWidthKey,
     Kind,
     ParseError,
     Sign,
@@ -51,7 +51,7 @@ from lexdec.codec import (
     _declet_digits,
     _field_ends,
     _read_exponent,
-    _slot_ones,
+    _spread_ones,
     _ten_minus,
     _write,
     decode_exponent,
@@ -388,10 +388,6 @@ class TestDecode:
             (lambda: ParseError(None, 3), "message must be a str, not NoneType"),
             (lambda: ParseError("expected digit", 2.5), "position must be an int, not float"),
             (lambda: ParseError("expected digit", False), "position must be an int, not bool"),
-            (lambda: FixedWidthKey(None, 8), "data must be bytes, not NoneType"),
-            (lambda: FixedWidthKey("\x80", 8), "data must be bytes, not str"),
-            (lambda: FixedWidthKey(b"\x80", "8"), "width_bits must be an int, not str"),
-            (lambda: FixedWidthKey(b"\x80", True), "width_bits must be an int, not bool"),
         ],
         ids=[
             "decode-error-none",
@@ -406,10 +402,6 @@ class TestDecode:
             "parse-message-none",
             "parse-position-float",
             "parse-position-bool",
-            "key-data-none",
-            "key-data-str",
-            "key-width-str",
-            "key-width-bool",
         ],
     )
     def test_exception_and_key_constructors_check_their_arguments(self, call, message):
@@ -688,7 +680,7 @@ def stored_groups(digits, negative):
     reads them from the packed significand."""
     bits = encode_significand(digits, negative)
     count = (len(bits) - 4) // 10
-    return bits._value >> 10 * count, bits._value & ((1 << 10 * count) - 1), _slot_ones(count, 10)
+    return bits._value >> 10 * count, bits._value & ((1 << 10 * count) - 1), _spread_ones(count, 10)
 
 
 class TestComplement:
@@ -960,7 +952,7 @@ def test_readme_lists_exactly_the_public_names():
     library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
     listed = re.findall(r"`(\w+)`", library.split("(`lexdec.__all__`):", 1)[1])
     assert sorted(listed) == sorted(lexdec.__all__)
-    assert len(lexdec.__all__) == len(set(lexdec.__all__)) == 28
+    assert len(lexdec.__all__) == len(set(lexdec.__all__)) == 27
 
 
 def code_objects(code):
@@ -1052,21 +1044,35 @@ def test_writing_a_finite_value_takes_one_frame_and_three_helpers(write, text):
     assert python_calls(write, parse_decimal(text)) == [write.__name__, "_write", *helpers]
 
 
+@pytest.mark.parametrize("text", ["7", "-1.032e2", "4005012345e-9", "-2.5e-300"])
+def test_splitting_a_stream_reads_each_value_in_one_frame(text):
+    # The splitter reads each value through the reader's one frame, with the
+    # helpers that decode calls and no other.
+    bits = encode_prefix_free(parse_decimal(text))
+    helpers = ["_read_exponent", "_declet_digits", "_finite_value"]
+    if text.startswith("-"):
+        helpers.insert(1, "_ten_minus")
+    calls = python_calls(decode_prefix_free_stream, bits)
+    assert calls == ["decode_prefix_free_stream", "_require_int", "to_bytes", "_read_value", *helpers]
+
+
+_ADAPTER_NAMES = {
+    "BitCursor",
+    "ExponentField",
+    "encode_exponent",
+    "decode_exponent",
+    "encode_significand",
+    "decode_significand",
+}
+
+
 def test_field_internals_are_not_public():
     lexdec = importlib.import_module("lexdec")
-    internals = {
-        "BitCursor",
-        "ExponentField",
-        "encode_exponent",
-        "decode_exponent",
-        "encode_significand",
-        "decode_significand",
-    }
-    assert internals.isdisjoint(lexdec.__all__)
+    assert _ADAPTER_NAMES.isdisjoint(lexdec.__all__)
     assert not hasattr(lexdec, "ExponentField")
     assert not hasattr(BitCursor, "at_end")
     for module in (lexdec.bits, lexdec.codec):
-        assert internals.isdisjoint(module.__all__)
+        assert _ADAPTER_NAMES.isdisjoint(module.__all__)
     assert {"_field_ends", "SPECIAL_ENCODINGS"}.isdisjoint(lexdec.codec.__all__)
     assert not hasattr(lexdec.codec, "exponent_field_length")
 
@@ -1081,10 +1087,13 @@ _LAYOUT_NAMES = {
 }
 
 
-@pytest.mark.parametrize("module", [lexdec.cli, lexdec.bench], ids=lambda module: module.__name__)
+@pytest.mark.parametrize(
+    "module", [lexdec.cli, lexdec.bench, lexdec.selftest], ids=lambda module: module.__name__
+)
 def test_only_codec_describes_the_layout(module):
-    # The CLI's grouped output and bench-size's columns read the field ends
-    # from codec._field_ends; neither works out a width of its own.
+    # The CLI's grouped output, bench-size's columns and the selftest's
+    # stored slots read the field ends from codec._field_ends; none works
+    # out a width of its own or reads a field through an adapter.
     code = compile(Path(module.__file__).read_text(), module.__file__, "exec")
     names = {name for nested in code_objects(code) for name in nested.co_names}
-    assert names.isdisjoint(_LAYOUT_NAMES)
+    assert names.isdisjoint(_LAYOUT_NAMES | _ADAPTER_NAMES)

@@ -1,5 +1,6 @@
 """Fuzzed decoding: any bits either fail with a typed error or re-encode to themselves."""
 
+import functools
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -111,6 +112,73 @@ def test_from_bytes(data, pad):
     check_decode(text, trim=False)
     check_decode(text, trim=True)
     check_stream(text)
+
+
+# The 5-bit heads (sign header and exponent field) of |e| <= 1: 10 100 and
+# 00 011 for e = 0, the other four for e = 1 under either exponent sign.
+SMALL_EXPONENT_HEADS = (0b10100, 0b00011, 0b10101, 0b10010, 0b00010, 0b00101)
+
+
+def short_inputs():
+    """Every bit string of at most 14 bits, as its integer and length."""
+    return ((value, length) for length in range(15) for value in range(1 << length))
+
+
+def headed_inputs():
+    """Every 16-bit tail behind each of the small-exponent heads."""
+    return ((head << 16 | tail, 21) for head in SMALL_EXPONENT_HEADS for tail in range(1 << 16))
+
+
+# Each framing's decoder, as a list of values; its encoder; and whether zero
+# bits after a finite value's encoding are padding.
+LANGUAGES = {
+    "canonical": (lambda bits: [decode(bits)], encode, True),
+    "trimmed": (
+        lambda bits: [decode(bits, trim=True)],
+        functools.partial(encode, trim=True),
+        True,
+    ),
+    "prefix_free": (decode_prefix_free_stream, encode_prefix_free, False),
+}
+
+
+@pytest.mark.parametrize(
+    "framing, inputs",
+    [
+        ("canonical", short_inputs),
+        ("trimmed", short_inputs),
+        ("prefix_free", short_inputs),
+        ("prefix_free", headed_inputs),
+    ],
+    ids=["canonical-short", "trimmed-short", "prefix_free-short", "prefix_free-headed"],
+)
+def test_every_short_input_is_an_encoding_or_a_typed_error(framing, inputs):
+    # Sampling can miss a fault whose smallest witness is short: a stream
+    # whose chain of groups ran on into a zero declet, 21 bits behind one of
+    # the heads above, once decoded, and the tests above did not find it
+    # for a long time. An enumeration meets it at once.
+    read, write, padded = LANGUAGES[framing]
+    bad = []
+    for value, length in inputs():
+        try:
+            values = read(BitString._raw(value, length))
+        except ExponentLimitError:
+            continue
+        except DecodeError as error:
+            if not 0 <= error.position <= length:
+                bad.append((format(value, f"0{length}b"), error))
+            continue
+        # Re-encoded from the left, as integers; then the tail left over.
+        rest, written = length, 0
+        for decoded in values:
+            bits = write(decoded)
+            rest -= len(bits)
+            if rest < 0:
+                break
+            written |= bits._value << rest
+        if rest < 0 or written != value or (rest and not (padded and decoded.kind is Kind.FINITE)):
+            bad.append((format(value, f"0{length}b"), values))
+    assert not bad, f"{len(bad)} inputs, the first {bad[:3]}"
 
 
 @st.composite

@@ -20,7 +20,6 @@ from .codec import (
 )
 from .decimal_values import _FINITE, parse_decimal, render_decimal
 from .errors import DecodeError, ExponentLimitError, ParseError
-from .selftest import run_selftest
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -29,6 +28,7 @@ EXIT_SELFTEST = 3
 
 BENCH_MAX_DIGITS = 1001
 BENCH_MAX_SAMPLES = 200  # twice the default; sampling time grows faster than samples**2
+FIXED_MAX_WIDTH = 65536  # bits, an 8 KiB key; the width alone sets what a key allocates
 
 
 class _UsageError(Exception):
@@ -51,6 +51,8 @@ def _parse_variant(text: str) -> int | None:
             raise _UsageError(f"bad width in variant {text!r}")
         if width < 8 or width % 8:
             raise _UsageError("fixed width must be a positive multiple of 8")
+        if width > FIXED_MAX_WIDTH:
+            raise _UsageError(f"fixed width must be at most {FIXED_MAX_WIDTH} bits")
         return width
     raise _UsageError(f"unknown variant {text!r} (canonical | prefix | fixed:<bits>)")
 
@@ -212,6 +214,8 @@ def _cmd_bench_size(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from .selftest import run_selftest
+
     result = run_selftest(args.cases, args.seed)
     print(f"self-test: cases={args.cases} seed={args.seed}")
     if result.vacuous:

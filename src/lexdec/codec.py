@@ -92,6 +92,7 @@ form, so splitting it stays linear.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .bits import BitCursor, BitString
@@ -278,7 +279,8 @@ def fixed_width_key(value: DecimalValue, width_bits: int) -> bytes:
     Truncation loses significand detail (neighbouring values may collapse)
     but never reorders keys. The sign header, exponent field and tetrade must
     fit entirely, otherwise a :class:`KeyWidthError` is raised: that is the
-    range limit a given key width imposes.
+    range limit a given key width imposes. A width above ``sys.maxsize``
+    raises a ``ValueError``: no address space holds its key.
 
     Padding is with trailing zeros. Leading padding would shift the sign
     header and destroy the bytewise order.
@@ -287,6 +289,8 @@ def fixed_width_key(value: DecimalValue, width_bits: int) -> bytes:
         _require_int("width_bits", width_bits)
     if width_bits < 8 or width_bits % 8:
         raise ValueError("width_bits must be a positive multiple of 8")
+    if width_bits > sys.maxsize:
+        raise ValueError(f"width_bits must be at most sys.maxsize ({sys.maxsize})")
     if not isinstance(value, DecimalValue):
         raise TypeError(f"fixed_width_key takes a DecimalValue, not {type(value).__name__}")
     if value.kind is _FINITE:
@@ -418,7 +422,8 @@ def decode_prefix_free_stream(
     """
     if not isinstance(bits, BitString):
         raise TypeError(f"decode_prefix_free_stream takes a BitString, not {type(bits).__name__}")
-    _require_int("max_exponent", max_exponent)
+    if type(max_exponent) is not int:
+        _require_int("max_exponent", max_exponent)
     data, length = bits.to_bytes()
     values = []
     position = 0
@@ -440,7 +445,9 @@ def decode_prefix_free_stream(
                 if end < length and error.kind is DecodeErrorKind.TRUNCATED_INPUT:
                     size *= 2
                     continue
-                raise DecodeError(error.kind, position + error.position) from None
+                if position:
+                    raise DecodeError(error.kind, position + error.position) from None
+                raise  # at bit 0 the reader's positions are the stream's
             if used < width or end == length:
                 break
             size *= 2  # the bits after the window might extend the value

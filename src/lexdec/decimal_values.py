@@ -137,30 +137,32 @@ class DecimalValue:
         return self.kind is _FINITE
 
 
-# The unchecked builder writes the fields of frozen instances through the
-# slot descriptors, which skips the frozen __setattr__ and the name lookup
-# that object.__setattr__ makes.
-_new = object.__new__
-_set_sign = ScientificForm.sign.__set__
-_set_exponent_sign = ScientificForm.exponent_sign.__set__
-_set_exponent = ScientificForm.exponent.__set__
-_set_digits = ScientificForm.digits.__set__
-_set_kind = DecimalValue.kind.__set__
-_set_form = DecimalValue.form.__set__
+# The unchecked builder fills a mutable twin of each frozen class with plain
+# attribute stores, which the interpreter turns into direct slot writes, and
+# then makes it the public class. A twin takes its slots from its public
+# class, so the two layouts are the same and the class swap is allowed.
+class _FormTwin:
+    __slots__ = ScientificForm.__slots__
+
+
+class _ValueTwin:
+    __slots__ = DecimalValue.__slots__
 
 
 def _finite_value(
     sign: Sign, exponent_sign: ExponentSign, exponent: int, digits: str
 ) -> DecimalValue:
     """A finite value built without the checks, for producers of canonical forms."""
-    form = _new(ScientificForm)
-    _set_sign(form, sign)
-    _set_exponent_sign(form, exponent_sign)
-    _set_exponent(form, exponent)
-    _set_digits(form, digits)
-    value = _new(DecimalValue)
-    _set_kind(value, _FINITE)
-    _set_form(value, form)
+    form = _FormTwin()
+    form.sign = sign
+    form.exponent_sign = exponent_sign
+    form.exponent = exponent
+    form.digits = digits
+    form.__class__ = ScientificForm
+    value = _ValueTwin()
+    value.kind = _FINITE
+    value.form = form
+    value.__class__ = DecimalValue
     return value
 
 
@@ -226,21 +228,22 @@ def parse_decimal(text: str, *, max_exponent: int = DEFAULT_MAX_EXPONENT) -> Dec
 
     negative = sign == "-"
     digit_text = int_part + (frac_part or "")
-    significant = digit_text.strip("0")
-    if not significant:
+    unpadded = digit_text.lstrip("0")
+    if not unpadded:
         return NEGATIVE_ZERO if negative else POSITIVE_ZERO
-    magnitude = (exp_digits or "").lstrip("0")
-    # The exponent's digit count alone can put |e| past the limit, whatever
-    # the mantissa's point shift (at most len(digit_text) places): D digits
-    # mean |e| >= 10**(D-1) - len(digit_text), past the limit exactly when
-    # 10**(D-1) > bound. Once D exceeds the bound's bit count that holds
-    # without the power, so huge digit strings are rejected in linear time,
-    # before int() or any power of ten sees them.
-    bound = max_exponent + len(digit_text)
-    if magnitude and (len(magnitude) > bound.bit_length() or 10 ** (len(magnitude) - 1) > bound):
-        raise ExponentLimitError._of_digits(len(magnitude), max_exponent)
-    leading = len(digit_text) - len(digit_text.lstrip("0"))
-    signed_exponent = _int_of((exp_sign or "") + (magnitude or "0")) + len(int_part) - 1 - leading
+    signed_exponent = len(int_part) - 1 - (len(digit_text) - len(unpadded))
+    magnitude = exp_digits and exp_digits.lstrip("0")  # None without an exponent part
+    if magnitude:
+        # The exponent's digit count alone can put |e| past the limit, whatever
+        # the mantissa's point shift (at most len(digit_text) places): D digits
+        # mean |e| >= 10**(D-1) - len(digit_text), past the limit exactly when
+        # 10**(D-1) > bound. Once D exceeds the bound's bit count that holds
+        # without the power, so huge digit strings are rejected in linear time,
+        # before int() or any power of ten sees them.
+        bound = max_exponent + len(digit_text)
+        if len(magnitude) > bound.bit_length() or 10 ** (len(magnitude) - 1) > bound:
+            raise ExponentLimitError._of_digits(len(magnitude), max_exponent)
+        signed_exponent += _int_of(exp_sign + magnitude)
     if abs(signed_exponent) > max_exponent:
         raise ExponentLimitError(signed_exponent, max_exponent)
 
@@ -248,7 +251,7 @@ def parse_decimal(text: str, *, max_exponent: int = DEFAULT_MAX_EXPONENT) -> Dec
         _NEGATIVE if negative else _POSITIVE,
         _EXPONENT_NEGATIVE if signed_exponent < 0 else _EXPONENT_NON_NEGATIVE,
         abs(signed_exponent),
-        significant,
+        unpadded.rstrip("0"),
     )
 
 

@@ -61,10 +61,10 @@ def _require_int(name: str, value: object) -> None:
     """Raise a ``TypeError`` that names ``name`` unless ``value`` is an int, not a bool.
 
     The per-value entry points (``from_bytes``, ``fixed_width_key``,
-    ``parse_decimal``, ``decode``) call it only when ``type(value) is not
-    int``: the call alone costs about 3% of a short parse or a decode. The
-    rest call it directly: ``decode_prefix_free_stream``, ``ScientificForm``
-    and the three error constructors here.
+    ``parse_decimal``, ``decode``, ``decode_prefix_free_stream``) call it
+    only when ``type(value) is not int``: the call alone costs about 3% of a
+    short parse or a decode. ``ScientificForm`` and the three error
+    constructors here call it directly.
     """
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"{name} must be an int, not {type(value).__name__}")

@@ -1,15 +1,19 @@
 """Command-line behaviour, run in process."""
 
 import io
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 
 import hypothesis.strategies as st
 
+import lexdec
 from conformance import _run_cli
-from lexdec.cli import BENCH_MAX_SAMPLES, main
+from lexdec.cli import BENCH_MAX_SAMPLES, FIXED_MAX_WIDTH, main
 from lexdec.selftest import random_finite
 from lexdec import compare_numeric, parse_decimal, render_decimal
 
@@ -259,6 +263,23 @@ class TestSelfTest:
         assert (code, out) == (1, "")
         assert err == "error: cases must be non-negative, not -3\n"
 
+    def test_importing_the_cli_leaves_selftest_and_bench_unloaded(self):
+        # A fresh interpreter compiles every module it imports; only their
+        # own subcommands load these two.
+        code = (
+            "import sys, lexdec.cli\n"
+            "print('lexdec.selftest' in sys.modules, 'lexdec.bench' in sys.modules)"
+        )
+        src = os.path.dirname(os.path.dirname(lexdec.__file__))
+        child = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (child.returncode, child.stdout, child.stderr) == (0, "False False\n", "")
+
 
 class TestUsage:
     def test_unknown_variant(self, capsys):
@@ -292,6 +313,10 @@ class TestUsage:
             (["--variant", "fixed:12"], "fixed width must be a positive multiple of 8"),
             (["--variant", "fixed:x"], "bad width in variant 'fixed:x'"),
             (["--variant", "prefix", "--trim"], "--trim applies to the canonical variant only"),
+            (
+                ["--variant", f"fixed:{FIXED_MAX_WIDTH + 8}"],
+                f"fixed width must be at most {FIXED_MAX_WIDTH} bits",
+            ),
         ],
     )
     def test_variant_errors(self, capsys, command, options, message):
@@ -320,6 +345,11 @@ class TestUsage:
     def test_variants_accepted(self, capsys, variant, expected):
         code, out, err = run(capsys, "encode", "--variant", variant, "--", "-103.2")
         assert (code, out, err) == (0, expected, "")
+
+    def test_widest_fixed_key(self, capsys):
+        code, out, err = run(capsys, "encode", "--variant", f"fixed:{FIXED_MAX_WIDTH}", "1")
+        assert (code, err) == (0, "")
+        assert out == "A0 80" + " 00" * (FIXED_MAX_WIDTH // 8 - 2) + f"/{FIXED_MAX_WIDTH}\n"
 
 
 class TestRoundTrip:

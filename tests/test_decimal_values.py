@@ -1,8 +1,10 @@
 """Parsing, rendering, and the numeric comparison oracle."""
 
+import pickle
+import random
 import re
 import timeit
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from decimal import Decimal
 from fractions import Fraction
 
@@ -26,10 +28,14 @@ from lexdec import (
     Sign,
     compare_numeric,
     decode,
+    decode_prefix_free_stream,
     encode,
+    encode_prefix_free,
     parse_decimal,
     render_decimal,
 )
+
+from lexdec.selftest import random_finite
 
 from strategies import decimal_values, finite_values
 
@@ -47,6 +53,23 @@ def as_fraction(value):
     scale = f.signed_exponent - (len(f.digits) - 1)
     base = Fraction(mantissa) * Fraction(10) ** scale
     return base if f.sign is Sign.POSITIVE else -base
+
+
+def assert_public_value(built, fields):
+    """``built`` is exactly the value the checked constructors make from ``fields``."""
+    checked = form(fields.sign, fields.exponent_sign, fields.exponent, fields.digits)
+    assert type(built) is DecimalValue and type(built.form) is ScientificForm
+    assert built.kind is Kind.FINITE
+    assert built == checked and hash(built) == hash(checked)
+    assert built.form == checked.form and hash(built.form) == hash(checked.form)
+    assert repr(built) == repr(checked)
+    with pytest.raises(FrozenInstanceError):
+        built.kind = Kind.NAN
+    with pytest.raises(FrozenInstanceError):
+        built.form.digits = "1"
+    assert replace(built) == checked
+    assert replace(built.form, digits="1") == replace(checked.form, digits="1")
+    assert pickle.loads(pickle.dumps(built)) == checked
 
 
 class TestParse:
@@ -421,13 +444,25 @@ class TestInvariants:
         assert not hasattr(ScientificForm, "_raw") and not hasattr(DecimalValue, "_finite")
         assert not [name for name in lexdec.__all__ if name.startswith("_")]
 
+    def test_builder_twins_take_the_public_slots(self):
+        assert lexdec.decimal_values._FormTwin.__slots__ == ScientificForm.__slots__
+        assert lexdec.decimal_values._ValueTwin.__slots__ == DecimalValue.__slots__
+
     @given(finite_values())
     def test_parsed_and_decoded_values_equal_checked_ones(self, value):
-        f = value.form
-        checked = form(f.sign, f.exponent_sign, f.exponent, f.digits)
-        for built in (parse_decimal(render_decimal(value)), decode(encode(value))):
-            assert type(built) is DecimalValue and built.kind is Kind.FINITE
-            assert built == checked and hash(built) == hash(checked)
+        for built in (
+            parse_decimal(render_decimal(value)),
+            decode(encode(value)),
+            decode(encode(value, trim=True), trim=True),
+            *decode_prefix_free_stream(encode_prefix_free(value) + encode_prefix_free(value)),
+        ):
+            assert_public_value(built, value.form)
+
+    def test_random_values_equal_checked_ones(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            value = random_finite(rng)
+            assert_public_value(value, value.form)
 
     def test_value_validation(self):
         with pytest.raises(ValueError):

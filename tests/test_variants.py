@@ -177,6 +177,13 @@ class TestFixedWidth:
         for width in (0, 4, 12, -8):
             with pytest.raises(ValueError):
                 fixed_width_key(POSITIVE_ZERO, width)
+        # Without the upper bound, the shift raised a bare MemoryError for
+        # 2**64 + 8 and a bare OverflowError for 2**70; neither width gets as
+        # far as allocating a key.
+        for width in (2**64 + 8, 2**70):
+            for value in (POSITIVE_ZERO, parse_decimal("1")):
+                with pytest.raises(ValueError, match=r"^width_bits must be at most sys\.maxsize \("):
+                    fixed_width_key(value, width)
 
     def test_truncation_keeps_prefix(self):
         value = parse_decimal("1.23456789012345678901234567890123")

@@ -40,10 +40,8 @@ from .errors import (
     ParseError,
 )
 
-# Not public: importable from the package only because perfbench/workloads.py
-# load_api reads these field adapters from it (tests/test_acceptance.py too).
-from .bits import BitCursor
-from .codec import decode_exponent, decode_significand, encode_exponent, encode_significand
+# Not public: perfbench/workloads.py's load_api reads the field adapters from here.
+from .codec import BitCursor, decode_exponent, decode_significand, encode_exponent, encode_significand
 
 __version__ = "0.1.0"
 

@@ -218,24 +218,3 @@ def lex_compare(a: BitString, b: BitString) -> int:
     if a_length != b_length:
         return -1 if a_length < b_length else 1
     return 0
-
-
-class BitCursor:
-    """A read position over a :class:`BitString`, used only by the field
-    adapters ``codec.decode_exponent`` and ``codec.decode_significand``. It
-    holds the source's integer and width in bits, which the adapters hand to
-    the decoder's one exponent-field reader and one value reader, and an
-    adapter moves ``position`` past what it read. Cursors are independent
-    per reader and mutate only their own position.
-    """
-
-    __slots__ = ("position", "_value", "_length")
-
-    def __init__(self, source: BitString, position: int = 0):
-        if not isinstance(source, BitString):
-            raise TypeError(f"a BitCursor reads a BitString, not {type(source).__name__}")
-        if not 0 <= position <= len(source):
-            raise ValueError("cursor position out of range")
-        self.position = position
-        self._value = source._value
-        self._length = source._length

@@ -72,30 +72,30 @@ a group: 10 bits canonical and trimmed, 11 bits prefix-free.
 
 Decoding reads the input's integer and its width in bits, never its
 ``0``/``1`` text, one value in one frame (``_read_value``). The header is a
-shift; the one exponent-field reader, ``_read_exponent``, which the
-``decode_exponent`` adapter shares, ends the field's run where
-``bit_length()`` of the rest of the input (or of its complement) says; the
-payload and the significand are a shift and a mask each, and the
-``decode_significand`` adapter reads through ``_read_value`` behind a fixed
-head of exponent 0. The declets are never cut apart: they stay slots of one
-integer, 10 or 11 bits apart, and a few whole-integer operations check them
-all against 999, take a negative value's complement to ten, and merge
-adjacent slots in pairs until each block of up to 64 declets is one
-base-1000 integer, written with one ``str()`` (SIMD within a register, after
-Lamport's "Multiple byte processing with full-word instructions", CACM
-1975). Under prefix-free framing the chain of groups ends at the highest set
-bit of the group-leading bits that are 0, found in one step. Both directions
-halve a long significand into blocks of up to 64 groups, so it encodes and
-decodes in n log n time. A stream is read through byte windows of its packed
-form, so splitting it stays linear.
+shift; the one exponent-field reader, ``_read_exponent``, ends the field's
+run where ``bit_length()`` of the rest of the input (or of its complement)
+says; the payload and the significand are a shift and a mask each. The
+declets are never cut apart: they stay slots of one integer, 10 or 11 bits
+apart, and a few whole-integer operations check them all against 999, take
+a negative value's complement to ten, and merge adjacent slots in pairs
+until each block of up to 64 declets is one base-1000 integer, written with
+one ``str()`` (SIMD within a register, after Lamport's "Multiple byte
+processing with full-word instructions", CACM 1975). Under prefix-free
+framing the chain of groups ends at the highest set bit of the group-leading
+bits that are 0, found in one step. Both directions halve a long significand
+into blocks of up to 64 groups, so it encodes and decodes in n log n time. A
+stream is read through byte windows of its packed form, so splitting it
+stays linear.
+
+The field adapters in the block at the end of this module only wrap these
+frames, for the benchmark.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 
-from .bits import BitCursor, BitString
+from .bits import BitString
 from .decimal_values import (
     DEFAULT_MAX_EXPONENT,
     NAN,
@@ -150,15 +150,6 @@ _HEADER_NEGATIVE = 0b00
 _HEADER_POSITIVE = 0b10
 
 
-@dataclass(frozen=True, slots=True)
-class ExponentField:
-    """An encoded exponent: the bits, the exponent, and whether bits were flipped."""
-
-    bits: BitString
-    exponent: int
-    inverted: bool
-
-
 def exponent_field(exponent: int, invert: bool) -> tuple[int, int]:
     """The exponent field as an integer and its width in bits.
 
@@ -171,23 +162,6 @@ def exponent_field(exponent: int, invert: bool) -> tuple[int, int]:
     # N-1 ones and a zero, then k without its leading one.
     code = ((1 << n) - 2) << (n - 1) | k ^ (1 << (n - 1))
     return (code ^ ((1 << width) - 1) if invert else code), width
-
-
-def encode_exponent(exponent: int, invert: bool) -> ExponentField:
-    """Encode a non-negative exponent as :func:`exponent_field` does."""
-    if exponent < 0:
-        raise ValueError("exponent must be non-negative")
-    return ExponentField(BitString._raw(*exponent_field(exponent, invert)), exponent, invert)
-
-
-def decode_exponent(cursor: BitCursor) -> ExponentField:
-    """Read an exponent field at the cursor, un-flipping it when its leading bit is 0."""
-    # As a positive value's field, flipped exactly when its exponent sign is
-    # negative; no field of the input reaches the limit 2**length.
-    length = cursor._length
-    field = _read_exponent(cursor._value, length, cursor.position, False, 1 << length)
-    sign, exponent, cursor.position = field
-    return encode_exponent(exponent, sign is _EXPONENT_NEGATIVE)
 
 
 def _read_exponent(
@@ -225,24 +199,6 @@ def _read_exponent(
     if exponent > max_exponent:
         raise ExponentLimitError(exponent_sign * exponent, max_exponent)
     return exponent_sign, exponent, end
-
-
-def encode_significand(digits: str, negative: bool) -> BitString:
-    """Pack canonical significand digit text into a tetrade plus declets.
-
-    For negative values the digits of ``10 - m`` are stored instead (their
-    leading digit may then be zero).
-    """
-    if not isinstance(digits, str):
-        raise TypeError(f"encode_significand takes a str, not {type(digits).__name__}")
-    if not digits or (negative and digits[-1] not in "123456789"):
-        raise ValueError("need digits; a negative significand's last one must be in 1..9")
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError("significand digits must be ASCII 0-9")
-    # A value of exponent 0 less its 5-bit head (sign header, exponent field).
-    sign = _NEGATIVE if negative else _POSITIVE
-    bits = _write(_finite_value(sign, _EXPONENT_NON_NEGATIVE, 0, digits).form, False)
-    return BitString._raw(bits._value & ((1 << len(bits) - 5) - 1), len(bits) - 5)
 
 
 def encode(value: DecimalValue, *, trim: bool = False) -> BitString:
@@ -580,22 +536,6 @@ def _read_value(
     return _finite_value(_SIGNS[negative], exponent_sign, exponent, digits), end
 
 
-def decode_significand(cursor: BitCursor, negative: bool) -> str:
-    """Read the significand through the end of the input and re-normalize it,
-    as the significand of a value whose 5-bit head for exponent 0 (sign
-    header, exponent field) stands in for the bits before the cursor.
-    """
-    rest = cursor._length - cursor.position
-    shift = 5 - cursor.position
-    bits = (0b00_011 if negative else 0b10_100) << rest | cursor._value & ((1 << rest) - 1)
-    try:
-        value, end = _read_value(bits, 5 + rest, _TO_END, 0)
-    except DecodeError as error:
-        raise DecodeError(error.kind, error.position - shift) from None
-    cursor.position = end - shift
-    return value.form.digits
-
-
 def _ten_minus(first: int, slots: int, ones: int) -> tuple[int, int, int]:
     """10 - m for the tetrade digit ``first`` and the declets in ``slots`` of
     m, which must end in a non-zero declet; ``ones`` has a 1 at the bottom of
@@ -715,3 +655,61 @@ def _field_ends(form: ScientificForm) -> tuple[int, int, range]:
     tetrade_end = exponent_end + TETRADE_BITS
     declets = (len(form.digits) + 1) // DECLET_DIGITS  # after the leading digit
     return 2, exponent_end, range(tetrade_end, tetrade_end + DECLET_BITS * declets + 1, DECLET_BITS)
+
+
+# Field adapters: thin shims over the frames above, with no type and no rules
+# of their own. Nothing in the library calls them; perfbench/workloads.py's
+# load_api times them, and they go with this block once it times the frames.
+
+
+class BitCursor:
+    """A read position over a :class:`BitString`; an adapter moves
+    ``position`` past what it read."""
+
+    __slots__ = ("position", "_value", "_length")
+
+    def __init__(self, source: BitString, position: int = 0):
+        if not isinstance(source, BitString):
+            raise TypeError(f"a BitCursor reads a BitString, not {type(source).__name__}")
+        if not 0 <= position <= len(source):
+            raise ValueError("cursor position out of range")
+        self.position = position
+        self._value = source._value
+        self._length = source._length
+
+
+def encode_exponent(exponent: int, invert: bool) -> BitString:
+    """The :func:`exponent_field` of a non-negative exponent."""
+    if exponent < 0:
+        raise ValueError("exponent must be non-negative")
+    return BitString._raw(*exponent_field(exponent, invert))
+
+
+def decode_exponent(cursor: BitCursor) -> tuple[ExponentSign, int]:
+    """The exponent sign and exponent at the cursor, as a positive value's field."""
+    length = cursor._length  # no field of the input reaches the limit 2**length
+    field = _read_exponent(cursor._value, length, cursor.position, False, 1 << length)
+    exponent_sign, exponent, cursor.position = field
+    return exponent_sign, exponent
+
+
+def encode_significand(digits: str, negative: bool) -> BitString:
+    """The significand of canonical ``digits``: a value of exponent 0 less
+    its 5-bit head (sign header, exponent field)."""
+    sign = _NEGATIVE if negative else _POSITIVE
+    bits = _write(ScientificForm(sign, _EXPONENT_NON_NEGATIVE, 0, digits), False)
+    return BitString._raw(bits._value & ((1 << len(bits) - 5) - 1), len(bits) - 5)
+
+
+def decode_significand(cursor: BitCursor, negative: bool) -> str:
+    """The digits of the significand from the cursor to the end of the input,
+    read behind the 5-bit head of exponent 0 in place of the bits before it."""
+    rest = cursor._length - cursor.position
+    shift = 5 - cursor.position
+    bits = (0b00_011 if negative else 0b10_100) << rest | cursor._value & ((1 << rest) - 1)
+    try:
+        value, end = _read_value(bits, 5 + rest, _TO_END, 0)
+    except DecodeError as error:
+        raise DecodeError(error.kind, error.position - shift) from None
+    cursor.position = end - shift
+    return value.form.digits

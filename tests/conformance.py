@@ -66,8 +66,7 @@ from lexdec import (
     render_decimal,
 )
 from lexdec import cli
-from lexdec.bits import BitCursor
-from lexdec.codec import decode_exponent, decode_significand
+from lexdec.codec import BitCursor, decode_exponent, decode_significand
 
 DIGEST_FILE = Path(__file__).with_name("conformance.json")
 CHUNK = 1000
@@ -265,9 +264,13 @@ def _adapter_bits(rng: random.Random) -> tuple[str, int]:
 
 
 def _read_exponent_at(bits: BitString, position: int) -> str:
+    """The exponent, whether the field was flipped (its sign is negative),
+    the field's bits by the layout's rule, and the cursor's end."""
     cursor = BitCursor(bits, position)
-    field = decode_exponent(cursor)
-    return f"{field.exponent} {field.inverted} {field.bits.to_text()} @{cursor.position}"
+    exponent_sign, exponent = decode_exponent(cursor)
+    inverted = exponent_sign is ExponentSign.NEGATIVE
+    field = _exponent_text(exponent)
+    return f"{exponent} {inverted} {field.translate(_FLIP) if inverted else field} @{cursor.position}"
 
 
 def _read_significand_at(bits: BitString, position: int, negative: bool) -> str:

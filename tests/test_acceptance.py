@@ -22,8 +22,8 @@ from lexdec import (
     NEGATIVE_ZERO,
     POSITIVE_INFINITY,
     POSITIVE_ZERO,
-    BitCursor,
     BitString,
+    DEFAULT_MAX_EXPONENT,
     DecimalValue,
     DecodeError,
     DecodeErrorKind,
@@ -32,7 +32,6 @@ from lexdec import (
     Sign,
     compare_numeric,
     decode,
-    decode_exponent,
     decode_prefix_free_stream,
     encode,
     encode_prefix_free,
@@ -41,6 +40,7 @@ from lexdec import (
     parse_decimal,
 )
 from lexdec.bench import size_rows
+from lexdec.codec import _read_exponent, exponent_field
 from lexdec.selftest import SPECIAL_VALUES, random_finite
 
 from golden import (
@@ -167,12 +167,10 @@ def test_criterion_2_small_integer_table():
 
 
 def test_criterion_3_exponent_table():
-    from lexdec import encode_exponent
-
     ok = True
     for exponent, plain, flipped in EXPONENT_FIELD_TABLE:
-        ok = ok and encode_exponent(exponent, False).bits == BitString(plain)
-        ok = ok and encode_exponent(exponent, True).bits == BitString(flipped)
+        ok = ok and BitString._raw(*exponent_field(exponent, False)) == BitString(plain)
+        ok = ok and BitString._raw(*exponent_field(exponent, True)) == BitString(flipped)
     assert report("3", ok, "ten exponent fields, plain and flipped")
 
 
@@ -180,8 +178,11 @@ def test_criterion_4_decode_worked_example():
     bits = BitString(DECODE_WORKED_EXAMPLE)
     value = decode(bits)
     ok = value == parse_decimal(DECODE_WORKED_EXAMPLE_VALUE)
-    field = decode_exponent(BitCursor(bits, position=2))
-    ok = ok and len(field.bits) == 7 and field.exponent == 9 and not field.inverted
+    # Read as a positive value's field, which is flipped exactly when its
+    # exponent sign is negative.
+    field = _read_exponent(bits._value, len(bits), 2, False, DEFAULT_MAX_EXPONENT)
+    exponent_sign, exponent, end = field
+    ok = ok and end - 2 == 7 and exponent == 9 and exponent_sign is ExponentSign.NON_NEGATIVE
     assert report("4", ok, "43-bit example decodes; exponent field spans 7 bits")
 
 

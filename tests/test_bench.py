@@ -1,7 +1,10 @@
 """Log-spaced size measurements."""
 
+from decimal import Decimal
+
 import pytest
 
+import lexdec.bench
 from lexdec import parse_decimal
 from lexdec.bench import _power_of_ten_floor, log_spaced_integers, measure, size_rows
 
@@ -22,11 +25,21 @@ def test_power_of_ten_floor_when_n_divides_t():
     assert log_spaced_integers(10**40, 5) == [1, 10**10, 10**20, 10**30, 10**40]
 
 
+GRID = [(t, n) for n in range(1, 41) for t in range(0, 301, 7)]
+
+
 def test_power_of_ten_floor_is_exact_on_a_grid():
-    for n in range(1, 41):
-        for t in range(0, 301, 7):
-            value = _power_of_ten_floor(t, n)
-            assert value**n <= 10**t < (value + 1) ** n
+    for t, n in GRID:
+        value = _power_of_ten_floor(t, n)
+        assert value**n <= 10**t < (value + 1) ** n
+
+
+def test_power_of_ten_floor_exact_fallback_agrees(monkeypatch):
+    # No fractional part lies more than 0.5 from both 0 and 1, so every seed
+    # goes through the integer correction steps.
+    fast = [_power_of_ten_floor(t, n) for t, n in GRID]
+    monkeypatch.setattr(lexdec.bench, "_SEED_MARGIN", Decimal("0.5"))
+    assert [_power_of_ten_floor(t, n) for t, n in GRID] == fast
 
 
 def test_log_spaced_past_the_int_to_text_limit():

@@ -14,7 +14,7 @@ import hypothesis.strategies as st
 
 import lexdec
 from lexdec import BitString, encode, lex_compare
-from lexdec.bits import BitCursor
+from lexdec.codec import BitCursor
 
 from strategies import bit_strings, decimal_values
 
@@ -207,6 +207,9 @@ def assert_same_bits(bs, text):
     """``bs`` behaves in every public way as ``BitString(text)`` does."""
     plain = BitString(text)
     assert bs == plain and plain == bs
+    assert bs != text and text != bs  # not a BitString: never equal
+    with pytest.raises(AttributeError, match="object has no attribute 'bits'$"):
+        bs.bits  # a sum looks it up in its own __getattr__
     assert hash(bs) == hash(plain)
     assert repr(bs) == repr(plain)
     assert bs.to_text() == text

@@ -14,7 +14,8 @@ import hypothesis.strategies as st
 import lexdec
 from conformance import _run_cli
 from lexdec.cli import BENCH_MAX_SAMPLES, FIXED_MAX_WIDTH, main
-from lexdec.selftest import random_finite
+import lexdec.selftest
+from lexdec.selftest import SelfTestResult, random_finite
 from lexdec import compare_numeric, parse_decimal, render_decimal
 
 
@@ -262,6 +263,13 @@ class TestSelfTest:
         code, out, err = run(capsys, "selftest", "--cases", "-3")
         assert (code, out) == (1, "")
         assert err == "error: cases must be non-negative, not -3\n"
+
+    def test_failure_prints_it_and_exits_3(self, capsys, monkeypatch):
+        failed = SelfTestResult(passed=False, cases=5, failures=["round-trip violated for: 1"])
+        monkeypatch.setattr(lexdec.selftest, "run_selftest", lambda cases, seed: failed)
+        code, out, err = run(capsys, "selftest", "--cases", "5", "--seed", "7")
+        assert (code, err) == (3, "")
+        assert out == "self-test: cases=5 seed=7\nround-trip violated for: 1\nFAIL\n"
 
     def test_importing_the_cli_leaves_selftest_and_bench_unloaded(self):
         # A fresh interpreter compiles every module it imports; only their

@@ -46,8 +46,8 @@ from lexdec import (
     parse_decimal,
     render_decimal,
 )
-from lexdec.bits import BitCursor
 from lexdec.codec import (
+    BitCursor,
     _declet_digits,
     _field_ends,
     _read_exponent,
@@ -299,11 +299,11 @@ class TestDecode:
                 lambda: decode_prefix_free_stream("10"),
                 "decode_prefix_free_stream takes a BitString, not str",
             ),
-            (lambda: encode_significand(123, False), "encode_significand takes a str, not int"),
-            (lambda: encode_significand(0, False), "encode_significand takes a str, not int"),
+            (lambda: encode_significand(123, False), "significand digits must be a str, not int"),
+            (lambda: encode_significand(0, False), "significand digits must be a str, not int"),
             (
                 lambda: encode_significand(None, False),
-                "encode_significand takes a str, not NoneType",
+                "significand digits must be a str, not NoneType",
             ),
             (
                 lambda: fixed_width_key("1", 64),
@@ -481,50 +481,63 @@ class TestArbitraryBits:
             pass
 
 
+# The sign header and the exponent field of a value with exponent -3: k = 5
+# gives the field 110 01, flipped in a positive value, whose signs differ.
+HEADS = {False: BitString("10 00110"), True: BitString("00 11001")}
+
+
+def written(digits, negative, continued):
+    """``_write``'s encoding of the value with significand ``digits`` and
+    exponent -3; its head is ``HEADS[negative]``."""
+    sign = Sign.NEGATIVE if negative else Sign.POSITIVE
+    return _write(_finite_value(sign, ExponentSign.NEGATIVE, 3, digits).form, continued)
+
+
 class TestSignificand:
+    """The significand behind a value's head, as ``_write`` writes it and
+    ``decode`` reads it; the adapter's own checks last."""
+
     def test_encode_examples(self):
-        assert encode_significand("1032", True) == BitString("1000 1111001000")
-        assert encode_significand(
-            "4005012345", False
-        ) == BitString("0100 0000000101 0000001100 0101011001")
-        assert encode_significand("707106", False) == BitString(
+        assert written("1032", True, False) == HEADS[True] + BitString("1000 1111001000")
+        assert written("4005012345", False, False) == HEADS[False] + BitString(
+            "0100 0000000101 0000001100 0101011001"
+        )
+        assert written("707106", False, False) == HEADS[False] + BitString(
             "0111 0001000111 0000111100"
         )
-        assert encode_significand("1", False) == BitString("0001")
+        assert written("1", False, False) == HEADS[False] + BitString("0001")
 
     def test_decode_examples(self):
-        cursor = BitCursor(BitString("1000 1111001000"))
-        assert decode_significand(cursor, negative=True) == "1032"
-        cursor = BitCursor(BitString("0001"))
-        assert decode_significand(cursor, negative=False) == "1"
+        assert decode(HEADS[True] + BitString("1000 1111001000")).form.digits == "1032"
+        assert decode(HEADS[False] + BitString("0001")).form.digits == "1"
 
     def test_decode_rejects_complement_out_of_range(self):
-        cursor = BitCursor(BitString("1001 0001100100"))
         with pytest.raises(DecodeError) as exc:
-            decode_significand(cursor, negative=True)
+            decode(HEADS[True] + BitString("1001 0001100100"))
         assert exc.value.kind is DecodeErrorKind.SIGNIFICAND_OUT_OF_RANGE
-
-    @pytest.mark.parametrize(
-        "digits,negative",
-        [("", False), ("", True), ("10", True)],
-        ids=["digits0-False", "digits1-True", "digits2-True"],
-    )
-    def test_encode_rejects_digits_without_a_complement(self, digits, negative):
-        # A negative significand ending in 0 has no complement to ten; packed
-        # anyway, its last declet would read 1000, which no decoder accepts.
-        with pytest.raises(ValueError):
-            encode_significand(digits, negative)
 
     @given(canonical_digits(), st.booleans())
     def test_round_trip(self, digits, negative):
-        bits = encode_significand(digits, negative)
-        assert decode_significand(BitCursor(bits), negative=negative) == digits
+        assert decode(written(digits, negative, False)).form.digits == digits
+
+    @pytest.mark.parametrize(
+        "digits,negative",
+        [("", False), ("", True), ("10", True), ("10", False), ("05", False), ("0", False)],
+        ids=["digits0-False", "digits1-True", "digits2-True", "10", "05", "0"],
+    )
+    def test_encode_rejects_digits_without_a_complement(self, digits, negative):
+        # The adapter builds a ScientificForm, which takes canonical digits
+        # only, in either sign. A negative significand ending in 0 has no
+        # complement to ten; packed anyway, its last declet would read 1000.
+        with pytest.raises(ValueError):
+            encode_significand(digits, negative)
 
     @pytest.mark.parametrize(
         "digits", ["1\u0663", "12 3", "1_23", "1a", "\u0663", "\u0661\u0662", "\u00b2", "a1"]
     )
     def test_encode_rejects_what_is_not_ascii_digits(self, digits):
-        with pytest.raises(ValueError, match="^significand digits must be ASCII 0-9$"):
+        message = "^significand digits must be ASCII 0-9, start with 1-9 and not end in 0$"
+        with pytest.raises(ValueError, match=message):
             encode_significand(digits, False)
 
 
@@ -544,7 +557,7 @@ def read_at(adapter, bits, position):
 adapter_bits = st.one_of(
     st.text("01", max_size=60),
     st.builds(
-        lambda exponent, invert, tail: encode_exponent(exponent, invert).bits.to_text() + tail,
+        lambda exponent, invert, tail: encode_exponent(exponent, invert).to_text() + tail,
         st.integers(0, 10**6),
         st.booleans(),
         st.text("01", max_size=12),
@@ -677,10 +690,11 @@ def test_stream_split_time_grows_near_linearly_in_values():
 
 def stored_groups(digits, negative):
     """The tetrade digit, the declet slots and their ones, as the decoder
-    reads them from the packed significand."""
-    bits = encode_significand(digits, negative)
-    count = (len(bits) - 4) // 10
-    return bits._value >> 10 * count, bits._value & ((1 << 10 * count) - 1), _spread_ones(count, 10)
+    reads them from the significand behind a 7-bit head."""
+    bits = written(digits, negative, False)
+    count = (len(bits) - 11) // 10
+    groups = bits._value & ((1 << 4 + 10 * count) - 1)
+    return groups >> 10 * count, groups & ((1 << 10 * count) - 1), _spread_ones(count, 10)
 
 
 class TestComplement:
@@ -785,22 +799,10 @@ def shifted_significand(digits, negative, continued):
     return BitString._raw(bits << continued, 4 + (10 + continued) * len(declets) + continued)
 
 
-# The sign header and the exponent field of a value with exponent -3: k = 5
-# gives the field 110 01, flipped in a positive value, whose signs differ.
-HEADS = {False: BitString("10 00110"), True: BitString("00 11001")}
-
-
-def written(digits, negative, continued):
-    """``_write``'s encoding of the value with significand ``digits`` and
-    exponent -3; its head is ``HEADS[negative]``."""
-    sign = Sign.NEGATIVE if negative else Sign.POSITIVE
-    return _write(_finite_value(sign, ExponentSign.NEGATIVE, 3, digits).form, continued)
-
-
 def assert_packs_as_shifted(digits, negative):
-    assert encode_significand(digits, negative) == shifted_significand(digits, negative, False)
-    prefix_free = written(digits, negative, True)
-    assert prefix_free == HEADS[negative] + shifted_significand(digits, negative, True)
+    for continued in (False, True):
+        expected = HEADS[negative] + shifted_significand(digits, negative, continued)
+        assert written(digits, negative, continued) == expected
 
 
 class TestDecletTable:
@@ -1070,6 +1072,8 @@ def test_field_internals_are_not_public():
     lexdec = importlib.import_module("lexdec")
     assert _ADAPTER_NAMES.isdisjoint(lexdec.__all__)
     assert not hasattr(lexdec, "ExponentField")
+    assert not hasattr(lexdec.codec, "ExponentField")
+    assert not hasattr(lexdec.bits, "BitCursor")
     assert not hasattr(BitCursor, "at_end")
     for module in (lexdec.bits, lexdec.codec):
         assert _ADAPTER_NAMES.isdisjoint(module.__all__)

@@ -19,8 +19,10 @@ from lexdec import (
     Sign,
     decode,
     decode_prefix_free_stream,
+    compare_numeric,
     encode,
     encode_prefix_free,
+    lex_compare,
 )
 from lexdec import codec
 
@@ -119,9 +121,14 @@ def test_from_bytes(data, pad):
 SMALL_EXPONENT_HEADS = (0b10100, 0b00011, 0b10101, 0b10010, 0b00010, 0b00101)
 
 
+def inputs_of_length(length):
+    """Every bit string of ``length`` bits, as its integer and length."""
+    return ((value, length) for value in range(1 << length))
+
+
 def short_inputs():
-    """Every bit string of at most 14 bits, as its integer and length."""
-    return ((value, length) for length in range(15) for value in range(1 << length))
+    """Every bit string of at most 14 bits."""
+    return (pair for length in range(15) for pair in inputs_of_length(length))
 
 
 def headed_inputs():
@@ -142,24 +149,14 @@ LANGUAGES = {
 }
 
 
-@pytest.mark.parametrize(
-    "framing, inputs",
-    [
-        ("canonical", short_inputs),
-        ("trimmed", short_inputs),
-        ("prefix_free", short_inputs),
-        ("prefix_free", headed_inputs),
-    ],
-    ids=["canonical-short", "trimmed-short", "prefix_free-short", "prefix_free-headed"],
-)
-def test_every_short_input_is_an_encoding_or_a_typed_error(framing, inputs):
-    # Sampling can miss a fault whose smallest witness is short: a stream
-    # whose chain of groups ran on into a zero declet, 21 bits behind one of
-    # the heads above, once decoded, and the tests above did not find it
-    # for a long time. An enumeration meets it at once.
+def check_language(framing, inputs, accepted=None):
+    """Decode each ``(value, length)`` input under ``framing``, and return
+    the inputs that neither re-encode to themselves, up to a zero tail where
+    that is padding, nor fail with a typed error inside the input. The
+    values that the accepted inputs decode to are added to ``accepted``."""
     read, write, padded = LANGUAGES[framing]
     bad = []
-    for value, length in inputs():
+    for value, length in inputs:
         try:
             values = read(BitString._raw(value, length))
         except ExponentLimitError:
@@ -178,7 +175,63 @@ def test_every_short_input_is_an_encoding_or_a_typed_error(framing, inputs):
             written |= bits._value << rest
         if rest < 0 or written != value or (rest and not (padded and decoded.kind is Kind.FINITE)):
             bad.append((format(value, f"0{length}b"), values))
+        elif accepted is not None:
+            accepted.update(values)
+    return bad
+
+
+@functools.cache
+def short_language(framing):
+    """:func:`check_language` over every input of at most 14 bits, and the
+    values they decode to; read once for the two tests that use them."""
+    accepted = set()
+    return check_language(framing, short_inputs(), accepted), accepted
+
+
+@pytest.mark.parametrize(
+    "framing, inputs",
+    [
+        ("canonical", short_inputs),
+        ("trimmed", short_inputs),
+        ("prefix_free", short_inputs),
+        ("prefix_free", headed_inputs),
+    ],
+    ids=["canonical-short", "trimmed-short", "prefix_free-short", "prefix_free-headed"],
+)
+def test_every_short_input_is_an_encoding_or_a_typed_error(framing, inputs):
+    # Sampling can miss a fault whose smallest witness is short: a stream
+    # whose chain of groups ran on into a zero declet, 21 bits behind one of
+    # the heads above, once decoded, and the tests above did not find it
+    # for a long time. An enumeration meets it at once.
+    if inputs is short_inputs:
+        bad, _ = short_language(framing)
+    else:
+        bad = check_language(framing, inputs())
     assert not bad, f"{len(bad)} inputs, the first {bad[:3]}"
+
+
+# Adjacent keys whose values are not below one another: both zeros are equal
+# as numbers, and NaN, whose key sorts last, compares with nothing.
+KEY_NEIGHBOURS = {(Kind.NEGATIVE_ZERO, Kind.POSITIVE_ZERO): 0, (Kind.POSITIVE_INFINITY, Kind.NAN): None}
+
+
+def test_short_encodings_sort_in_numeric_order():
+    # Every value that an input of at most 14 bits decodes to, under any
+    # framing, sorted by its canonical key: each adjacent pair of keys must
+    # be in numeric order, so n log n work checks all pairs. Canonical keys
+    # only: a zero-padded input and its canonical key decode to the same
+    # value but compare unequal, by design, as a strict prefix sorts first.
+    values = set().union(*(short_language(framing)[1] for framing in LANGUAGES))
+    keyed = sorted(
+        ((encode(value), value) for value in values),
+        key=functools.cmp_to_key(lambda a, b: lex_compare(a[0], b[0])),
+    )
+    wrong = []
+    for (low_key, low), (high_key, high) in zip(keyed, keyed[1:]):
+        expected = KEY_NEIGHBOURS.get((low.kind, high.kind), -1)
+        if lex_compare(low_key, high_key) != -1 or compare_numeric(low, high) != expected:
+            wrong.append((low_key.to_text(), high_key.to_text()))
+    assert len(values) > 1000 and not wrong, wrong[:3]
 
 
 @st.composite

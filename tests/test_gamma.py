@@ -16,14 +16,7 @@ from lexdec import (
     Sign,
     lex_compare,
 )
-from lexdec.bits import BitCursor
-from lexdec.codec import (
-    _field_ends,
-    _read_exponent,
-    decode_exponent,
-    encode_exponent,
-    exponent_field,
-)
+from lexdec.codec import _field_ends, _read_exponent, encode_exponent, exponent_field
 
 from golden import EXPONENT_FIELD_TABLE as GOLDEN_EXPONENT_FIELDS
 
@@ -95,24 +88,13 @@ def test_exponent_examples():
 
 
 def test_decode_exponent_examples():
-    # The adapters, over a cursor. Field length is found from the run of
-    # identical leading bits: three ones here, so the field spans seven bits.
-    cursor = BitCursor(BitString("1110011" + "0100000000010100000011000101011001"))
-    field = decode_exponent(cursor)
-    assert (field.exponent, field.inverted) == (9, False)
-    assert cursor.position == 7
-    assert field == encode_exponent(9, False)
-    assert field.bits == BitString("1110011")
-
-    cursor = BitCursor(BitString("100" + "0001"))
-    field = decode_exponent(cursor)
-    assert (field.exponent, field.inverted) == (0, False)
-    assert cursor.position == 3
-
-    cursor = BitCursor(BitString("00111" + "1"))
-    field = decode_exponent(cursor)
-    assert (field.exponent, field.inverted) == (2, True)
-    assert cursor.position == 5
+    # Field length is found from the run of identical leading bits: three
+    # ones here, so the field spans seven bits.
+    bits = BitString("1110011" + "0100000000010100000011000101011001")
+    assert read_field(bits) == (9, False, 7)
+    assert field_text(9, False) == "1110011"
+    assert read_field(BitString("100" + "0001")) == (0, False, 3)
+    assert read_field(BitString("00111" + "1")) == (2, True, 5)
 
 
 def test_exponent_field_invariants():

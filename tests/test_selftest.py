@@ -2,7 +2,8 @@
 
 import pytest
 
-from lexdec import BitString
+import lexdec.selftest
+from lexdec import BitString, decode
 from lexdec.selftest import run_selftest
 
 
@@ -45,3 +46,29 @@ def test_shrinking_reports_a_small_case():
 
     result = run_selftest(300, seed=3, mutate=corrupt_long)
     assert not result.passed
+
+
+def test_order_disagreement_is_reported(monkeypatch):
+    monkeypatch.setattr(lexdec.selftest, "compare_numeric", lambda x, y: 2)
+    result = run_selftest(3, seed=3)
+    assert not result.passed
+    assert result.failures[0].startswith("order agreement violated for: ")
+
+
+def test_complement_that_is_not_an_involution_is_reported(monkeypatch):
+    def off_by_one(first, slots, ones):
+        return first, slots + 1, ones
+
+    monkeypatch.setattr(lexdec.selftest, "_ten_minus", off_by_one)
+    result = run_selftest(3, seed=3)
+    assert not result.passed
+    assert result.failures[0].startswith("complement involution violated for: ")
+
+
+def test_header_law_violation_is_reported(monkeypatch):
+    # No mutation of a real encoding reaches this check: decode rejects both
+    # forbidden prefixes, and the round trip is checked first. So the
+    # mutation puts one in front, and the decoder the selftest calls drops it.
+    monkeypatch.setattr(lexdec.selftest, "decode", lambda bits: decode(BitString(bits.to_text()[5:])))
+    result = run_selftest(3, seed=3, mutate=lambda bits: BitString("10011") + bits)
+    assert result.failures == ["header law violated for: 1"]

@@ -29,7 +29,7 @@ from lexdec import (
     fixed_width_key,
     parse_decimal,
 )
-from lexdec.codec import encode_exponent, encode_significand
+from lexdec.codec import exponent_field
 from lexdec.selftest import random_finite
 
 from strategies import canonical_digits, decimal_values, decodable_sequence, finite_values
@@ -287,8 +287,8 @@ class TestPackerFramings:
             encode(value),
             encode(value, trim=True),
             encode_prefix_free(value),
-            encode_significand(form.digits, sign is Sign.NEGATIVE),
-            encode_exponent(form.exponent, sign != exponent_sign).bits,
+            # _write made the three above; the exponent field's own writer:
+            BitString._raw(*exponent_field(form.exponent, sign != exponent_sign)),
         ]
         for bits in outputs:
             assert bits._value >> len(bits) == 0

@@ -168,7 +168,7 @@ def _cmd_cmp(args) -> int:
 
 
 def _cmd_sort(args) -> int:
-    entries = []
+    keys, lines = [], []
     for number, line in enumerate(sys.stdin.readlines(), start=1):
         text = line.strip()
         if not text:
@@ -178,11 +178,18 @@ def _cmd_sort(args) -> int:
         except (ParseError, ExponentLimitError) as exc:
             print(f"line {number}: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        # Sorting key is the encoding alone; '0'/'1' text comparison is
-        # exactly the full lexicographic bit order.
-        entries.append((encode(value).to_text(), line.rstrip("\n")))
-    entries.sort(key=lambda pair: pair[0])
-    sys.stdout.write("".join([line + "\n" for _, line in entries]))
+        # The key is the encoding's bytes, zero-padded; they sort as the bits
+        # do. An encoding that extends another adds whole declets, the last
+        # non-zero, so it differs from the shorter one's padding and sorts
+        # after it. The one-byte specials can only be prefixes of longer keys,
+        # as no finite key is shorter than 2 bytes. Equal values give equal
+        # keys, and the sort is stable, so they keep their input order.
+        keys.append(encode(value).to_bytes()[0])
+        lines.append(line)
+    if lines and not lines[-1].endswith("\n"):
+        lines[-1] += "\n"
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    sys.stdout.write("".join([lines[i] for i in order]))
     return EXIT_OK
 
 

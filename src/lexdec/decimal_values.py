@@ -200,31 +200,15 @@ def parse_decimal(text: str, *, max_exponent: int = DEFAULT_MAX_EXPONENT) -> Dec
     or ``max_exponent`` is not an ``int``.
     """
     try:
-        match = _NUMERAL.match(text)
+        match = _NUMERAL.fullmatch(text)
     except TypeError:
         raise TypeError(f"parse_decimal takes a str, not {type(text).__name__}") from None
     if type(max_exponent) is not int:
         _require_int("max_exponent", max_exponent)
-    # An absent part's group is None; an empty one is a missing digit run.
+    if match is None:
+        return _special_or_error(text)
+    # An absent part's group is None; a present one has at least one digit.
     sign, int_part, frac_part, exp_sign, exp_digits = match.groups()
-    if not int_part:
-        # Only text without integer digits can be a special token.
-        upper = text.upper()
-        if upper in ("INF", "+INF"):
-            return POSITIVE_INFINITY
-        if upper == "-INF":
-            return NEGATIVE_INFINITY
-        if upper == "NAN":
-            return NAN
-        if not text:
-            raise ParseError("empty input", 0)
-        raise ParseError("expected digit", match.end(2))
-    if frac_part == "":
-        raise ParseError("expected digit after decimal point", match.end(3))
-    if exp_digits == "":
-        raise ParseError("expected digit in exponent", match.end(5))
-    if match.end() != len(text):
-        raise ParseError("unexpected character", match.end())
 
     negative = sign == "-"
     digit_text = int_part + (frac_part or "")
@@ -255,7 +239,34 @@ def parse_decimal(text: str, *, max_exponent: int = DEFAULT_MAX_EXPONENT) -> Dec
     )
 
 
-_NUMERAL = re.compile(r"([+-]?)([0-9]*)(?:\.([0-9]*))?(?:[eE]([+-]?)([0-9]*))?")
+_NUMERAL = re.compile(r"([+-]?)([0-9]+)(?:\.([0-9]+))?(?:[eE]([+-]?)([0-9]+))?")
+# The same grammar with optional digit runs: it matches a prefix of any text.
+_NUMERAL_PREFIX = re.compile(r"([+-]?)([0-9]*)(?:\.([0-9]*))?(?:[eE]([+-]?)([0-9]*))?")
+
+
+def _special_or_error(text: str) -> DecimalValue:
+    """The special value ``text`` names, or the :class:`ParseError` of its first fault."""
+    match = _NUMERAL_PREFIX.match(text)
+    # An absent part's group is None; an empty one is a missing digit run.
+    _, int_part, frac_part, _, exp_digits = match.groups()
+    if not int_part:
+        # Only text without integer digits can be a special token.
+        upper = text.upper()
+        if upper in ("INF", "+INF"):
+            return POSITIVE_INFINITY
+        if upper == "-INF":
+            return NEGATIVE_INFINITY
+        if upper == "NAN":
+            return NAN
+        if not text:
+            raise ParseError("empty input", 0)
+        raise ParseError("expected digit", match.end(2))
+    if frac_part == "":
+        raise ParseError("expected digit after decimal point", match.end(3))
+    if exp_digits == "":
+        raise ParseError("expected digit in exponent", match.end(5))
+    # Every digit run is present, so the numeral ends before the text does.
+    raise ParseError("unexpected character", match.end())
 
 
 def render_decimal(value: DecimalValue) -> str:

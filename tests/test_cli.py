@@ -194,6 +194,42 @@ class TestSort:
         assert code == 1
         assert "line 2" in err
 
+    def test_padded_lines_come_out_verbatim(self, capsys, monkeypatch):
+        feed(monkeypatch, "  2 \n\t-1\t\n 0.5\n")
+        assert run(capsys, "sort") == (0, "\t-1\t\n 0.5\n  2 \n", "")
+
+    def test_blank_lines_are_skipped(self, capsys, monkeypatch):
+        feed(monkeypatch, "\n2\n   \n\t\n1\n\n")
+        assert run(capsys, "sort") == (0, "1\n2\n", "")
+
+    @pytest.mark.parametrize(
+        "spellings", [["1", "1.0", "10e-1", "1e0"], ["1e0", "10e-1", "1.0", "1"]]
+    )
+    def test_equal_values_keep_their_input_order(self, capsys, monkeypatch, spellings):
+        feed(monkeypatch, "\n".join(["2", *spellings, "0.5"]) + "\n")
+        assert run(capsys, "sort") == (0, "\n".join(["0.5", *spellings, "2"]) + "\n", "")
+
+    def test_empty_input_gives_empty_output(self, capsys, monkeypatch):
+        feed(monkeypatch, "")
+        assert run(capsys, "sort") == (0, "", "")
+
+    def test_crlf_lines_from_a_real_stdin(self):
+        # A real stdin, not io.StringIO: the interpreter's own newline
+        # handling is part of what `lexdec sort` prints.
+        src = os.path.dirname(os.path.dirname(lexdec.__file__))
+        child = subprocess.run(
+            [sys.executable, "-m", "lexdec.cli", "sort"],
+            input=b"10\r\n-1\r\n 0.5\r\n\r\n2",
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            timeout=60,
+        )
+        assert (child.returncode, child.stdout, child.stderr) == (
+            0,
+            b"-1\r\n 0.5\r\n2\n10\r\n",
+            b"",
+        )
+
 
 class TestBench:
     def test_tsv_shape(self, capsys):

@@ -62,7 +62,7 @@ from lexdec.codec import (
 from lexdec.decimal_values import _finite_value
 
 from golden import DECODE_WORKED_EXAMPLE, SMALL_INTEGER_TABLE, WORKED_EXAMPLES
-from strategies import canonical_digits, decimal_values, finite_values
+from strategies import SPECIALS, canonical_digits, decimal_values, finite_values
 
 
 def oracle_encode(value) -> str:
@@ -884,6 +884,30 @@ class TestOrder:
         if expected == 0 and a != b:
             return  # the two zeros: numerically tied, encodings distinct
         assert lex_compare(encode(a), encode(b)) == expected
+
+    @staticmethod
+    def assert_byte_keys_agree(a, b):
+        # `lexdec sort`'s key: the encoding's bytes, zero-padded, with no length.
+        a_key, b_key = encode(a).to_bytes()[0], encode(b).to_bytes()[0]
+        assert (a_key == b_key) == (a == b)
+        assert (a_key > b_key) - (a_key < b_key) == lex_compare(encode(a), encode(b))
+
+    @given(decimal_values(), decimal_values())
+    def test_byte_keys_sort_as_the_encodings_do(self, a, b):
+        self.assert_byte_keys_agree(a, b)
+
+    def test_byte_keys_of_the_specials_and_bit_prefix_pairs(self):
+        # In each pair the first encoding is a proper prefix of the second's
+        # bits, so only the zero padding stands between the two keys.
+        pairs = [("1.2", "1.2001"), ("1", "1.001"), ("0", "1e-9"), ("-INF", "-1"), ("INF", "NaN")]
+        values = list(SPECIALS)
+        for short, long in pairs:
+            a, b = parse_decimal(short), parse_decimal(long)
+            assert encode(b).to_text().startswith(encode(a).to_text())
+            values += [a, b]
+        for a in values:
+            for b in values:
+                self.assert_byte_keys_agree(a, b)
 
     @given(finite_values())
     def test_header_law(self, value):

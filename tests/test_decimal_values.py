@@ -1,11 +1,12 @@
 """Parsing, rendering, and the numeric comparison oracle."""
 
+import itertools
 import pickle
 import random
 import re
 import timeit
 from dataclasses import FrozenInstanceError, replace
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -282,6 +283,32 @@ def test_fuzzed_text_parses_exactly_or_fails_typed(text):
         text = re.split("[eE]", text)[0]
     actual = Decimal(text)
     assert actual == expected and actual.is_signed() == expected.is_signed()
+
+
+# A decimal point without a digit on one side: Decimal reads it, the numeral
+# grammar does not, and nothing else sets the two apart on this alphabet.
+_BARE_POINT = re.compile(r"(?<![0-9])\.|\.(?![0-9])")
+
+
+def test_every_short_text_over_the_numeral_alphabet_parses_as_decimal_does():
+    # All 137,257 texts of at most 6 characters over 0 1 . e E + -, against
+    # the decimal module, an oracle independent of the parser's grammar.
+    for length in range(7):
+        for chars in itertools.product("01.eE+-", repeat=length):
+            text = "".join(chars)
+            try:
+                expected = Decimal(text)
+            except InvalidOperation:
+                expected = None
+            try:
+                value = parse_decimal(text)
+            except ParseError as exc:
+                assert 0 <= exc.position <= len(text), text
+                assert expected is None or _BARE_POINT.search(text), text
+                continue
+            assert not _BARE_POINT.search(text), text
+            actual = as_decimal(value)
+            assert actual == expected and actual.is_signed() == expected.is_signed(), text
 
 
 class TestRender:

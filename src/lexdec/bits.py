@@ -130,7 +130,11 @@ class BitString:
     def __add__(self, other: "BitString") -> "BitString":
         if not isinstance(other, BitString):
             return NotImplemented
-        return _Joined(self, other)
+        joined = object.__new__(_Joined)
+        joined._left = self
+        joined._right = other
+        joined._length = self._length + other._length
+        return joined
 
     def __repr__(self) -> str:
         return f"BitString({self.to_text()!r})"
@@ -148,11 +152,6 @@ class _Joined(BitString):
     """
 
     __slots__ = ("_left", "_right")
-
-    def __init__(self, left: BitString, right: BitString):
-        self._left = left
-        self._right = right
-        self._length = left._length + right._length
 
     def __getattr__(self, name: str):
         # Called only when normal lookup fails: for ``_value``, until the join.
@@ -180,10 +179,11 @@ class _Joined(BitString):
 def _join(parts: list[BitString], start: int, stop: int) -> tuple[int, int]:
     """The bits of ``parts[start:stop]`` as one integer, and how many there are.
 
-    A long run is halved first, so that the shifts act on short integers and
-    the join costs n log n, not n squared.
+    A run of more than 16 parts is halved first, so that the leaf loop, which
+    shifts a growing integer once per part, acts on short integers and the
+    join costs n log n, not n squared.
     """
-    if stop - start > 64:
+    if stop - start > 16:
         middle = (start + stop) // 2
         high, high_length = _join(parts, start, middle)
         low, low_length = _join(parts, middle, stop)

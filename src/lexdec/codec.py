@@ -84,8 +84,9 @@ processing with full-word instructions", CACM 1975). Under prefix-free
 framing the chain of groups ends at the highest set bit of the group-leading
 bits that are 0, found in one step. Both directions halve a long significand
 into blocks of up to 64 groups, so it encodes and decodes in n log n time. A
-stream is read through byte windows of its packed form, so splitting it
-stays linear.
+stream is split by reading each value from a view cut out of a chunk of its
+packed bytes or, when the view falls short, from doubling byte windows, so
+splitting stays linear.
 
 The field adapters in the block at the end of this module only wrap these
 frames, for the benchmark.
@@ -194,8 +195,8 @@ def _read_exponent(
     end = position + run
     if end > length:
         raise DecodeError(DecodeErrorKind.TRUNCATED_INPUT, position)
-    # ``body`` holds the field with its run made zeros: the payload complemented.
-    exponent = least + (body >> (length - end) & ((1 << run) - 1) ^ ((1 << run) - 1))
+    # ``body`` is the run as zeros, a 1 and the payload p complemented: 2**(run+1) - 1 - p.
+    exponent = (3 << run) - 3 - (body >> (length - end))
     if exponent > max_exponent:
         raise ExponentLimitError(exponent_sign * exponent, max_exponent)
     return exponent_sign, exponent, end
@@ -347,8 +348,8 @@ def decode(
     return _read_value(bits._value, bits._length, framing, max_exponent)[0]
 
 
-# Bytes per first read of a stream value; a value that runs past the window
-# is read again through one twice as wide.
+# Bytes in a stream value's first view; a chunk holds four views, and a value
+# past its view is read again through byte windows that double in width.
 _WINDOW_BYTES = 64
 
 
@@ -357,11 +358,14 @@ def decode_prefix_free_stream(
 ) -> list[DecimalValue]:
     """Split a concatenation of prefix-free encodings back into values.
 
-    Time is linear in the length of the stream: the stream is packed to bytes
-    once, and each value is read from a window of those bytes that starts at
-    the value. A value that runs past its window, or ends exactly at it, is
-    read again through a window twice as wide, so each value costs time in
-    proportion to its own length plus one window.
+    Time is linear in the length of the stream. The stream is packed to bytes
+    once and read into integers ``4 * _WINDOW_BYTES`` bytes at a time, a new
+    chunk when the next value's view would run past the last one. A value's
+    view, its first ``8 * _WINDOW_BYTES`` bits, is one shift of the chunk and
+    one mask. A value that its view cuts short or ends at, or one within a
+    view of the stream's end, is read again from windows of the bytes that
+    start at it, each twice as wide as the last, so each value costs time in
+    proportion to its own length plus one view.
 
     Finite values, negative zero and NaN are self-delimiting anywhere in the
     stream. The two-bit headers of the remaining specials collide with the
@@ -381,10 +385,27 @@ def decode_prefix_free_stream(
     if type(max_exponent) is not int:
         _require_int("max_exponent", max_exponent)
     data, length = bits.to_bytes()
+    view_bits = 8 * _WINDOW_BYTES
+    view_mask = (1 << view_bits) - 1
+    chunk = chunk_end = 0  # the bytes read last, and where they end in the stream
     values = []
     position = 0
     while position < length:
         start = position >> 3  # the byte holding the value's first bit
+        stop = position + view_bits  # where the value's view ends
+        if stop <= length:
+            if stop > chunk_end:
+                chunk_end = 8 * min(start + 4 * _WINDOW_BYTES, len(data))
+                chunk = int.from_bytes(data[start : chunk_end >> 3], "big")
+            view = chunk >> (chunk_end - stop) & view_mask
+            try:
+                value, used = _read_value(view, view_bits, _CONTINUATION, max_exponent)
+            except DecodeError:
+                used = view_bits  # the windows below meet the fault again
+            if used < view_bits:
+                values.append(value)
+                position += used
+                continue
         size = _WINDOW_BYTES
         while True:
             end = min(8 * (start + size), length)  # the window's end in the stream

@@ -250,8 +250,9 @@ def _special_or_error(text: str) -> DecimalValue:
     # An absent part's group is None; an empty one is a missing digit run.
     _, int_part, frac_part, _, exp_digits = match.groups()
     if not int_part:
-        # Only text without integer digits can be a special token.
-        upper = text.upper()
+        # Only text without integer digits can be a special token, and only
+        # ASCII text: "\u0131".upper() is "I".
+        upper = text.upper() if text.isascii() else ""
         if upper in ("INF", "+INF"):
             return POSITIVE_INFINITY
         if upper == "-INF":

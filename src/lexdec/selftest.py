@@ -1,10 +1,11 @@
 """Seeded randomized self-checks of the codec against the numeric oracle.
 
-Four properties are exercised per case: round-trip, pairwise order agreement
-between encoded and numeric comparison, the header law (no finite encoding
-starts with 10011 or 00100), and the self-inverseness of the ten's
-complement. Results are deterministic for a fixed seed. A hook is provided to
-corrupt encodings on purpose, so the failure path itself can be tested.
+Five properties are exercised per case: round-trip, the header law (no
+finite encoding starts with 10011 or 00100), the length law (a finite
+encoding's length in closed form), pairwise order agreement between encoded
+and numeric comparison, and the self-inverseness of the ten's complement.
+Results are deterministic for a fixed seed. A hook is provided to corrupt
+encodings on purpose, so the failure path itself can be tested.
 """
 
 from __future__ import annotations
@@ -120,6 +121,10 @@ def run_selftest(
             shrunk = _shrink(x, lambda v: encoded(v).to_text().startswith(_FORBIDDEN_PREFIXES))
             return _failure(cases, "header law", shrunk)
 
+        if len(enc_x) != _lawful_length(x):
+            shrunk = _shrink(x, lambda v: len(encoded(v)) != _lawful_length(v))
+            return _failure(cases, "length law", shrunk)
+
         if lex_compare(enc_x, encoded(y)) != compare_numeric(x, y):
             return _failure(cases, "order agreement", x, y)
 
@@ -135,6 +140,12 @@ def run_selftest(
             return _failure(cases, "complement involution", x)
 
     return SelfTestResult(passed=True, cases=cases)
+
+
+def _lawful_length(value: DecimalValue) -> int:
+    # The sign header, the exponent field, the tetrade, then the declets.
+    e, n = value.form.exponent, len(value.form.digits)
+    return 2 + (2 * (e + 2).bit_length() - 1) + 4 + 10 * ((n + 1) // 3)
 
 
 def _round_trips(value: DecimalValue, post) -> bool:

@@ -4,6 +4,7 @@ import itertools
 import pickle
 import random
 import re
+import sys
 import timeit
 from dataclasses import FrozenInstanceError, replace
 from decimal import Decimal, InvalidOperation
@@ -99,6 +100,27 @@ class TestParse:
         assert parse_decimal("inf") == POSITIVE_INFINITY
         assert parse_decimal("NaN") == NAN
         assert parse_decimal("nan") == NAN
+
+    def test_specials_are_ascii_tokens(self):
+        # Each letter of each token, spelled by a non-ASCII character whose
+        # upper case is that letter, as U+0131 (dotless i) is for I. The
+        # decimal module rejects these, and the digit run is missing.
+        lookalikes = {letter: [] for letter in "INFA"}
+        for code in range(128, sys.maxunicode + 1):
+            char = chr(code)
+            if char.upper() in lookalikes:
+                lookalikes[char.upper()].append(char)
+        assert "\u0131" in lookalikes["I"]
+        for token in ("INF", "+INF", "-INF", "NaN", "inf", "nan"):
+            start = 1 if token[0] in "+-" else 0
+            for i in range(start, len(token)):
+                for char in lookalikes[token[i].upper()]:
+                    text = token[:i] + char + token[i + 1 :]
+                    with pytest.raises(ParseError) as caught:
+                        parse_decimal(text)
+                    assert str(caught.value) == f"expected digit (at position {start})"
+                    with pytest.raises(InvalidOperation):
+                        Decimal(text)
 
     def test_signed_zeros(self):
         assert parse_decimal("-0") == NEGATIVE_ZERO

@@ -1,6 +1,9 @@
 """Fuzzed decoding: any bits either fail with a typed error or re-encode to themselves."""
 
+import bisect
 import functools
+import itertools
+import random
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -9,6 +12,7 @@ from hypothesis import example, given, settings
 
 from lexdec import (
     NAN,
+    NEGATIVE_ZERO,
     BitString,
     DecimalValue,
     DecodeError,
@@ -25,6 +29,7 @@ from lexdec import (
     lex_compare,
 )
 from lexdec import codec
+from lexdec.selftest import random_finite
 
 from strategies import decimal_values
 
@@ -290,11 +295,79 @@ def check_stream_windows(offset, data):
         rest = flipped + "".join(texts[k + 1 :])
     else:
         rest = texts[k][:i]
+    assert stream_outcome(before + rest) == joined_outcome(values[:k], len(before), rest)
+
+
+def joined_outcome(values_before, bits_before, rest):
+    """What a stream must split into that is ``values_before``, taking
+    ``bits_before`` bits, then ``rest``: those values and the values of
+    ``rest``, or the error ``rest`` alone gives, its position shifted."""
     expected = stream_outcome(rest)
-    got = stream_outcome(before + rest)
     if isinstance(expected, list):
-        assert got == values[:k] + expected
-    elif expected[0] is DecodeError:
-        assert got == (DecodeError, expected[1], expected[2] + len(before))
-    else:
-        assert got == expected
+        return values_before + expected
+    if expected[0] is DecodeError:
+        return DecodeError, expected[1], expected[2] + bits_before
+    return expected
+
+
+def wide_values(seed, count):
+    """``count`` seeded values drawn as the benchmark's wide values are: 1 to
+    60 digits, a log-uniform bound on |e| below 10**6, both signs of each,
+    and one in 33 a negative zero or a NaN."""
+    rng = random.Random(seed)
+    return [
+        rng.choice((NEGATIVE_ZERO, NAN))
+        if rng.random() < 0.03
+        else random_finite(rng, max_exponent=int(10 ** rng.uniform(0, 6)) - 1)
+        for _ in range(count)
+    ]
+
+
+def chunk_ends(texts, window_bytes):
+    """Where the splitter's chunks end inside the stream of ``texts``: it
+    reads ``4 * window_bytes`` bytes from a value's first byte when the
+    value's view, its first ``8 * window_bytes`` bits, ends past the last
+    chunk."""
+    length = sum(map(len, texts))
+    view = 8 * window_bytes
+    ends, end, position = [], 0, 0
+    for text in texts:
+        if end < position + view <= length:
+            end = 8 * min((position >> 3) + 4 * window_bytes, (length + 7) // 8)
+            if end < length:
+                ends.append(end)
+        position += len(text)
+    return ends
+
+
+def wide_stream_faults(values, flips):
+    """What the splitter, at the current window size, gets wrong on the
+    stream of ``values``: the split itself, then, for each bit position in
+    ``flips``, the stream with that bit flipped, judged as
+    ``check_stream_windows`` judges it."""
+    texts = [encode_prefix_free(value).to_text() for value in values]
+    stream = "".join(texts)
+    faults = [] if decode_prefix_free_stream(BitString(stream)) == values else ["split"]
+    starts = list(itertools.accumulate(map(len, texts), initial=0))
+    for flip in flips:
+        k = bisect.bisect_right(starts, flip) - 1  # the value holding the bit
+        rest = stream[starts[k] : flip] + "10"[int(stream[flip])] + stream[flip + 1 :]
+        expected = joined_outcome(values[:k], starts[k], rest)
+        if stream_outcome(stream[: starts[k]] + rest) != expected:
+            faults.append(f"bit {flip}")
+    return faults
+
+
+@pytest.mark.parametrize("window_bytes", [codec._WINDOW_BYTES, 2, 1])
+def test_wide_stream_splits_through_chunks(window_bytes):
+    # About 2,000 values of at most a few hundred bits carry each chunk
+    # across several values. Bits on either side of the last two chunk ends
+    # are flipped: a view cut from a chunk's last bits, or the first read
+    # after a refill, meets them.
+    values = wide_values(1, 2000)
+    with mock.patch.object(codec, "_WINDOW_BYTES", window_bytes):
+        texts = [encode_prefix_free(value).to_text() for value in values]
+        ends = chunk_ends(texts, window_bytes)
+        assert len(ends) > 50
+        flips = [bit for end in ends[-2:] for bit in (end - 1, end)]
+        assert not wide_stream_faults(values, flips)

@@ -1,5 +1,7 @@
 """The randomized self-check engine."""
 
+import re
+
 import pytest
 
 import lexdec.selftest
@@ -34,6 +36,18 @@ def test_corrupted_codec_is_caught():
     assert not result.passed
     assert result.failures
     assert "violated" in result.failures[0]
+
+
+def test_padded_codec_breaks_the_length_law():
+    # decode reads whole zero declets as padding, so a zero declet after
+    # every finite encoding round-trips and keeps the order; only the length
+    # law sees it, and every value shrinks to one of a single digit.
+    def pad(bits: BitString) -> BitString:
+        return bits + BitString("0" * 10) if len(bits) > 3 else bits
+
+    result = run_selftest(500, 42, mutate=pad)
+    assert not result.passed
+    assert re.fullmatch("length law violated for: [1-9]", result.failures[0])
 
 
 def test_shrinking_reports_a_small_case():

@@ -155,14 +155,15 @@ def exponent_field(exponent: int, invert: bool) -> tuple[int, int]:
     """The exponent field as an integer and its width in bits.
 
     Every bit is flipped when ``invert``; the caller decides it from the
-    decimal's sign pair.
+    decimal's sign pair. For ``k = exponent + EXPONENT_OFFSET`` of N bits,
+    N-1 ones, a zero and k without its leading one are, in closed form,
+    ``(1 << 2N-1) - (3 << N-1) + k``; flipped, ``(3 << N-1) - k - 1``.
     """
     k = exponent + EXPONENT_OFFSET
     n = k.bit_length()
-    width = 2 * n - 1
-    # N-1 ones and a zero, then k without its leading one.
-    code = ((1 << n) - 2) << (n - 1) | k ^ (1 << (n - 1))
-    return (code ^ ((1 << width) - 1) if invert else code), width
+    if invert:
+        return (3 << n - 1) - k - 1, 2 * n - 1
+    return (1 << 2 * n - 1) - (3 << n - 1) + k, 2 * n - 1
 
 
 def _read_exponent(
@@ -282,9 +283,10 @@ def _write(form: ScientificForm, continued: bool) -> BitString:
     negative = sign is _NEGATIVE
     field, width = exponent_field(form.exponent, sign != form.exponent_sign)
     digits = form.digits
+    length = len(digits)
     stride = DECLET_BITS + continued
-    count = (len(digits) + 1) // DECLET_DIGITS  # declets after the leading digit
-    pad = DECLET_DIGITS * count + 1 - len(digits)  # zero digits ending the last group
+    count = (length + 1) // DECLET_DIGITS  # declets after the leading digit
+    pad = DECLET_DIGITS * count + 1 - length  # zero digits ending the last group
     groups = _lane_slots(int.from_bytes(digits.encode(), "big") << 8 * pad, count + 1, stride)
     size = stride * count
     if negative or continued:
@@ -364,8 +366,9 @@ def decode_prefix_free_stream(
     view, its first ``8 * _WINDOW_BYTES`` bits, is one shift of the chunk and
     one mask. A value that its view cuts short or ends at, or one within a
     view of the stream's end, is read again from windows of the bytes that
-    start at it, each twice as wide as the last, so each value costs time in
-    proportion to its own length plus one view.
+    start at it, each twice as wide as the last and the first two views wide
+    after a view, so each value costs time in proportion to its own length
+    plus one view.
 
     Finite values, negative zero and NaN are self-delimiting anywhere in the
     stream. The two-bit headers of the remaining specials collide with the
@@ -407,6 +410,8 @@ def decode_prefix_free_stream(
                 position += used
                 continue
         size = _WINDOW_BYTES
+        if stop <= length:
+            size *= 2  # a first window holds no more of the value than its view
         while True:
             end = min(8 * (start + size), length)  # the window's end in the stream
             width = end - position

@@ -223,23 +223,33 @@ def parse_decimal(text: str, *, max_exponent: int = DEFAULT_MAX_EXPONENT) -> Dec
         # mean |e| >= 10**(D-1) - len(digit_text), past the limit exactly when
         # 10**(D-1) > bound. Once D exceeds the bound's bit count that holds
         # without the power, so huge digit strings are rejected in linear time,
-        # before int() or any power of ten sees them.
+        # before int() sees them. The power is taken only for a rejected value.
         bound = max_exponent + len(digit_text)
-        if len(magnitude) > bound.bit_length() or 10 ** (len(magnitude) - 1) > bound:
+        if len(magnitude) > bound.bit_length():
             raise ExponentLimitError._of_digits(len(magnitude), max_exponent)
-        signed_exponent += _int_of(exp_sign + magnitude)
-    if abs(signed_exponent) > max_exponent:
+        try:
+            shift = int(magnitude)
+        except ValueError:  # past int()'s digit limit
+            shift = _int_of(magnitude)
+        signed_exponent += -shift if exp_sign == "-" else shift
+    if signed_exponent < 0:
+        exponent_sign, exponent = _EXPONENT_NEGATIVE, -signed_exponent
+    else:
+        exponent_sign, exponent = _EXPONENT_NON_NEGATIVE, signed_exponent
+    if exponent > max_exponent:
+        if magnitude and 10 ** (len(magnitude) - 1) > max_exponent + len(digit_text):
+            raise ExponentLimitError._of_digits(len(magnitude), max_exponent)
         raise ExponentLimitError(signed_exponent, max_exponent)
 
     return _finite_value(
-        _NEGATIVE if negative else _POSITIVE,
-        _EXPONENT_NEGATIVE if signed_exponent < 0 else _EXPONENT_NON_NEGATIVE,
-        abs(signed_exponent),
-        unpadded.rstrip("0"),
+        _NEGATIVE if negative else _POSITIVE, exponent_sign, exponent, unpadded.rstrip("0")
     )
 
 
-_NUMERAL = re.compile(r"([+-]?)([0-9]+)(?:\.([0-9]+))?(?:[eE]([+-]?)([0-9]+))?")
+# Possessive (Python 3.11): nothing that follows a run or an optional part can
+# start one, so giving characters back never finds another match, and the
+# matcher keeps no backtracking state.
+_NUMERAL = re.compile(r"([+-]?+)([0-9]++)(?:\.([0-9]++))?+(?:[eE]([+-]?+)([0-9]++))?+")
 # The same grammar with optional digit runs: it matches a prefix of any text.
 _NUMERAL_PREFIX = re.compile(r"([+-]?)([0-9]*)(?:\.([0-9]*))?(?:[eE]([+-]?)([0-9]*))?")
 

@@ -1059,6 +1059,13 @@ def test_reading_a_finite_value_takes_one_frame_and_four_helpers(text):
     assert calls == ["decode", "_read_value", *helpers]
 
 
+@pytest.mark.parametrize("text", ["7", "-1.032e2", "4005012345e-9", "-2.5e-300", "0.5E+07"])
+def test_parsing_a_finite_numeral_calls_only_the_builder(text):
+    # The match, the exponent's int() and the bound checks run inline; only
+    # text the numeral pattern rejects goes on to _special_or_error.
+    assert python_calls(parse_decimal, text) == ["parse_decimal", "_finite_value"]
+
+
 @pytest.mark.parametrize("text", ["7", "-1.032e2", "4005012345e-9", "-2.5e-300"])
 @pytest.mark.parametrize("write", [encode, encode_prefix_free], ids=lambda write: write.__name__)
 def test_writing_a_finite_value_takes_one_frame_and_three_helpers(write, text):

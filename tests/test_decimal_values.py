@@ -226,6 +226,27 @@ class TestParse:
             parse_decimal("1e" + "9" * 7000, max_exponent=10**6000)
         assert str(exc.value) == "exponent magnitude of 7000 digits exceeds limit of 19932 bits"
 
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_exponent_under_a_lowered_int_conversion_limit(self, sign):
+        # int() refuses decimal text past sys.get_int_max_str_digits(), which
+        # a program may lower below the 4,300 default; the parser must still
+        # convert an exponent that its limit admits, whatever its length.
+        exponent_text = ("1234567890" * 70)[:700]
+        expected = int(Decimal(sign + exponent_text))
+        limit = 10**800
+        default = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            value = parse_decimal("-2.5e" + sign + exponent_text, max_exponent=limit)
+            assert value.form.signed_exponent == expected
+            decoded = decode(encode(value), max_exponent=limit)
+            assert decoded == value
+            text = render_decimal(decoded)
+            assert text == "-2.5E" + sign + exponent_text
+            assert parse_decimal(text, max_exponent=limit) == value
+        finally:
+            sys.set_int_max_str_digits(default)
+
     def test_leading_exponent_zeros_do_not_count(self):
         assert parse_decimal("1e" + "0" * 5000 + "5") == parse_decimal("1e5")
         assert parse_decimal("-2.5e-" + "0" * 5000 + "7") == parse_decimal("-2.5e-7")
@@ -331,6 +352,62 @@ def test_every_short_text_over_the_numeral_alphabet_parses_as_decimal_does():
             assert not _BARE_POINT.search(text), text
             actual = as_decimal(value)
             assert actual == expected and actual.is_signed() == expected.is_signed(), text
+
+
+_LONG_ALPHABET = "0123456789.+-eEx"  # the numeral's characters and a stray letter
+_RUN = st.text("0123456789", min_size=1, max_size=30)
+_SIGN = st.sampled_from(["", "+", "-"])
+_LONG_NUMERALS = st.builds(
+    "{}{}{}{}".format,
+    _SIGN,
+    _RUN,
+    st.one_of(st.just(""), _RUN.map(".".__add__)),
+    st.one_of(st.just(""), st.builds("{}{}{}".format, st.sampled_from("eE"), _SIGN, _RUN)),
+)
+
+
+@st.composite
+def _spliced_numerals(draw):
+    """A well-formed numeral with one character of the alphabet put in,
+    swapped in or taken out, so that it often fails late in the scan."""
+    text = draw(_LONG_NUMERALS)
+    i = draw(st.integers(0, len(text)))
+    char = draw(st.sampled_from(_LONG_ALPHABET))
+    inserted, swapped = text[:i] + char + text[i:], text[:i] + char + text[i + 1 :]
+    return draw(st.sampled_from([text, inserted, swapped, text[:i] + text[i + 1 :]]))
+
+
+# Decimal refuses an exponent of more than 18 significant digits.
+_OVER_DECIMAL_RANGE = re.compile(r"[eE][+-]?0*[1-9][0-9]{17}")
+
+
+@given(
+    st.one_of(st.text(_LONG_ALPHABET, min_size=7, max_size=80), _spliced_numerals())
+    .filter(lambda text: 7 <= len(text) <= 80 and not _OVER_DECIMAL_RANGE.search(text))
+)
+def test_long_numeral_shaped_text_parses_as_decimal_does(text):
+    # The short-text check above, on texts of 7 to 80 characters: the same
+    # accept or reject, an equal value with the sign of zero, and a
+    # ParseError position inside the text. The default exponent limit
+    # rejects exactly the values whose adjusted exponent is past it.
+    try:
+        expected = Decimal(text)
+    except InvalidOperation:
+        expected = None
+    try:
+        value = parse_decimal(text)
+    except ParseError as exc:
+        assert 0 <= exc.position <= len(text)
+        assert expected is None or _BARE_POINT.search(text)
+        return
+    except ExponentLimitError as exc:
+        assert expected is not None and expected and not _BARE_POINT.search(text)
+        assert abs(expected.adjusted()) > lexdec.DEFAULT_MAX_EXPONENT
+        assert exc.exponent in (None, expected.adjusted())
+        return
+    assert not _BARE_POINT.search(text)
+    actual = as_decimal(value)
+    assert actual == expected and actual.is_signed() == expected.is_signed()
 
 
 class TestRender:

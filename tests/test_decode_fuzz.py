@@ -371,3 +371,27 @@ def test_wide_stream_splits_through_chunks(window_bytes):
         assert len(ends) > 50
         flips = [bit for end in ends[-2:] for bit in (end - 1, end)]
         assert not wide_stream_faults(values, flips)
+
+
+def test_a_value_past_its_view_is_read_once_per_wider_window(monkeypatch):
+    # 200 values of 1,000 digits, 3,600-odd bits each: the 512-bit view cuts
+    # each short, and a window from the value's first byte holds it only at
+    # 512 bytes. A 64-byte window would hold less of it than the view did,
+    # so the reads are the view, then windows of 128, 256 and 512 bytes.
+    rng = random.Random(5)
+    values = []
+    for _ in range(200):
+        digits = str(rng.randrange(1, 10)) + str(rng.randrange(10**998)).zfill(998) + "7"
+        exponent_sign = rng.choice(list(ExponentSign))
+        form = ScientificForm(rng.choice(list(Sign)), exponent_sign, rng.randrange(1, 10**6), digits)
+        values.append(DecimalValue.finite(form))
+    parts = [encode_prefix_free(value) for value in values]
+    assert all(8 * 256 < len(part) <= 8 * 512 - 8 for part in parts)
+    stream = BitString._raw(0, 0)
+    for part in parts:
+        stream = stream + part
+    reads = mock.Mock(wraps=codec._read_value)
+    monkeypatch.setattr(codec, "_WINDOW_BYTES", 64)
+    monkeypatch.setattr(codec, "_read_value", reads)
+    assert decode_prefix_free_stream(stream) == values
+    assert reads.call_count == 4 * len(values)

@@ -105,6 +105,18 @@ def test_exponent_field_invariants():
     assert field_text(9, True)[0] == "0"
 
 
+@pytest.mark.parametrize("exponents", [range(2**16), [2**64, 10**100]], ids=["small", "large"])
+def test_exponent_field_matches_its_definition(exponents):
+    # The writer's closed form against the field's definition: for k = e+2,
+    # N-1 ones, a zero, then k without its leading one; flipped, every bit.
+    for exponent in exponents:
+        k = exponent + 2
+        plain = "1" * (k.bit_length() - 1) + "0" + bin(k)[3:]
+        flipped = plain.translate(str.maketrans("01", "10"))
+        assert field_text(exponent, False) == plain
+        assert field_text(exponent, True) == flipped
+
+
 @pytest.mark.parametrize("exponent", [-1, -2, -5])
 @pytest.mark.parametrize("invert", [False, True])
 def test_encode_exponent_rejects_negative(exponent, invert):

@@ -366,9 +366,9 @@ def decode_prefix_free_stream(
     view, its first ``8 * _WINDOW_BYTES`` bits, is one shift of the chunk and
     one mask. A value that its view cuts short or ends at, or one within a
     view of the stream's end, is read again from windows of the bytes that
-    start at it, each twice as wide as the last and the first two views wide
-    after a view, so each value costs time in proportion to its own length
-    plus one view.
+    start at it: the first as wide as two views when the view was read, one
+    otherwise, and each after it twice as wide as the last, so each value
+    costs time in proportion to its own length plus one view.
 
     Finite values, negative zero and NaN are self-delimiting anywhere in the
     stream. The two-bit headers of the remaining specials collide with the

@@ -80,7 +80,7 @@ class BitString:
             except TypeError:
                 name = type(data).__name__
                 raise TypeError(f"BitString.from_bytes takes bytes, not {name}") from None
-        value = int.from_bytes(data, "big")
+        value = int.from_bytes(data)  # big-endian by default
         pad = 8 * len(data) - bit_length
         if pad < 0:
             raise ValueError(

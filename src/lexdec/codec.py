@@ -74,19 +74,22 @@ Decoding reads the input's integer and its width in bits, never its
 ``0``/``1`` text, one value in one frame (``_read_value``). The header is a
 shift; the one exponent-field reader, ``_read_exponent``, ends the field's
 run where ``bit_length()`` of the rest of the input (or of its complement)
-says; the payload and the significand are a shift and a mask each. The
-declets are never cut apart: they stay slots of one integer, 10 or 11 bits
-apart, and a few whole-integer operations check them all against 999, take
-a negative value's complement to ten, and merge adjacent slots in pairs
-until each block of up to 64 declets is one base-1000 integer, written with
-one ``str()`` (SIMD within a register, after Lamport's "Multiple byte
-processing with full-word instructions", CACM 1975). Under prefix-free
-framing the chain of groups ends at the highest set bit of the group-leading
-bits that are 0, found in one step. Both directions halve a long significand
-into blocks of up to 64 groups, so it encodes and decodes in n log n time. A
-stream is split by reading each value from a view cut out of a chunk of its
-packed bytes or, when the view falls short, from doubling byte windows, so
-splitting stays linear.
+says; the payload is a shift and a mask. The significand needs no mask of
+its own: the tetrade's 4-bit mask and the slot masks drop the head above it.
+The declets are never cut apart: they stay slots of one integer, 10 or 11
+bits apart, and a few whole-integer operations check them all against 999,
+take a negative value's complement to ten, and merge adjacent slots in pairs
+until each block of up to 64 declets is one base-1000 integer. The leading
+digit, 1 to 9, goes on top of the first block, weighted ``1000**count``, so
+one ``str()`` writes it and the block's declets, their zeros included (SIMD
+within a register, after Lamport's "Multiple byte processing with full-word
+instructions", CACM 1975). Under prefix-free framing the chain of groups
+ends at the highest set bit of the group-leading bits that are 0, found in
+one step. Both directions halve a long significand into blocks of up to 64
+groups, so it encodes and decodes in n log n time. A stream is split by
+reading each value from a view cut out of a chunk of its packed bytes or,
+when the view falls short, from doubling byte windows, so splitting stays
+linear.
 
 The field adapters in the block at the end of this module only wrap these
 frames, for the benchmark.
@@ -504,9 +507,11 @@ def _read_value(
         elif value >> (spare - 1) & 1:
             cut = length - spare + 1  # a group starts, and the input cuts it short
         size = TETRADE_BITS + stride * count
-        bits = value >> (length - start - size) & ((1 << size) - 1)
+        bits = value >> (length - start - size)
     else:
-        bits = value & ((1 << size) - 1)
+        bits = value
+    # ``bits`` still holds the head above the significand: the tetrade is
+    # read with a 4-bit mask, and the slot masks drop the rest.
     group_bits = size - TETRADE_BITS
     if repadded:
         # A short last group, even a short tetrade, is zero-extended.
@@ -523,7 +528,7 @@ def _read_value(
             bits >>= short
             group_bits -= short
     count = group_bits // stride
-    first = bits >> group_bits
+    first = bits >> group_bits & 15
     if first > 9:
         raise DecodeError(DecodeErrorKind.DIGIT_OUT_OF_RANGE, start)
     ones, low_10, low_7, threes, bit_7 = (
@@ -556,7 +561,7 @@ def _read_value(
         first, slots, _ = _ten_minus(first, slots, ones)
     elif first == 0:
         raise DecodeError(DecodeErrorKind.SIGNIFICAND_OUT_OF_RANGE, start)
-    digits = (str(first) + _declet_digits(slots, count, stride)).rstrip("0")
+    digits = _declet_digits(first, slots, count, stride).rstrip("0")
     # Under continuation framing the significand ends after the 0 closing the chain.
     end = start + size + continued
     return _finite_value(_SIGNS[negative], exponent_sign, exponent, digits), end
@@ -592,27 +597,29 @@ def _masks(ones: int) -> tuple[int, int, int, int, int]:
     return ones, 1023 * ones, 127 * ones, 3 * ones, ones << 7
 
 
-def _declet_digits(slots: int, count: int, stride: int) -> str:
-    """The three digits of each of ``count`` declets, leftmost first.
+def _declet_digits(first: int, slots: int, count: int, stride: int) -> str:
+    """The leading digit ``first``, 1 to 9, then the three digits of each of
+    ``count`` declets, leftmost first.
 
     Each declet, at most 999, fills the low bits of a ``stride``-bit slot of
     ``slots``; the slots' other bits are 0. Adjacent slots are merged in
     pairs, the left one times 1000, then pairs of pairs times 1000**2, and so
-    on, until one block's integer holds every declet as base-1000 digits and
-    one zero-padded str() writes them. The merged values always fit their
-    doubled slots, as 1000 < 2**10. A run longer than a block is halved
-    first, so a long significand costs n log n.
+    on, until one block's integer holds every declet as base-1000 digits. The
+    merged values always fit their doubled slots, as 1000 < 2**10. The
+    leading digit, weighted ``1000**count``, goes on top, so one str() writes
+    exactly ``1 + 3 * count`` digits, the declets' zeros included. A run
+    longer than a block is halved first, so a long significand costs n log n:
+    the high half takes ``first``, and the low half is written behind a
+    leading 1 that is then cut off.
     """
     if count > _BLOCK:
         low = count // 2
-        high_part = _declet_digits(slots >> stride * low, count - low, stride)
-        return high_part + _declet_digits(slots & ((1 << stride * low) - 1), low, stride)
-    if not count:
-        return ""
+        high_part = _declet_digits(first, slots >> stride * low, count - low, stride)
+        return high_part + _declet_digits(1, slots & ((1 << stride * low) - 1), low, stride)[1:]
     for shift, mask, excess in _MERGES[stride][count]:
         # The left slot of each pair, worth 2**shift, is made worth 1000**k.
         slots -= (slots >> shift & mask) * excess
-    return str(slots).zfill(DECLET_DIGITS * count)
+    return str(first * _THOUSANDS[count] + slots)
 
 
 def _merge_levels(stride: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
@@ -627,7 +634,7 @@ def _merge_levels(stride: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
         excess = (1 << width) - 1000 ** (width // stride)
         levels.append((width, pairs * ((1 << width) - 1), excess))
         width *= 2
-    return tuple(tuple(levels[: (count - 1).bit_length()]) for count in range(_BLOCK + 1))
+    return tuple(tuple(levels[: max(count - 1, 0).bit_length()]) for count in range(_BLOCK + 1))
 
 
 _STRIDES = (DECLET_BITS, DECLET_BITS + 1)  # canonical and trimmed, prefix-free
@@ -636,6 +643,7 @@ _MASKS = {
     for stride in _STRIDES
 }
 _MERGES = {stride: _merge_levels(stride) for stride in _STRIDES}
+_THOUSANDS = tuple(1000**count for count in range(_BLOCK + 1))  # the leading digit's weight
 
 
 _LANE_BITS = 8 * DECLET_DIGITS  # a lane is a group's three digit bytes

@@ -299,10 +299,14 @@ def render_decimal(value: DecimalValue) -> str:
     digits = form.digits
     exponent = form.exponent_sign * form.exponent
 
-    if abs(exponent) > _SCIENTIFIC_THRESHOLD:
+    if form.exponent > _SCIENTIFIC_THRESHOLD:
+        try:
+            exponent_text = str(exponent)
+        except ValueError:  # past str()'s digit limit
+            exponent_text = _text_of(exponent)
         if len(digits) == 1:
-            return f"{prefix}{digits}E{_text_of(exponent)}"
-        return f"{prefix}{digits[0]}.{digits[1:]}E{_text_of(exponent)}"
+            return f"{prefix}{digits}E{exponent_text}"
+        return f"{prefix}{digits[0]}.{digits[1:]}E{exponent_text}"
 
     if exponent >= len(digits) - 1:
         return prefix + digits + "0" * (exponent - (len(digits) - 1))

@@ -631,6 +631,9 @@ class TestLongSignificands:
             (functools.partial(encode, trim=True), functools.partial(decode, trim=True)),
             (negated, encode),
             (negated, encode_prefix_free),
+            (lambda value: encode(value).to_bytes(), lambda packed: BitString.from_bytes(*packed)),
+            (as_is, render_decimal),
+            (lambda value: encode(negated(value)), decode),
         ],
         ids=[
             "encode",
@@ -640,6 +643,9 @@ class TestLongSignificands:
             "decode_trim",
             "encode_negative",
             "encode_prefix_free_negative",
+            "from_bytes",
+            "render_decimal",
+            "decode_negative",
         ],
     )
     def test_time_grows_near_linearly(self, prepare, operation):
@@ -703,7 +709,7 @@ class TestComplement:
     def test_examples(self):
         for digits, stored in [("1032", "8968"), ("405", "595"), ("9", "1"), ("15", "85")]:
             first, slots, _ = layout = _ten_minus(*stored_groups(digits, False))
-            text = str(first) + _declet_digits(slots, (len(digits) + 1) // 3, 10)
+            text = _declet_digits(first, slots, (len(digits) + 1) // 3, 10)
             assert text[: len(digits)] == stored
             assert layout == stored_groups(digits, True)
 
@@ -714,19 +720,26 @@ class TestComplement:
 
 
 @given(
+    st.integers(1, 9),
     st.integers(0, 300).flatmap(lambda n: st.lists(st.integers(0, 999), min_size=n, max_size=n)),
     st.sampled_from([10, 11]),
 )
-@example([], 10)
-@example(list(range(999, 935, -1)), 10)  # one full block
-@example(list(range(65)), 11)  # one past it
-@example([999] * 129, 10)
-@example([0] * 299 + [1], 11)
-def test_declet_digits_writes_three_digits_per_declet(declets, stride):
+@example(1, [], 10)
+@example(9, [], 11)
+@example(5, list(range(999, 935, -1)), 10)  # one full block
+@example(5, list(range(999, 935, -1)), 11)
+@example(1, list(range(65)), 10)  # one past it
+@example(1, list(range(65)), 11)
+@example(9, [999] * 129, 10)
+@example(9, [999] * 129, 11)
+@example(3, [0] * 299 + [1], 10)  # a low half that starts with zero declets
+@example(3, [0] * 299 + [1], 11)
+def test_declet_digits_writes_three_digits_per_declet(first, declets, stride):
     slots = 0
     for declet in declets:
         slots = slots << stride | declet
-    assert _declet_digits(slots, len(declets), stride) == "".join(f"{d:03d}" for d in declets)
+    want = str(first) + "".join(f"{d:03d}" for d in declets)
+    assert _declet_digits(first, slots, len(declets), stride) == want
 
 
 FRAMINGS = {
@@ -1057,6 +1070,14 @@ def test_reading_a_finite_value_takes_one_frame_and_four_helpers(text):
     if text.startswith("-"):
         helpers.insert(1, "_ten_minus")
     assert calls == ["decode", "_read_value", *helpers]
+
+
+@pytest.mark.parametrize("text", ["7e20", "-1.5e-20", "2.5e21", "-4e-21", "1e-300", "-9.75e300"])
+def test_rendering_a_finite_value_calls_no_helper(text):
+    # Plain notation needs no helper, and scientific notation writes its
+    # exponent with an inline str(); only an exponent past str()'s digit
+    # limit goes on to _text_of.
+    assert python_calls(render_decimal, parse_decimal(text)) == ["render_decimal"]
 
 
 @pytest.mark.parametrize("text", ["7", "-1.032e2", "4005012345e-9", "-2.5e-300", "0.5E+07"])

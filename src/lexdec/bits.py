@@ -5,9 +5,14 @@ the logical length in bits always travels with the value. Bit strings are
 ordered by :func:`lex_compare`: bits are compared left to right, and a
 sequence that is a strict prefix of another sorts first.
 
-Byte packing is most-significant-bit first with trailing zero padding, so a
-plain bytewise comparison of equal-length packed strings agrees with
-:func:`lex_compare`.
+Byte packing is most-significant-bit first with trailing zero padding, and
+:func:`lex_compare` compares those bytes, then the lengths when the bytes are
+equal. If the bytes first differ at a bit inside both strings, that bit
+decides. If they first differ at a pad bit of one string, that bit is 0 and
+the other string's bit there is 1; all of the padded string's bits come
+before it, so that string is a prefix of the other and sorts first. Equal
+bytes mean one string is the other followed by zeros, so the shorter sorts
+first.
 
 Concatenation with ``+`` only records its two operands, so any shape of sums
 costs O(1) per ``+``. The first read of a sum joins its n parts by halves, in
@@ -33,9 +38,11 @@ class BitString:
 
     Instances are hashable, comparable for equality, and safe to share
     between threads, sums included; ``+`` returns a new value in O(1) time.
+    A string that was packed or compared keeps its packed bytes, about one
+    more byte per 8 bits; storing them is idempotent, so sharing stays safe.
     """
 
-    __slots__ = ("_value", "_length")
+    __slots__ = ("_value", "_length", "_packed")
 
     def __init__(self, text: str = ""):
         """Build from a string of ``0``/``1`` characters.
@@ -52,12 +59,14 @@ class BitString:
         digits = text.replace(" ", "").replace("_", "")
         self._value = int(digits or "0", 2)
         self._length = len(digits)
+        self._packed = None
 
     @classmethod
     def _raw(cls, value: int, length: int) -> "BitString":
         bs = object.__new__(cls)
         bs._value = value
         bs._length = length
+        bs._packed = None
         return bs
 
     @classmethod
@@ -91,17 +100,21 @@ class BitString:
         bits = object.__new__(cls)
         bits._value = value >> pad
         bits._length = bit_length
+        bits._packed = None
         return bits
 
     def to_bytes(self) -> tuple[bytes, int]:
         """Pack MSB-first into bytes, zero-padding the final partial byte.
 
         Returns ``(data, bit_length)``; the length is needed to undo the
-        padding, which is not self-delimiting.
+        padding, which is not self-delimiting. The bytes are kept, so a
+        second call returns the same object.
         """
-        nbytes = (self._length + 7) // 8
-        padded = self._value << (nbytes * 8 - self._length)
-        return padded.to_bytes(nbytes, "big"), self._length
+        packed = self._packed
+        if packed is None:
+            length = self._length
+            packed = self._packed = (self._value << (-length & 7)).to_bytes((length + 7) // 8)
+        return packed, self._length
 
     def to_text(self) -> str:
         """Render as ``0``/``1`` characters."""
@@ -134,6 +147,7 @@ class BitString:
         joined._left = self
         joined._right = other
         joined._length = self._length + other._length
+        joined._packed = None
         return joined
 
     def __repr__(self) -> str:
@@ -198,23 +212,23 @@ def _join(parts: list[BitString], start: int, stop: int) -> tuple[int, int]:
 def lex_compare(a: BitString, b: BitString) -> int:
     """Full lexicographic comparison; a strict prefix sorts before its extensions.
 
-    Returns -1, 0 or 1. Only the shorter operand is shifted, left by the
-    difference in length, so both values line up at the longer one's width;
-    when they are then equal, the shorter operand is a prefix and the
-    lengths decide.
+    Returns -1, 0 or 1. The zero-padded bytes of :meth:`BitString.to_bytes`
+    are compared first, packing an operand that has none kept yet; when they
+    are equal, the shorter operand sorts first. The module docstring gives
+    the argument that this is the bit order.
     """
     try:
-        a_length, a_value = a._length, a._value
-        b_length, b_value = b._length, b._value
+        a_packed, b_packed = a._packed, b._packed
     except AttributeError:
         names = f"{type(a).__name__} and {type(b).__name__}"
         raise TypeError(f"lex_compare takes two BitStrings, not {names}") from None
-    if a_length < b_length:
-        a_value <<= b_length - a_length
-    elif b_length < a_length:
-        b_value <<= a_length - b_length
-    if a_value != b_value:
-        return -1 if a_value < b_value else 1
+    if a_packed is None:
+        a_packed = a.to_bytes()[0]
+    if b_packed is None:
+        b_packed = b.to_bytes()[0]
+    if a_packed != b_packed:
+        return -1 if a_packed < b_packed else 1
+    a_length, b_length = a._length, b._length
     if a_length != b_length:
         return -1 if a_length < b_length else 1
     return 0

@@ -178,12 +178,13 @@ def _cmd_sort(args) -> int:
         except (ParseError, ExponentLimitError) as exc:
             print(f"line {number}: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        # The key is the encoding's bytes, zero-padded; they sort as the bits
-        # do. An encoding that extends another adds whole declets, the last
-        # non-zero, so it differs from the shorter one's padding and sorts
-        # after it. The one-byte specials can only be prefixes of longer keys,
-        # as no finite key is shorter than 2 bytes. Equal values give equal
-        # keys, and the sort is stable, so they keep their input order.
+        # The key is the encoding's zero-padded bytes: bytes that differ order
+        # as the bits do, by the argument in lexdec.bits, so only equal bytes
+        # would need lex_compare's length tie-break. Distinct encodings never
+        # have them: one that extends another adds whole declets, the last
+        # non-zero, and no finite key is as short as the one-byte specials.
+        # Equal values give equal keys, and the sort is stable, so they keep
+        # their input order.
         keys.append(encode(value).to_bytes()[0])
         lines.append(line)
     if lines and not lines[-1].endswith("\n"):

@@ -305,6 +305,7 @@ def _write(form: ScientificForm, continued: bool) -> BitString:
     bits = object.__new__(BitString)
     bits._value = head << size | groups
     bits._length = width + 2 + size
+    bits._packed = None
     return bits
 
 

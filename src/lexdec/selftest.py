@@ -61,7 +61,10 @@ def random_digits(rng: random.Random, max_digits: int = 60) -> str:
     n = rng.randint(1, max_digits)
     if n == 1:
         return str(rng.randint(1, 9))
-    middle = "".join([str(rng.randint(0, 9)) for _ in range(n - 2)])
+    # One draw for all the middle digits, zero-filled by a leading 1 that is
+    # cut off (none are left when n is 2): each digit is still uniform and
+    # independent, at about a tenth of the cost of a draw per digit.
+    middle = str(10 ** (n - 2) + rng.randrange(10 ** (n - 2)))[1:]
     return str(rng.randint(1, 9)) + middle + str(rng.randint(1, 9))
 
 

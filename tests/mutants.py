@@ -109,6 +109,32 @@ MUTANTS = [
         "first = bits >> group_bits",
         "the tetrade is read with the head's bits above it",
     ),
+    (
+        "bits.py",
+        "    a_length, b_length = a._length, b._length\n"
+        "    if a_length != b_length:\n"
+        "        return -1 if a_length < b_length else 1\n",
+        "",
+        "lex_compare calls equal bytes equal, with no length tie-break",
+    ),
+    (
+        "bits.py",
+        "(self._value << (-length & 7)).to_bytes(",
+        "self._value.to_bytes(",
+        "to_bytes packs without the pad shift",
+    ),
+    (
+        "bits.py",
+        "        joined._packed = None\n",
+        "",
+        "a sum starts with no packed-bytes slot set",
+    ),
+    (
+        "bits.py",
+        "        bits._packed = None\n",
+        "",
+        "a string read from bytes starts with no packed-bytes slot set",
+    ),
 ]
 
 

@@ -13,10 +13,10 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 import lexdec
-from lexdec import BitString, encode, lex_compare
+from lexdec import BitString, encode, encode_prefix_free, lex_compare, parse_decimal
 from lexdec.codec import BitCursor
 
-from strategies import bit_strings, decimal_values
+from strategies import SPECIALS, bit_strings, decimal_values
 
 # Every sequence of length 1..3, by length and then by value, and in
 # lexicographic order.
@@ -137,6 +137,114 @@ def test_lex_compare_against_a_zero_extension(a, zeros):
     check_lex_compare(a, BitString(a.to_text() + "0" * zeros))
 
 
+def shifted_order(ta, tb):
+    """The order of two bit texts as lex_compare found it before it compared
+    packed bytes: the shorter shifted to the longer one's width, then the
+    lengths. Kept as the oracle for the byte comparison."""
+    a, b = int(ta or "0", 2), int(tb or "0", 2)
+    if len(ta) < len(tb):
+        a <<= len(tb) - len(ta)
+    else:
+        b <<= len(ta) - len(tb)
+    if a != b:
+        return -1 if a < b else 1
+    return (len(ta) > len(tb)) - (len(ta) < len(tb))
+
+
+def packed_text(text, extra=0):
+    """The zero-padded MSB-first bytes of ``text``, then ``extra`` zero bytes."""
+    padded = text + "0" * (-len(text) % 8)
+    return int(padded or "0", 2).to_bytes(len(padded) // 8) + bytes(extra)
+
+
+def unread_sum(text):
+    return BitString(text[: len(text) // 2]) + BitString(text[len(text) // 2 :])
+
+
+def read_sum(text):
+    bs = unread_sum(text)
+    bs.to_text()  # joins the sum without packing it
+    return bs
+
+
+# Every way a bit string of ``text`` is made, each returning a fresh string.
+MAKERS = {
+    "text": BitString,
+    "raw": lambda text: BitString._raw(int(text or "0", 2), len(text)),
+    "bytes": lambda text: BitString.from_bytes(packed_text(text), len(text)),
+    "bytearray": lambda text: BitString.from_bytes(bytearray(packed_text(text)), len(text)),
+    "memoryview": lambda text: BitString.from_bytes(memoryview(packed_text(text)), len(text)),
+    "extra_zero_bytes": lambda text: BitString.from_bytes(packed_text(text, 2), len(text)),
+    "unread_sum": unread_sum,
+    "read_sum": read_sum,
+    "stripped": lambda text: BitString(text + "00").strip_trailing_zeros(),
+}
+
+# Which operands are packed before the comparison: neither, each alone, both.
+CACHE_STATES = [(False, False), (True, False), (False, True), (True, True)]
+
+
+def assert_orders_as_shifted(make_a, make_b):
+    """lex_compare of fresh operands, in every cache state and both orders,
+    against the shift rule on their texts."""
+    expected = shifted_order(make_a().to_text(), make_b().to_text())
+    for pack_a, pack_b in CACHE_STATES:
+        a, b = make_a(), make_b()
+        if pack_a:
+            a.to_bytes()
+        if pack_b:
+            b.to_bytes()
+        assert lex_compare(a, b) == expected
+        assert lex_compare(b, a) == -expected
+
+
+@pytest.mark.parametrize("maker", MAKERS)
+def test_lex_compare_of_every_short_pair_in_every_cache_state(maker):
+    # Each string of up to 6 bits against each, made by ``maker``; the other
+    # operand is made in turn by every maker.
+    texts = [""] + [format(v, f"0{n}b") for n in range(1, 7) for v in range(1 << n)]
+    make_a, others = MAKERS[maker], list(MAKERS.values())
+    for i, ta in enumerate(texts):
+        for j, tb in enumerate(texts):
+            make_b = others[(i + j) % len(others)]
+            assert_orders_as_shifted(lambda: make_a(ta), lambda: make_b(tb))
+
+
+# Encoded keys: canonical and trimmed encodings, the prefix-free framing and
+# the specials, whose keys are prefixes of others.
+KEY_TEXTS = ["1", "10", "1e3", "-1", "0.001", "-0.001", "1.5e7", "-1.5e7", "-9.99e-9", "1234567890"]
+KEY_VALUES = [*SPECIALS, *map(parse_decimal, KEY_TEXTS)]
+KEY_MAKERS = {
+    "encode": encode,
+    "encode_trim": lambda value: encode(value, trim=True),
+    "prefix_free": encode_prefix_free,
+}
+
+
+@pytest.mark.parametrize("maker", KEY_MAKERS)
+def test_lex_compare_of_encoded_keys_in_every_cache_state(maker):
+    make_a = KEY_MAKERS[maker]
+    for u in KEY_VALUES:
+        for v in KEY_VALUES:
+            for make_b in KEY_MAKERS.values():
+                assert_orders_as_shifted(lambda: make_a(u), lambda: make_b(v))
+
+
+@pytest.mark.parametrize("maker", [*MAKERS, *KEY_MAKERS])
+def test_to_bytes_is_kept_and_unchanged_by_a_comparison(maker):
+    if maker in MAKERS:
+        make, sources = MAKERS[maker], ["", "1", "0110", "10100001", "101000011"]
+    else:
+        make, sources = KEY_MAKERS[maker], KEY_VALUES
+    for source in sources:
+        before = make(source).to_bytes()
+        compared = make(source)
+        lex_compare(compared, BitString("1"))
+        after = compared.to_bytes()
+        assert after == before
+        assert compared.to_bytes()[0] is after[0]
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -157,6 +265,10 @@ def test_lex_compare_rejects_other_types():
     message = "^lex_compare takes two BitStrings, not BitString and str$"
     with pytest.raises(TypeError, match=message):
         lex_compare(BitString("1"), "1")
+    # A BitCursor holds a string's integer and length but is not one.
+    message = "^lex_compare takes two BitStrings, not BitCursor and BitString$"
+    with pytest.raises(TypeError, match=message):
+        lex_compare(BitCursor(BitString("10")), BitString("10"))
 
 
 def test_to_bytes_examples():

@@ -596,6 +596,18 @@ def negated(value):
     return DecimalValue.finite(dataclasses.replace(value.form, sign=Sign.NEGATIVE))
 
 
+def unpacked(bits):
+    """A new bit string with the bits of ``bits`` and no packed bytes kept, so
+    that every timed call packs them again."""
+    return BitString._raw(bits._value, len(bits))
+
+
+def and_last_bit_flipped(value):
+    """The encoding of ``value`` and a string that differs only in its last bit."""
+    bits = encode(value)
+    return bits, BitString._raw(bits._value ^ 1, len(bits))
+
+
 class TestLongSignificands:
     """Significands past the 4,300 digits that ``int()`` converts from text."""
 
@@ -634,6 +646,8 @@ class TestLongSignificands:
             (lambda value: encode(value).to_bytes(), lambda packed: BitString.from_bytes(*packed)),
             (as_is, render_decimal),
             (lambda value: encode(negated(value)), decode),
+            (encode, lambda bits: unpacked(bits).to_bytes()),
+            (and_last_bit_flipped, lambda pair: lex_compare(*map(unpacked, pair))),
         ],
         ids=[
             "encode",
@@ -646,6 +660,8 @@ class TestLongSignificands:
             "from_bytes",
             "render_decimal",
             "decode_negative",
+            "to_bytes",
+            "lex_compare",
         ],
     )
     def test_time_grows_near_linearly(self, prepare, operation):

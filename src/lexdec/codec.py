@@ -87,9 +87,9 @@ instructions", CACM 1975). Under prefix-free framing the chain of groups
 ends at the highest set bit of the group-leading bits that are 0, found in
 one step. Both directions halve a long significand into blocks of up to 64
 groups, so it encodes and decodes in n log n time. A stream is split by
-reading each value from a view cut out of a chunk of its packed bytes or,
-when the view falls short, from doubling byte windows, so splitting stays
-linear.
+reading each value from a view cut out of a chunk of its packed bytes, a
+view that doubles in width only while it cuts the value short, so splitting
+stays linear.
 
 The field adapters in the block at the end of this module only wrap these
 frames, for the benchmark.
@@ -354,8 +354,7 @@ def decode(
     return _read_value(bits._value, bits._length, framing, max_exponent)[0]
 
 
-# Bytes in a stream value's first view; a chunk holds four views, and a value
-# past its view is read again through byte windows that double in width.
+# Bytes in a value's first view; a chunk holds four views of the width being read.
 _WINDOW_BYTES = 64
 
 
@@ -367,12 +366,19 @@ def decode_prefix_free_stream(
     Time is linear in the length of the stream. The stream is packed to bytes
     once and read into integers ``4 * _WINDOW_BYTES`` bytes at a time, a new
     chunk when the next value's view would run past the last one. A value's
-    view, its first ``8 * _WINDOW_BYTES`` bits, is one shift of the chunk and
-    one mask. A value that its view cuts short or ends at, or one within a
-    view of the stream's end, is read again from windows of the bytes that
-    start at it: the first as wide as two views when the view was read, one
-    otherwise, and each after it twice as wide as the last, so each value
-    costs time in proportion to its own length plus one view.
+    view, its first ``8 * _WINDOW_BYTES`` bits or the rest of the stream if
+    that is shorter, is one shift of the chunk and one mask.
+
+    A read that returns is final: the reader returns only once it has found
+    the value's end inside its view. A finite value ends at the 0 that closes
+    its chain of groups, ``01`` and ``111`` are whole, ``11`` is positive
+    infinity only with the bit after it in the view, and ``00`` and ``10``
+    stand alone only in a view of 2 bits, which only the stream's end gives.
+    So only a cut, a truncation fault in a view that ends before the stream,
+    makes the view twice as wide, read from a chunk four times the new width;
+    each value costs time in proportion to its own length plus one view. That
+    chunk is dropped once the value is read, so the short values after a long
+    one are never shifted out of it.
 
     Finite values, negative zero and NaN are self-delimiting anywhere in the
     stream. The two-bit headers of the remaining specials collide with the
@@ -399,44 +405,31 @@ def decode_prefix_free_stream(
     position = 0
     while position < length:
         start = position >> 3  # the byte holding the value's first bit
-        stop = position + view_bits  # where the value's view ends
-        if stop <= length:
-            if stop > chunk_end:
-                chunk_end = 8 * min(start + 4 * _WINDOW_BYTES, len(data))
-                chunk = int.from_bytes(data[start : chunk_end >> 3], "big")
-            view = chunk >> (chunk_end - stop) & view_mask
-            try:
-                value, used = _read_value(view, view_bits, _CONTINUATION, max_exponent)
-            except DecodeError:
-                used = view_bits  # the windows below meet the fault again
-            if used < view_bits:
-                values.append(value)
-                position += used
-                continue
-        size = _WINDOW_BYTES
-        if stop <= length:
-            size *= 2  # a first window holds no more of the value than its view
+        size = view_bits  # the view's width, unless the stream ends first
         while True:
-            end = min(8 * (start + size), length)  # the window's end in the stream
-            width = end - position
-            # The bytes up to the window's end, less the stream's padding
-            # bits and the bits before the value.
-            window = int.from_bytes(data[start : (end + 7) // 8], "big") >> (-end % 8)
-            window &= (1 << width) - 1
+            stop = position + size  # where the value's view ends
+            if stop > length:
+                stop = length
+            if stop > chunk_end:
+                chunk_end = 8 * min(start + size // 2, len(data))  # four views
+                chunk = int.from_bytes(data[start : chunk_end >> 3], "big")
+            width = stop - position
+            mask = view_mask if width == view_bits else (1 << width) - 1
+            view = chunk >> (chunk_end - stop) & mask
             try:
-                value, used = _read_value(window, width, _CONTINUATION, max_exponent)
+                value, used = _read_value(view, width, _CONTINUATION, max_exponent)
+                break
             except DecodeError as error:
                 # Faults are met in order, and a cut is the last one: any
-                # other fault inside the window is the stream's own.
-                if end < length and error.kind is DecodeErrorKind.TRUNCATED_INPUT:
+                # other fault inside the view is the stream's own.
+                if stop < length and error.kind is DecodeErrorKind.TRUNCATED_INPUT:
                     size *= 2
                     continue
                 if position:
                     raise DecodeError(error.kind, position + error.position) from None
                 raise  # at bit 0 the reader's positions are the stream's
-            if used < width or end == length:
-                break
-            size *= 2  # the bits after the window might extend the value
+        if size > view_bits:
+            chunk_end = 0  # the next value reads a chunk of its own width
         values.append(value)
         position += used
     return values

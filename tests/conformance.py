@@ -21,8 +21,8 @@ To see what changed, dump the first chunk that differs here and at the
 parent commit, and diff the two. ``--cases N --seed S`` make ``--dump`` build
 a corpus of N cases from the category's generator under seed S, to compare a
 larger corpus than the committed one across two trees; without them it
-builds the committed corpus. The CLI runs and the wrong-type calls are fixed
-lists.
+builds the committed corpus. The CLI runs, the wrong-type calls and the
+bit-string comparisons are fixed lists.
 """
 
 from __future__ import annotations
@@ -460,6 +460,26 @@ def type_errors() -> list[str]:
     return lines
 
 
+def _bit_strings(lengths: range) -> list[str]:
+    return [format(i, f"0{n}b") if n else "" for n in lengths for i in range(1 << n)]
+
+
+def comparisons() -> list[str]:
+    """``lex_compare`` on every ordered pair of strings of 0 to 6 bits, whose
+    padded bytes are often equal (``1`` and ``10``), then on every string of 7
+    to 10 bits and itself extended by one bit, across a byte boundary, both
+    ways."""
+    short = [(text, BitString(text)) for text in _bit_strings(range(7))]
+    lines = [repr((a, b, lex_compare(x, y))) for a, x in short for b, y in short]
+    for text in _bit_strings(range(7, 11)):
+        bits = BitString(text)
+        for bit in "01":
+            longer = BitString(text + bit)
+            orders = lex_compare(bits, longer), lex_compare(longer, bits)
+            lines.append(repr((text, text + bit, *orders)))
+    return lines
+
+
 CATEGORIES = {
     "encodings": encodings,
     "decodings": decodings,
@@ -468,6 +488,7 @@ CATEGORIES = {
     "adapters": adapters,
     "cli": cli_runs,
     "type_errors": type_errors,
+    "lex_compare": comparisons,
 }
 
 
@@ -500,7 +521,7 @@ def main(argv: list[str] | None = None) -> int:
     category, chunk = args.dump
     if category not in CATEGORIES:
         parser.error(f"unknown category {category!r} ({' | '.join(CATEGORIES)})")
-    if corpus and category in ("cli", "type_errors"):
+    if corpus and category in ("cli", "type_errors", "lex_compare"):
         parser.error(f"the {category} category is a fixed list of calls")
     lines = CATEGORIES[category](**corpus)
     if chunk != "all":

@@ -14,10 +14,11 @@ one line per run: the outcome, the seconds taken, the mutant and the first
 test that failed. It exits 1 if a mutant survives, times out, or its edit
 no longer matches exactly one place in its file.
 
-Each mutant changes what the library returns for some input; a mutant that
-changes only speed belongs to a resource check, not here. After DeMillo,
-Lipton and Sayward, "Hints on test data selection: help for the practicing
-programmer", IEEE Computer 1978.
+Each mutant changes what the library returns for some input, or changes
+only its speed on an input that a tier-1 resource test times, so that the
+test kills it; a speed-only mutant that no such test reaches belongs to a
+resource check, not here. After DeMillo, Lipton and Sayward, "Hints on test
+data selection: help for the practicing programmer", IEEE Computer 1978.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ FAST_MODULES = [
     "test_bench.py",
     "test_codec.py",
     "test_decode_fuzz.py",
-    "test_gamma.py",
-    "test_variants.py",
+    "test_exponent_field.py",
+    "test_framings.py",
     "test_decimal_values.py",
     "test_bits.py",
 ]
@@ -134,6 +135,25 @@ MUTANTS = [
         "        bits._packed = None\n",
         "",
         "a string read from bytes starts with no packed-bytes slot set",
+    ),
+    (
+        "codec.py",
+        "raise DecodeError(error.kind, position + error.position) from None",
+        "raise DecodeError(error.kind, error.position) from None",
+        "a fault inside a stream loses its stream offset",
+    ),
+    (
+        "codec.py",
+        "chunk_end = 8 * min(start + size // 2, len(data))",
+        "chunk_end = 8 * (start + size // 2)",
+        "a chunk's end is not clamped to the stream's bytes",
+    ),
+    (
+        "codec.py",
+        "        if size > view_bits:\n"
+        "            chunk_end = 0  # the next value reads a chunk of its own width\n",
+        "",
+        "the chunk read for a widened view is kept: the values after it are slow",
     ),
 ]
 

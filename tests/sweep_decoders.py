@@ -12,11 +12,11 @@ typed error inside the input. Usage::
 ``--heads`` reads every 16-bit tail behind each of the six heads of
 exponent magnitude at most 1, which the test suite sweeps under prefix-free
 framing only. ``--bits N`` reads every string of exactly N bits.
-``--streams N`` splits N seeded streams of 2,000 wide values at every first
-window size from 1 to 64 bytes, which the test suite runs at three sizes: each
+``--streams N`` splits N seeded streams of 2,000 wide values at every view
+size from 1 to 64 bytes, which the test suite runs at three sizes: each
 split must give its values, and each stream with one bit flipped the values
 before that bit's value, then what the rest of the stream gives alone.
-Prints one line per sweep or window size and exits 1 if any input is faulty.
+Prints one line per sweep or view size and exits 1 if any input is faulty.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--bits", type=int, metavar="N", help="every N-bit string, every framing")
     parser.add_argument(
-        "--streams", type=int, metavar="N", help="N wide-value streams, every first window size"
+        "--streams", type=int, metavar="N", help="N wide-value streams, every view size"
     )
     args = parser.parse_args(argv)
     for name in ("bits", "streams"):
@@ -74,7 +74,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def sweep_streams(count: int) -> bool:
     """Split ``count`` seeded streams, each with one bit flipped as well, at
-    every first window size; print one line per size, and return whether any
+    every view size; print one line per size, and return whether any
     split was faulty."""
     streams = []
     for seed in range(count):
@@ -93,7 +93,7 @@ def sweep_streams(count: int) -> bool:
         elapsed = time.perf_counter() - started
         first = f", the first {bad[:3]}" if bad else ""
         print(
-            f"streams, {window_bytes}-byte window: {len(bad)} faults in {count} streams{first}"
+            f"streams, {window_bytes}-byte view: {len(bad)} faults in {count} streams{first}"
             f" ({elapsed:.1f}s)",
             flush=True,
         )

@@ -710,6 +710,19 @@ def test_stream_split_time_grows_near_linearly_in_values():
     assert best_of_3(16_000) / best_of_3(2_000) < 20
 
 
+def test_stream_split_time_grows_near_linearly_after_a_long_value():
+    # One value of n digits, then n NaNs: about 8 times the time for 8 times
+    # n, unless each NaN is cut from the chunk read for the long value, which
+    # grows with n.
+    def best_of_3(count):
+        stream = encode_prefix_free(parse_decimal("1." + "7" * count))
+        stream = stream + BitString("111" * count)
+        runs = timeit.repeat(lambda: decode_prefix_free_stream(stream), number=1, repeat=3)
+        return min(runs)
+
+    assert best_of_3(40_000) / best_of_3(5_000) < 20
+
+
 def stored_groups(digits, negative):
     """The tetrade digit, the declet slots and their ones, as the decoder
     reads them from the significand behind a 7-bit head."""

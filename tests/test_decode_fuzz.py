@@ -16,6 +16,7 @@ from lexdec import (
     BitString,
     DecimalValue,
     DecodeError,
+    DecodeErrorKind,
     ExponentLimitError,
     ExponentSign,
     Kind,
@@ -242,7 +243,7 @@ def test_short_encodings_sort_in_numeric_order():
 @st.composite
 def long_values(draw):
     """Finite values of 100 to 1,000 digits, longer than the stream
-    splitter's first window."""
+    splitter's first view."""
     digits = str(draw(st.integers(10**98, 10**999 - 1))) + str(draw(st.integers(1, 9)))
     exponent = draw(st.integers(0, 10**6))
     negative_exponent = exponent > 0 and draw(st.booleans())
@@ -272,7 +273,7 @@ def stream_outcome(text: str):
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_stream_reads_through_windows(window_bytes, offset, data):
-    # A one-byte first window makes nearly every read retry.
+    # A one-byte first view makes nearly every read widen.
     with mock.patch.object(codec, "_WINDOW_BYTES", window_bytes):
         check_stream_windows(offset, data)
 
@@ -324,10 +325,11 @@ def wide_values(seed, count):
 
 
 def chunk_ends(texts, window_bytes):
-    """Where the splitter's chunks end inside the stream of ``texts``: it
-    reads ``4 * window_bytes`` bytes from a value's first byte when the
-    value's view, its first ``8 * window_bytes`` bits, ends past the last
-    chunk."""
+    """Where the splitter's chunks for first views end inside the stream of
+    ``texts``: it reads ``4 * window_bytes`` bytes from a value's first byte
+    when the value's view, its first ``8 * window_bytes`` bits, ends past
+    the last chunk, and it drops the chunk after a value longer than its
+    view, which it read through wider views."""
     length = sum(map(len, texts))
     view = 8 * window_bytes
     ends, end, position = [], 0, 0
@@ -336,12 +338,14 @@ def chunk_ends(texts, window_bytes):
             end = 8 * min((position >> 3) + 4 * window_bytes, (length + 7) // 8)
             if end < length:
                 ends.append(end)
+        if len(text) > view:
+            end = 0
         position += len(text)
     return ends
 
 
 def wide_stream_faults(values, flips):
-    """What the splitter, at the current window size, gets wrong on the
+    """What the splitter, at the current view size, gets wrong on the
     stream of ``values``: the split itself, then, for each bit position in
     ``flips``, the stream with that bit flipped, judged as
     ``check_stream_windows`` judges it."""
@@ -375,9 +379,8 @@ def test_wide_stream_splits_through_chunks(window_bytes):
 
 def test_a_value_past_its_view_is_read_once_per_wider_window(monkeypatch):
     # 200 values of 1,000 digits, 3,600-odd bits each: the 512-bit view cuts
-    # each short, and a window from the value's first byte holds it only at
-    # 512 bytes. A 64-byte window would hold less of it than the view did,
-    # so the reads are the view, then windows of 128, 256 and 512 bytes.
+    # each short, and each cut doubles the view, so the reads are views of
+    # 512, 1,024, 2,048 and 4,096 bits, the last of which holds the value.
     rng = random.Random(5)
     values = []
     for _ in range(200):
@@ -395,3 +398,37 @@ def test_a_value_past_its_view_is_read_once_per_wider_window(monkeypatch):
     monkeypatch.setattr(codec, "_read_value", reads)
     assert decode_prefix_free_stream(stream) == values
     assert reads.call_count == 4 * len(values)
+
+
+def test_a_value_ending_at_its_view_end_is_read_once(monkeypatch):
+    # 1e14 is 16 bits prefix-free, as wide as a 2-byte view: its closing 0
+    # is the view's last bit, so the first read is final.
+    form = ScientificForm(Sign.POSITIVE, ExponentSign.NON_NEGATIVE, 14, "1")
+    part = encode_prefix_free(DecimalValue.finite(form))
+    assert len(part) == 16
+    stream = BitString._raw(0, 0)
+    for _ in range(50):
+        stream = stream + part
+    reads = mock.Mock(wraps=codec._read_value)
+    monkeypatch.setattr(codec, "_WINDOW_BYTES", 2)
+    monkeypatch.setattr(codec, "_read_value", reads)
+    assert len(decode_prefix_free_stream(stream)) == 50
+    assert reads.call_count == 50
+
+
+@pytest.mark.parametrize("window_bytes", [codec._WINDOW_BYTES, 2, 1])
+def test_a_fault_only_a_wider_view_reaches_counts_from_the_stream_start(window_bytes):
+    # A declet of 1000, the 200th of a 900-digit value, lies past the value's
+    # first view at every size: only a widened view reaches it.
+    head = encode_prefix_free(NAN) + encode_prefix_free(NEGATIVE_ZERO) + encode_prefix_free(NAN)
+    form = ScientificForm(Sign.POSITIVE, ExponentSign.NON_NEGATIVE, 0, "1" + "2" * 899)
+    text = encode_prefix_free(DecimalValue.finite(form)).to_text()
+    # The header, the exponent field, the tetrade, 199 groups, a continuation bit.
+    declet = 2 + 3 + 4 + 11 * 199 + 1
+    assert 8 * 64 < declet and text[declet : declet + 10] == "0011011110"  # 222
+    faulty = text[:declet] + "1111101000" + text[declet + 10 :]
+    with mock.patch.object(codec, "_WINDOW_BYTES", window_bytes):
+        with pytest.raises(DecodeError) as exc:
+            decode_prefix_free_stream(head + BitString(faulty))
+    assert exc.value.kind is DecodeErrorKind.DIGIT_OUT_OF_RANGE
+    assert exc.value.position == len(head) + declet

@@ -229,8 +229,10 @@ def parse_decimal(text: str, *, max_exponent: int = DEFAULT_MAX_EXPONENT) -> Dec
             raise ExponentLimitError._of_digits(len(magnitude), max_exponent)
         try:
             shift = int(magnitude)
-        except ValueError:  # past int()'s digit limit
-            shift = _int_of(magnitude)
+        except ValueError:  # past int()'s digit limit; decimal has none
+            from decimal import Decimal
+
+            shift = int(Decimal(magnitude))
         signed_exponent += -shift if exp_sign == "-" else shift
     if signed_exponent < 0:
         exponent_sign, exponent = _EXPONENT_NEGATIVE, -signed_exponent
@@ -302,8 +304,10 @@ def render_decimal(value: DecimalValue) -> str:
     if form.exponent > _SCIENTIFIC_THRESHOLD:
         try:
             exponent_text = str(exponent)
-        except ValueError:  # past str()'s digit limit
-            exponent_text = _text_of(exponent)
+        except ValueError:  # past str()'s digit limit; decimal has none
+            from decimal import Decimal
+
+            exponent_text = str(Decimal(exponent))
         if len(digits) == 1:
             return f"{prefix}{digits}E{exponent_text}"
         return f"{prefix}{digits[0]}.{digits[1:]}E{exponent_text}"
@@ -355,24 +359,3 @@ def _compare_magnitude(a: ScientificForm, b: ScientificForm) -> int:
     if a.digits != b.digits:
         return -1 if a.digits < b.digits else 1
     return 0
-
-
-def _int_of(text: str) -> int:
-    """``int(text)``, also past the 4,300 digits that ``int()`` reads as decimal
-    text; the :mod:`decimal` conversion has no such limit."""
-    try:
-        return int(text)
-    except ValueError:
-        from decimal import Decimal
-
-        return int(Decimal(text))
-
-
-def _text_of(number: int) -> str:
-    """``str(number)``, also past the 4,300 digits that ``str()`` writes."""
-    try:
-        return str(number)
-    except ValueError:
-        from decimal import Decimal
-
-        return str(Decimal(number))

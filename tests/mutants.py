@@ -34,6 +34,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # The modules that kill most mutants soonest come first; the rest follow.
 FAST_MODULES = [
+    "test_paper_model.py",
     "test_conformance.py",
     "test_bench.py",
     "test_codec.py",

@@ -1,4 +1,7 @@
-"""Shared hypothesis strategies."""
+"""Shared hypothesis strategies, the framings table and the Decimal view of a value."""
+
+import functools
+from decimal import Decimal
 
 import hypothesis.strategies as st
 
@@ -11,11 +14,45 @@ from lexdec import (
     BitString,
     DecimalValue,
     ExponentSign,
+    Kind,
     ScientificForm,
     Sign,
+    decode,
+    decode_prefix_free_stream,
+    encode,
+    encode_prefix_free,
 )
 
 SPECIALS = (NEGATIVE_INFINITY, NEGATIVE_ZERO, POSITIVE_ZERO, POSITIVE_INFINITY, NAN)
+
+# Each framing's encoder; its decoder, which gives a list of values; the bits
+# of a group, a declet and its continuation bit when it has one; and whether
+# zero bits after a finite value's encoding are padding.
+FRAMINGS = {
+    "canonical": (encode, lambda bits: [decode(bits)], 10, True),
+    "trimmed": (
+        functools.partial(encode, trim=True),
+        lambda bits: [decode(bits, trim=True)],
+        10,
+        True,
+    ),
+    "prefix_free": (encode_prefix_free, decode_prefix_free_stream, 11, False),
+}
+
+
+def as_decimal(value):
+    """The value as a ``decimal.Decimal``, built from its fields."""
+    if value.kind is Kind.FINITE:
+        f = value.form
+        sign = 1 if f.sign is Sign.NEGATIVE else 0
+        return Decimal((sign, tuple(map(int, f.digits)), f.signed_exponent - len(f.digits) + 1))
+    return {
+        Kind.POSITIVE_ZERO: Decimal("0"),
+        Kind.NEGATIVE_ZERO: Decimal("-0"),
+        Kind.POSITIVE_INFINITY: Decimal("Infinity"),
+        Kind.NEGATIVE_INFINITY: Decimal("-Infinity"),
+        Kind.NAN: Decimal("NaN"),
+    }[value.kind]
 
 
 @st.composite

@@ -5,13 +5,10 @@ imported here, not copied: every input must either decode to values that
 re-encode to it (up to a zero tail, where that is padding) or fail with a
 typed error inside the input. Usage::
 
-    PYTHONPATH=src python tests/sweep_decoders.py --heads      # canonical, trimmed
     PYTHONPATH=src python tests/sweep_decoders.py --bits 20    # all three framings
     PYTHONPATH=src python tests/sweep_decoders.py --streams 3  # stream splitting
 
-``--heads`` reads every 16-bit tail behind each of the six heads of
-exponent magnitude at most 1, which the test suite sweeps under prefix-free
-framing only. ``--bits N`` reads every string of exactly N bits.
+``--bits N`` reads every string of exactly N bits.
 ``--streams N`` splits N seeded streams of 2,000 wide values at every view
 size from 1 to 64 bytes, which the test suite runs at three sizes: each
 split must give its values, and each stream with one bit flipped the values
@@ -28,21 +25,12 @@ import time
 from unittest import mock
 
 from lexdec import codec, encode_prefix_free
-from test_decode_fuzz import (
-    LANGUAGES,
-    check_language,
-    headed_inputs,
-    inputs_of_length,
-    wide_stream_faults,
-    wide_values,
-)
+from strategies import FRAMINGS
+from test_decode_fuzz import check_language, inputs_of_length, wide_stream_faults, wide_values
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument(
-        "--heads", action="store_true", help="the six heads' 16-bit tails, canonical and trimmed"
-    )
     parser.add_argument("--bits", type=int, metavar="N", help="every N-bit string, every framing")
     parser.add_argument(
         "--streams", type=int, metavar="N", help="N wide-value streams, every view size"
@@ -51,22 +39,18 @@ def main(argv: list[str] | None = None) -> int:
     for name in ("bits", "streams"):
         if (getattr(args, name) or 0) < 0:
             parser.error(f"--{name} must be non-negative")
-    sweeps = []
-    if args.heads:
-        sweeps += [(framing, "heads", headed_inputs) for framing in ("canonical", "trimmed")]
-    if args.bits is not None:
-        inputs = lambda: inputs_of_length(args.bits)  # noqa: E731
-        sweeps += [(framing, f"{args.bits} bits", inputs) for framing in LANGUAGES]
-    if not sweeps and args.streams is None:
-        parser.error("give --heads, --bits N, --streams N or several")
+    if args.bits is None and args.streams is None:
+        parser.error("give --bits N, --streams N or both")
     faulty = False
-    for framing, name, inputs in sweeps:
-        started = time.perf_counter()
-        bad = check_language(framing, inputs())
-        elapsed = time.perf_counter() - started
-        first = f", the first {bad[:3]}" if bad else ""
-        print(f"{framing}, {name}: {len(bad)} faulty inputs{first} ({elapsed:.1f}s)", flush=True)
-        faulty = faulty or bool(bad)
+    if args.bits is not None:
+        for framing in FRAMINGS:
+            started = time.perf_counter()
+            bad = check_language(framing, inputs_of_length(args.bits))
+            elapsed = time.perf_counter() - started
+            first = f", the first {bad[:3]}" if bad else ""
+            line = f"{framing}, {args.bits} bits: {len(bad)} faulty inputs{first} ({elapsed:.1f}s)"
+            print(line, flush=True)
+            faulty = faulty or bool(bad)
     if args.streams is not None:
         faulty = sweep_streams(args.streams) or faulty
     return 1 if faulty else 0

@@ -8,7 +8,6 @@ import sys
 import timeit
 from dataclasses import FrozenInstanceError, replace
 from decimal import Decimal, InvalidOperation
-from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
@@ -39,22 +38,13 @@ from lexdec import (
 
 from lexdec.selftest import random_finite
 
-from strategies import decimal_values, finite_values
+from strategies import as_decimal, decimal_values, finite_values
 
 
 def form(sign, exponent_sign, exponent, digits):
     return DecimalValue.finite(
         ScientificForm(sign, exponent_sign, exponent, digits)
     )
-
-
-def as_fraction(value):
-    """Exact rational magnitude oracle, independent of the comparison code."""
-    f = value.form
-    mantissa = int(f.digits)
-    scale = f.signed_exponent - (len(f.digits) - 1)
-    base = Fraction(mantissa) * Fraction(10) ** scale
-    return base if f.sign is Sign.POSITIVE else -base
 
 
 def assert_public_value(built, fields):
@@ -295,20 +285,6 @@ numeral_texts = st.one_of(
 )
 
 
-def as_decimal(value):
-    """The value as a ``decimal.Decimal``, built from its fields."""
-    if value.kind is Kind.FINITE:
-        f = value.form
-        sign = 1 if f.sign is Sign.NEGATIVE else 0
-        return Decimal((sign, tuple(map(int, f.digits)), f.signed_exponent - len(f.digits) + 1))
-    return {
-        Kind.POSITIVE_ZERO: Decimal("0"),
-        Kind.NEGATIVE_ZERO: Decimal("-0"),
-        Kind.POSITIVE_INFINITY: Decimal("Infinity"),
-        Kind.NEGATIVE_INFINITY: Decimal("-Infinity"),
-    }[value.kind]
-
-
 @given(numeral_texts)
 def test_fuzzed_text_parses_exactly_or_fails_typed(text):
     try:
@@ -481,9 +457,10 @@ class TestCompare:
         assert compare_numeric(NEGATIVE_ZERO, parse_decimal("-0.0001")) == 1
 
     @given(finite_values(max_digits=12, max_exponent=30), finite_values(max_digits=12, max_exponent=30))
-    def test_against_fraction_oracle(self, a, b):
-        fa, fb = as_fraction(a), as_fraction(b)
-        expected = -1 if fa < fb else (1 if fa > fb else 0)
+    def test_against_decimal_oracle(self, a, b):
+        # Decimal comparison is exact, whatever the context's precision.
+        da, db = as_decimal(a), as_decimal(b)
+        expected = (da > db) - (da < db)
         assert compare_numeric(a, b) == expected
 
     @given(decimal_values())

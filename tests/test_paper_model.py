@@ -43,15 +43,21 @@ def check(value):
     assert len(outputs["canonical"]) == length
 
 
-def test_golden_tables():
-    for text, bits in WORKED_EXAMPLES + SMALL_INTEGER_TABLE:
-        assert paper_model.encodings(text)["canonical"] == bits.replace(" ", ""), text
-        check(parse_decimal(text))
-    for exponent, plain, flipped in EXPONENT_FIELD_TABLE:
-        assert paper_model.exponent_field(exponent, False) == plain
-        assert paper_model.exponent_field(exponent, True) == flipped
-    for special in SPECIALS:
-        check(special)
+@pytest.mark.parametrize("text, bits", WORKED_EXAMPLES + SMALL_INTEGER_TABLE, ids=lambda row: row)
+def test_golden_tables(text, bits):
+    assert paper_model.encodings(text)["canonical"] == bits.replace(" ", "")
+    check(parse_decimal(text))
+
+
+@pytest.mark.parametrize("exponent, plain, flipped", EXPONENT_FIELD_TABLE, ids=lambda row: row)
+def test_exponent_field_table(exponent, plain, flipped):
+    assert paper_model.exponent_field(exponent, False) == plain
+    assert paper_model.exponent_field(exponent, True) == flipped
+
+
+@pytest.mark.parametrize("special", SPECIALS, ids=lambda special: special.kind.name.lower())
+def test_specials(special):
+    check(special)
 
 
 @given(decimal_values())
@@ -65,27 +71,40 @@ def test_seeded_random_values():
         check(random_finite(rng))
 
 
-@pytest.mark.parametrize("sign", Sign, ids=lambda sign: sign.name.lower())
-def test_every_declet_text_and_count(sign):
+SIGNS = pytest.mark.parametrize("sign", Sign, ids=lambda sign: sign.name.lower())
+EXPONENTS = pytest.mark.parametrize("exponent", [3, -3], ids=["e_positive", "e_negative"])
+
+
+@SIGNS
+@EXPONENTS
+def test_every_declet_text(sign, exponent):
     # Each three-digit text as a group before the last, all in one value,
     # and as the last group, where it may be cut short and padded.
     texts = [f"{declet:03d}" for declet in range(1000)]
-    corpus = ["7" + "".join(texts) + "1"] + ["7" + text.rstrip("0") for text in texts]
-    # Every declet count to 130, past the packer's blocks of 64 groups,
-    # whole and one or two digits short; odd, so no text ends in 0.
+    for digits in ["7" + "".join(texts) + "1"] + ["7" + text.rstrip("0") for text in texts]:
+        check(finite(sign, exponent, digits))
+
+
+@SIGNS
+@EXPONENTS
+def test_every_declet_count_to_130(sign, exponent):
+    # Past the packer's blocks of 64 groups, whole and one or two digits
+    # short; odd, so no text ends in 0.
     rng = random.Random(130)
     for count in range(131):
         for length in {max(1, 3 * count - 1), max(1, 3 * count), 3 * count + 1}:
-            corpus.append(str(rng.randrange(10 ** (length - 1), 10**length) | 1))
-    for digits in corpus:
-        check(finite(sign, -3, digits))
+            check(finite(sign, exponent, str(rng.randrange(10 ** (length - 1), 10**length) | 1)))
 
 
-@pytest.mark.parametrize("sign", Sign, ids=lambda sign: sign.name.lower())
-def test_long_significand_and_extreme_exponents(sign):
-    # 10,001 digits, past the 4,300 that int() converts, and |e| up to the
-    # default limit of 2**32, under both exponent signs.
+@SIGNS
+def test_long_significand(sign):
+    # 10,001 digits, past the 4,300 that int() converts.
     check(finite(sign, 25, "1" + "0123456789" * 1000))
+
+
+@SIGNS
+@pytest.mark.parametrize("exponent_sign", [1, -1], ids=["e_positive", "e_negative"])
+def test_extreme_exponents(sign, exponent_sign):
+    # |e| up to the default limit of 2**32.
     for exponent in range(2**32 - 2, 2**32 + 1):
-        check(finite(sign, exponent, "15"))
-        check(finite(sign, -exponent, "15"))
+        check(finite(sign, exponent_sign * exponent, "15"))

@@ -213,9 +213,9 @@ def lex_compare(a: BitString, b: BitString) -> int:
     """Full lexicographic comparison; a strict prefix sorts before its extensions.
 
     Returns -1, 0 or 1. The zero-padded bytes of :meth:`BitString.to_bytes`
-    are compared first, packing an operand that has none kept yet; when they
-    are equal, the shorter operand sorts first. The module docstring gives
-    the argument that this is the bit order.
+    are compared with ``<``, then ``>``, packing an operand that has none
+    kept yet; the lengths only when the bytes are equal, the shorter operand
+    first. The module docstring gives the argument that this is the bit order.
     """
     try:
         a_packed, b_packed = a._packed, b._packed
@@ -226,8 +226,10 @@ def lex_compare(a: BitString, b: BitString) -> int:
         a_packed = a.to_bytes()[0]
     if b_packed is None:
         b_packed = b.to_bytes()[0]
-    if a_packed != b_packed:
-        return -1 if a_packed < b_packed else 1
+    if a_packed < b_packed:
+        return -1
+    if a_packed > b_packed:
+        return 1
     a_length, b_length = a._length, b._length
     if a_length != b_length:
         return -1 if a_length < b_length else 1

@@ -60,8 +60,8 @@ with one ``int.from_bytes`` (which has none of ``int()``'s 4,300-digit
 limit), and turns each three-byte lane into its declet with one step of
 three masked terms, then compresses the lanes in log-depth steps into the
 slots the decoder reads, 10 or 11 bits apart, the leading digit's above
-them. A negative value's complement to ten, ``_ten_minus``, is taken on
-those slots by the function that takes it back when decoding, so the
+them. A negative value's complement to ten, ``_ten_minus``, subtracts
+those slots from a table of tens and takes it back when decoding, so the
 paper's complement involution is one function applied twice. A fixed-width
 key is the canonical encoding's integer shifted to the key width.
 
@@ -274,8 +274,8 @@ def _write(form: ScientificForm, continued: bool) -> BitString:
     text, zero-padded to whole groups, is read by one ``int.from_bytes``,
     and :func:`_lane_slots` turns each three-byte lane into a ``stride``-bit
     slot, the leading digit's above the declets. A negative value stores
-    ``10 - m``, which :func:`_ten_minus` takes on the slots, as the reader
-    takes it back.
+    ``10 - m``, which :func:`_ten_minus` subtracts from ten in that slot
+    form, as the reader takes it back.
 
     ``continued`` makes the slots 11 bits wide and sets the top bit of each
     declet's slot, the bit in front of it; one shift adds the 0 after the
@@ -290,17 +290,13 @@ def _write(form: ScientificForm, continued: bool) -> BitString:
     stride = DECLET_BITS + continued
     count = (length + 1) // DECLET_DIGITS  # declets after the leading digit
     pad = DECLET_DIGITS * count + 1 - length  # zero digits ending the last group
-    groups = _lane_slots(int.from_bytes(digits.encode(), "big") << 8 * pad, count + 1, stride)
-    size = stride * count
-    if negative or continued:
+    groups = _lane_slots(int.from_bytes(digits.encode()) << 8 * pad, count + 1, stride)
+    if negative:
+        groups = _ten_minus(groups, count, stride)
+    if continued:
         ones = _MASKS[stride][count][0] if count <= _BLOCK else _spread_ones(count, stride)
-        if negative:
-            first = groups >> size
-            first, slots, _ = _ten_minus(first, groups ^ first << size, ones)
-            groups = first << size | slots
-        if continued:
-            groups = (groups | ones << DECLET_BITS) << 1
-    size += TETRADE_BITS + continued  # the significand's width
+        groups = (groups | ones << DECLET_BITS) << 1
+    size = stride * count + TETRADE_BITS + continued  # the significand's width
     head = (_HEADER_NEGATIVE if negative else _HEADER_POSITIVE) << width | field
     bits = object.__new__(BitString)
     bits._value = head << size | groups
@@ -525,7 +521,7 @@ def _read_value(
     first = bits >> group_bits & 15
     if first > 9:
         raise DecodeError(DecodeErrorKind.DIGIT_OUT_OF_RANGE, start)
-    ones, low_10, low_7, threes, bit_7 = (
+    _, low_10, low_7, threes, bit_7 = (
         _MASKS[stride][count] if count <= _BLOCK else _masks(_spread_ones(count, stride))
     )
     slots = bits & low_10  # each group's declet, without tetrade or continuation bit
@@ -547,12 +543,14 @@ def _read_value(
         drop = ((slots & -slots).bit_length() - 1) // stride if slots else count
         if drop:
             slots >>= stride * drop
-            ones >>= stride * drop
             count -= drop
         # Stored value must be in (0, 9] so that 10 - stored is in [1, 10).
         if (first == 0 and not count) or (first == 9 and count):
             raise DecodeError(DecodeErrorKind.SIGNIFICAND_OUT_OF_RANGE, start)
-        first, slots, _ = _ten_minus(first, slots, ones)
+        shift = stride * count  # where the tetrade's slot starts
+        slots = _ten_minus(first << shift | slots, count, stride)
+        first = slots >> shift
+        slots ^= first << shift
     elif first == 0:
         raise DecodeError(DecodeErrorKind.SIGNIFICAND_OUT_OF_RANGE, start)
     digits = _declet_digits(first, slots, count, stride).rstrip("0")
@@ -561,18 +559,19 @@ def _read_value(
     return _finite_value(_SIGNS[negative], exponent_sign, exponent, digits), end
 
 
-def _ten_minus(first: int, slots: int, ones: int) -> tuple[int, int, int]:
-    """10 - m for the tetrade digit ``first`` and the declets in ``slots`` of
-    m, which must end in a non-zero declet; ``ones`` has a 1 at the bottom of
-    each declet's slot.
+def _ten_minus(groups: int, count: int, stride: int) -> int:
+    """10 - m, for ``groups`` holding m's tetrade digit above its ``count``
+    declets, each in a ``stride``-bit slot; the last declet must be non-zero.
 
-    That is the nines' complement of every declet, plus one in the last. The
-    slots of 999 minus the slots borrow nothing, as no declet is above 999,
-    and the one never carries, as the last declet's complement is at most 998.
+    That is one subtraction from ten in the same slot form: 9 in the
+    tetrade's slot and 999 in each declet's, plus one. It borrows nothing, as
+    no digit is above 9 or declet above 999, and the one never carries, as
+    the last declet's complement is at most 998. Ten is read from a table up
+    to a block of declets and computed past it.
     """
-    if not ones:
-        return 10 - first, slots, ones
-    return 9 - first, 999 * ones - slots + 1, ones
+    if count <= _BLOCK:
+        return _TENS[stride][count] - groups
+    return (9 << stride * count) + 999 * _spread_ones(count, stride) + 1 - groups
 
 
 # Declets are turned into digits in blocks of at most this many slots, so
@@ -637,6 +636,10 @@ _MASKS = {
     for stride in _STRIDES
 }
 _MERGES = {stride: _merge_levels(stride) for stride in _STRIDES}
+_TENS = {  # ten in the slot form of each count, for _ten_minus
+    stride: tuple((9 << stride * n) + 999 * _spread_ones(n, stride) + 1 for n in range(_BLOCK + 1))
+    for stride in _STRIDES
+}
 _THOUSANDS = tuple(1000**count for count in range(_BLOCK + 1))  # the leading digit's weight
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .bits import BitString, lex_compare
-from .codec import _field_ends, _spread_ones, _ten_minus, _write, decode, encode
+from .codec import _field_ends, _ten_minus, _write, decode, encode
 from .decimal_values import (
     NAN,
     NEGATIVE_INFINITY,
@@ -131,15 +131,13 @@ def run_selftest(
         if lex_compare(enc_x, encoded(y)) != compare_numeric(x, y):
             return _failure(cases, "order agreement", x, y)
 
-        # The stored tetrade digit and declet slots of x's positive digits,
-        # as the decoder reads them.
+        # The stored tetrade digit above the declet slots of x's positive
+        # digits, one integer, as the decoder reads them.
         form = _finite_value(Sign.POSITIVE, ExponentSign.NON_NEGATIVE, 0, x.form.digits).form
         _, head, groups = _field_ends(form)  # groups: where the tetrade and each declet end
         stored = _write(form, False)._value & ((1 << groups[-1] - head) - 1)
-        width = groups[-1] - groups[0]
-        ones = _spread_ones(len(groups) - 1, groups.step)
-        layout = stored >> width, stored & ((1 << width) - 1), ones
-        if _ten_minus(*_ten_minus(*layout)) != layout:
+        count, stride = len(groups) - 1, groups.step
+        if _ten_minus(_ten_minus(stored, count, stride), count, stride) != stored:
             return _failure(cases, "complement involution", x)
 
     return SelfTestResult(passed=True, cases=cases)

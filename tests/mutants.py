@@ -50,15 +50,15 @@ TIMEOUT_S = 240
 MUTANTS = [
     (
         "codec.py",
-        "return 9 - first, 999 * ones - slots + 1, ones",
-        "return 9 - first, slots + ones, ones",
-        "the declets' complement to ten becomes a sum, on both sides",
+        "return _TENS[stride][count] - groups",
+        "return _TENS[stride][count] + groups",
+        "the complement to ten becomes a sum, on both sides",
     ),
     (
         "codec.py",
-        "    if not ones:\n        return 10 - first, slots, ones\n"
-        "    return 9 - first, 999 * ones - slots + 1, ones\n",
-        "    return first, slots, ones\n",
+        "    if count <= _BLOCK:\n        return _TENS[stride][count] - groups\n"
+        "    return (9 << stride * count) + 999 * _spread_ones(count, stride) + 1 - groups\n",
+        "    return groups\n",
         "negative digits stored uncomplemented on both sides: round trips, misorders",
     ),
     (
@@ -118,6 +118,12 @@ MUTANTS = [
         "        return -1 if a_length < b_length else 1\n",
         "",
         "lex_compare calls equal bytes equal, with no length tie-break",
+    ),
+    (
+        "bits.py",
+        "if a_packed > b_packed:",
+        "if a_packed >= b_packed:",
+        "lex_compare calls equal bytes greater, before the length tie-break",
     ),
     (
         "bits.py",

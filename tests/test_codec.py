@@ -47,6 +47,7 @@ from lexdec import (
 )
 from lexdec.codec import (
     BitCursor,
+    _BLOCK,
     _declet_digits,
     _field_ends,
     _read_exponent,
@@ -660,29 +661,43 @@ def test_stream_split_time_grows_near_linearly_after_a_long_value():
     assert best_of_3(40_000) / best_of_3(5_000) < 20
 
 
-def stored_groups(digits, negative):
-    """The tetrade digit, the declet slots and their ones, as the decoder
-    reads them from the significand behind a 7-bit head."""
-    bits = written(digits, negative, False)
-    count = (len(bits) - 11) // 10
-    groups = bits._value & ((1 << 4 + 10 * count) - 1)
-    return groups >> 10 * count, groups & ((1 << 10 * count) - 1), _spread_ones(count, 10)
+def stored_groups(digits, negative, stride=10):
+    """The stored tetrade digit above the ``stride``-bit declet slots, as
+    one integer, as the decoder reads them from the significand behind a
+    7-bit head: without the continuation bits of an 11-bit stride."""
+    count = (len(digits) + 1) // 3
+    shift = stride * count  # where the tetrade's slot starts
+    # An 11-bit stride's chain ends in a 0 after the last group; drop it.
+    bits = written(digits, negative, stride == 11)._value >> stride - 10
+    return (bits >> shift & 15) << shift | bits & 1023 * _spread_ones(count, stride)
 
 
 class TestComplement:
-    """The complement to ten on the stored tetrade digit and declet slots."""
+    """The complement to ten on the stored tetrade digit above the declet slots."""
 
     def test_examples(self):
         for digits, stored in [("1032", "8968"), ("405", "595"), ("9", "1"), ("15", "85")]:
-            first, slots, _ = layout = _ten_minus(*stored_groups(digits, False))
-            text = _declet_digits(first, slots, (len(digits) + 1) // 3, 10)
+            count = (len(digits) + 1) // 3
+            groups = _ten_minus(stored_groups(digits, False), count, 10)
+            first = groups >> 10 * count
+            text = _declet_digits(first, groups ^ first << 10 * count, count, 10)
             assert text[: len(digits)] == stored
-            assert layout == stored_groups(digits, True)
+            assert groups == stored_groups(digits, True)
+
+    @pytest.mark.parametrize("stride", [10, 11])
+    @pytest.mark.parametrize("count", [_BLOCK, _BLOCK + 1], ids=["table", "computed"])
+    def test_at_the_table_end(self, count, stride):
+        digits = ("123456789" * count)[: 3 * count + 1]
+        groups = _ten_minus(stored_groups(digits, False, stride), count, stride)
+        first = groups >> stride * count
+        text = _declet_digits(first, groups ^ first << stride * count, count, stride)
+        assert text == str(10 ** len(digits) - int(digits))
+        assert groups == stored_groups(digits, True, stride)
 
     @given(canonical_digits())
     def test_involution(self, digits):
-        layout = stored_groups(digits, False)
-        assert _ten_minus(*_ten_minus(*layout)) == layout
+        groups, count = stored_groups(digits, False), (len(digits) + 1) // 3
+        assert _ten_minus(_ten_minus(groups, count, 10), count, 10) == groups
 
 
 @given(

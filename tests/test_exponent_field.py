@@ -90,10 +90,13 @@ def test_encode_exponent_rejects_negative(exponent, invert):
 
 
 def test_round_trip_exhaustive_to_one_million():
-    for exponent in range(10**6 + 1):
-        for invert in (False, True):
-            bits = field_bits(exponent, invert)
-            assert read_field(bits) == (exponent, invert, len(bits))
+    # Writer to reader on the integers, read as a positive value's field;
+    # the limit is far above every exponent here.
+    limit = 1 << 64
+    for invert, sign in [(False, ExponentSign.NON_NEGATIVE), (True, ExponentSign.NEGATIVE)]:
+        for exponent in range(10**6 + 1):
+            code, width = exponent_field(exponent, invert)
+            assert _read_exponent(code, width, 0, False, limit) == (sign, exponent, width)
 
 
 @given(st.integers(10**6, 10**30), st.booleans())

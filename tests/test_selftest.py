@@ -70,8 +70,8 @@ def test_order_disagreement_is_reported(monkeypatch):
 
 
 def test_complement_that_is_not_an_involution_is_reported(monkeypatch):
-    def off_by_one(first, slots, ones):
-        return first, slots + 1, ones
+    def off_by_one(groups, count, stride):
+        return groups + 1
 
     monkeypatch.setattr(lexdec.selftest, "_ten_minus", off_by_one)
     result = run_selftest(3, seed=3)

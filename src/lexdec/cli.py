@@ -168,15 +168,20 @@ def _cmd_cmp(args) -> int:
 
 
 def _cmd_sort(args) -> int:
-    keys, lines = [], []
-    for number, line in enumerate(sys.stdin.readlines(), start=1):
+    lines = sys.stdin.readlines()
+    if lines and not lines[-1].endswith("\n"):
+        lines[-1] += "\n"
+    # Each distinct line is keyed once, in first-seen order, so the first bad
+    # line met here is also the earliest bad line of the input.
+    keys = dict.fromkeys(lines)
+    for line in keys:
         text = line.strip()
         if not text:
             continue
         try:
             value = parse_decimal(text)
         except (ParseError, ExponentLimitError) as exc:
-            print(f"line {number}: {exc}", file=sys.stderr)
+            print(f"line {lines.index(line) + 1}: {exc}", file=sys.stderr)
             return EXIT_USAGE
         # The key is the encoding's zero-padded bytes: bytes that differ order
         # as the bits do, by the argument in lexdec.bits, so only equal bytes
@@ -185,12 +190,10 @@ def _cmd_sort(args) -> int:
         # non-zero, and no finite key is as short as the one-byte specials.
         # Equal values give equal keys, and the sort is stable, so they keep
         # their input order.
-        keys.append(encode(value).to_bytes()[0])
-        lines.append(line)
-    if lines and not lines[-1].endswith("\n"):
-        lines[-1] += "\n"
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    sys.stdout.write("".join([lines[i] for i in order]))
+        keys[line] = encode(value).to_bytes()[0]
+    lines = [line for line in lines if keys[line] is not None]
+    lines.sort(key=keys.__getitem__)
+    sys.stdout.write("".join(lines))
     return EXIT_OK
 
 

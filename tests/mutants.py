@@ -37,6 +37,7 @@ FAST_MODULES = [
     "test_paper_model.py",
     "test_conformance.py",
     "test_bench.py",
+    "test_cli.py",
     "test_codec.py",
     "test_decode_fuzz.py",
     "test_exponent_field.py",
@@ -161,6 +162,18 @@ MUTANTS = [
         "            chunk_end = 0  # the next value reads a chunk of its own width\n",
         "",
         "the chunk read for a widened view is kept: the values after it are slow",
+    ),
+    (
+        "cli.py",
+        "lines.index(line) + 1",
+        "list(keys).index(line) + 1",
+        "sort numbers a bad line by its place among the distinct lines",
+    ),
+    (
+        "cli.py",
+        "lines.sort(key=keys.__getitem__)",
+        "lines.sort(key=lambda line: (keys[line], line))",
+        "sort orders equal keys by their text, not by input order",
     ),
 ]
 

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import timeit
 
 import pytest
 from hypothesis import given, settings
@@ -194,6 +195,38 @@ class TestSort:
         assert code == 1
         assert "line 2" in err
 
+    # Lines count from the first, blank ones too, and a bad line that repeats
+    # is reported where it first comes, past any repeats of good lines.
+    @pytest.mark.parametrize(
+        "text, number",
+        [
+            ("1\n2\n1\nbogus\n2\nbogus\n", 4),
+            ("\n1\n\n\nbogus\n", 5),
+            ("1\nbogus\n1\nbogus", 2),
+        ],
+        ids=["repeated", "after-blank-lines", "repeated-without-final-newline"],
+    )
+    def test_bad_line_reports_its_first_line_number(self, capsys, monkeypatch, text, number):
+        feed(monkeypatch, text)
+        expected = f"line {number}: expected digit (at position 0)\n"
+        assert run(capsys, "sort") == (1, "", expected)
+
+    def test_each_distinct_line_is_parsed_once(self, capsys, monkeypatch):
+        parsed = []
+
+        def counting(text, *args, **kwargs):
+            parsed.append(text)
+            return parse_decimal(text, *args, **kwargs)
+
+        monkeypatch.setattr("lexdec.cli.parse_decimal", counting)
+        feed(monkeypatch, "2\n1\n\n2\n 1\n1\n\n2\n")
+        assert run(capsys, "sort") == (0, "1\n 1\n1\n2\n2\n2\n", "")
+        assert parsed == ["2", "1", "1"]  # from "2", "1" and " 1"
+
+    def test_last_line_that_repeats_gets_its_newline(self, capsys, monkeypatch):
+        feed(monkeypatch, "3\n1\n3")
+        assert run(capsys, "sort") == (0, "1\n3\n3\n", "")
+
     def test_padded_lines_come_out_verbatim(self, capsys, monkeypatch):
         feed(monkeypatch, "  2 \n\t-1\t\n 0.5\n")
         assert run(capsys, "sort") == (0, "\t-1\t\n 0.5\n  2 \n", "")
@@ -203,7 +236,13 @@ class TestSort:
         assert run(capsys, "sort") == (0, "1\n2\n", "")
 
     @pytest.mark.parametrize(
-        "spellings", [["1", "1.0", "10e-1", "1e0"], ["1e0", "10e-1", "1.0", "1"]]
+        "spellings",
+        [
+            ["1", "1.0", "10e-1", "1e0"],
+            ["1e0", "10e-1", "1.0", "1"],
+            ["1", "1.0", "1", "1.0"],
+            [" 1", "1", "1 ", " 1", "1"],
+        ],
     )
     def test_equal_values_keep_their_input_order(self, capsys, monkeypatch, spellings):
         feed(monkeypatch, "\n".join(["2", *spellings, "0.5"]) + "\n")
@@ -212,6 +251,26 @@ class TestSort:
     def test_empty_input_gives_empty_output(self, capsys, monkeypatch):
         feed(monkeypatch, "")
         assert run(capsys, "sort") == (0, "", "")
+
+    @pytest.mark.parametrize("repeated", [False, True], ids=["distinct", "repeated"])
+    def test_time_grows_near_linearly(self, monkeypatch, repeated):
+        # A ratio of two timings on one machine, not a wall-clock bound:
+        # 8 times the lines take about 8 times as long, 64 times if each
+        # line costs time in the number of lines.
+        def best_of_3(count):
+            if repeated:
+                text = "-1.5e3\n" * count
+            else:
+                text = "".join([f"{i}.{i % 7}e-{i % 11}\n" for i in range(count)])
+
+            def sort():
+                monkeypatch.setattr("sys.stdin", io.StringIO(text))
+                monkeypatch.setattr("sys.stdout", io.StringIO())
+                assert main(["sort"]) == 0
+
+            return min(timeit.repeat(sort, number=1, repeat=3))
+
+        assert best_of_3(16_000) / best_of_3(2_000) < 20
 
     def test_crlf_lines_from_a_real_stdin(self):
         # A real stdin, not io.StringIO: the interpreter's own newline
